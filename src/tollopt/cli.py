@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import os
@@ -20,13 +19,12 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .doe import build_initial_plan, save_plan_csv
-from .infill import repair_smoothing
+from .doe import save_plan_csv
 from .simnet import (ConfigError, NetworkConfig, PRESETS, config_from_dict,
                      config_to_dict, fit_lower_envelope, simulate)
 from .surrogate import fit, loo_cv
-from .tlp import (OptimizationRun, ProblemSpec, convergence_history, load_samples_csv,
-                  optimize, replication_seeds, write_run_dir)
+from .tlp import (OptimizationRun, ProblemSpec, load_samples_csv, optimize,
+                  repaired_initial_plan, write_run_dir)
 from .toll import Bounds, TollVector
 
 DEFAULT_PROBLEM = {
@@ -61,25 +59,37 @@ def load_scenario(config_arg: str) -> tuple[NetworkConfig, dict]:
     return config, problem
 
 
-def build_spec(config: NetworkConfig, problem: dict, args) -> ProblemSpec:
-    m = config.m
-    v_min, w_min = problem["tau_min"]
-    v_max, w_max = problem["tau_max"]
-    bounds = Bounds.uniform(m, float(v_max), float(w_max), float(v_min), float(w_min))
-    budget = args.budget if getattr(args, "budget", None) is not None else problem["budget"]
-    reps = (args.replications if getattr(args, "replications", None) is not None
-            else problem["replications"])
-    delta_max = (args.delta_max if getattr(args, "delta_max", None) is not None
-                 else problem["delta_max"])
-    alpha, beta = float(problem["alpha"]), float(problem["beta"])
+def resolve_problem(problem: dict, args) -> dict:
+    """The problem that runs: the scenario's values with the ``args`` flag overrides
+    applied.  Run records and ``--print-config`` are written from this dict."""
+    resolved = dict(problem)
+    for key in ("budget", "replications", "delta_max"):
+        if getattr(args, key, None) is not None:
+            resolved[key] = getattr(args, key)
     if getattr(args, "smoothing", None):
         parts = args.smoothing.split(",")
         if len(parts) != 2:
             raise UsageError("--smoothing takes 'alpha,beta'")
-        alpha, beta = float(parts[0]), float(parts[1])
-    return ProblemSpec(config=config, bounds=bounds, alpha=alpha, beta=beta,
+        resolved["alpha"], resolved["beta"] = float(parts[0]), float(parts[1])
+    return resolved
+
+
+def resolve_scenario(args) -> tuple[NetworkConfig, dict]:
+    """Scenario argument and flags -> network config and resolved problem dict."""
+    config, problem = load_scenario(args.config)
+    return config, resolve_problem(problem, args)
+
+
+def build_spec(config: NetworkConfig, problem: dict, args=None) -> ProblemSpec:
+    """The toll level problem of a scenario, with the ``args`` flag overrides applied."""
+    p = resolve_problem(problem, args)
+    (v_min, w_min), (v_max, w_max) = p["tau_min"], p["tau_max"]
+    bounds = Bounds.uniform(config.m, float(v_max), float(w_max), float(v_min), float(w_min))
+    delta_max = p["delta_max"]
+    return ProblemSpec(config=config, bounds=bounds,
+                       alpha=float(p["alpha"]), beta=float(p["beta"]),
                        delta_max=None if delta_max is None else float(delta_max),
-                       replications=int(reps), budget=int(budget))
+                       replications=int(p["replications"]), budget=int(p["budget"]))
 
 
 def scenario_doc(config: NetworkConfig, problem: dict) -> dict:
@@ -133,7 +143,7 @@ def write_manifest(path: str, doc_cfg: dict, args_dict: dict, method: str, seed:
 # commands
 
 def cmd_simulate(args) -> int:
-    config, problem = load_scenario(args.config)
+    config, problem = resolve_scenario(args)
     if maybe_print_config(args, config, problem):
         return 0
     m = config.m
@@ -177,22 +187,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    config, problem = load_scenario(args.config)
+    config, problem = resolve_scenario(args)
     if maybe_print_config(args, config, problem):
         return 0
-    spec = build_spec(config, problem, args)
+    spec = build_spec(config, problem)
     run = optimize(spec, method=args.method, seed=args.seed)
     outdir = out_dir(args, f"optimize-{args.method}-seed{args.seed}")
     write_run_dir(run, outdir)
     doc = scenario_doc(config, problem)
-    doc["problem"]["budget"] = spec.budget
-    doc["problem"]["replications"] = spec.replications
-    doc["problem"]["delta_max"] = spec.delta_max
     with open(os.path.join(outdir, "config.yaml"), "w") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)
     write_manifest(os.path.join(outdir, "run.json"), doc,
-                   {"method": args.method, "budget": spec.budget,
-                    "delta_max": spec.delta_max, "replications": spec.replications},
+                   {"method": args.method, "budget": problem["budget"],
+                    "delta_max": problem["delta_max"], "replications": problem["replications"],
+                    "smoothing": [problem["alpha"], problem["beta"]]},
                    args.method, args.seed,
                    extra={"mode": "constrained" if spec.delta_max is not None else "single-objective",
                           "evaluations": run.evaluations,
@@ -223,19 +231,12 @@ def cmd_validate(args) -> int:
     config_path = os.path.join(args.run_dir, "config.yaml")
     if not os.path.exists(samples_path) or not os.path.exists(config_path):
         raise UsageError(f"not a run directory (missing samples.csv/config.yaml): {args.run_dir}")
-    with open(config_path) as fh:
-        doc = yaml.safe_load(fh)
-    config = config_from_dict(doc)
-    problem = dict(DEFAULT_PROBLEM)
-    problem.update(doc.get("problem") or {})
+    spec = build_spec(*load_scenario(config_path))
     records = load_samples_csv(samples_path)
     if len(records) < 3:
         raise UsageError("insufficient samples: cross-validation needs at least 3")
-    v_min, w_min = problem["tau_min"]
-    v_max, w_max = problem["tau_max"]
-    bounds = Bounds.uniform(config.m, float(v_max), float(w_max), float(v_min), float(w_min))
     pairs = [(rec.toll, rec.objective) for rec in records]
-    model = fit(pairs, bounds, rng=np.random.default_rng(args.seed))
+    model = fit(pairs, spec.bounds, rng=np.random.default_rng(args.seed))
     cv = loo_cv(model)
     usable = [r for r in cv if not r.degenerate]
     inside = [r for r in usable if abs(r.standardized_residual) <= 3.0]
@@ -254,10 +255,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config, problem = load_scenario(args.config)
+    config, problem = resolve_scenario(args)
     if maybe_print_config(args, config, problem):
         return 0
-    spec = build_spec(config, problem, args)
+    spec = build_spec(config, problem)
     outdir = out_dir(args, "compare")
     os.makedirs(outdir, exist_ok=True)
     curves: list[tuple[str, OptimizationRun]] = []
@@ -270,15 +271,12 @@ def cmd_compare(args) -> int:
         writer.writerow(["method", "run", "evals", "best_objective_vpkmpl"])
         for label, run in curves:
             method = label.split("-")[0]
-            if run.direct_history:
-                points = run.direct_history
-            else:
-                best = run.best_so_far()
-                points = [(i + 1, float(v)) for i, v in enumerate(best) if np.isfinite(v)]
-            for evals, val in points:
-                writer.writerow([method, label, evals, repr(float(val))])
+            for i, val in enumerate(run.best_so_far()):
+                if np.isfinite(val):
+                    writer.writerow([method, label, i + 1, repr(float(val))])
     write_manifest(os.path.join(outdir, "run.json"), scenario_doc(config, problem),
-                   {"budget": spec.budget, "seeds": list(args.seeds)},
+                   {"budget": problem["budget"], "replications": problem["replications"],
+                    "seeds": list(args.seeds)},
                    "compare", args.seeds[0])
     for label, run in curves:
         print(f"{label:>16}: best {run.best.objective:.4f} after {run.evaluations} evaluations")
@@ -287,7 +285,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_envelope(args) -> int:
-    config, problem = load_scenario(args.config)
+    config, problem = resolve_scenario(args)
     if maybe_print_config(args, config, problem):
         return 0
     pairs = []
@@ -308,21 +306,14 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_doe(args) -> int:
-    config, problem = load_scenario(args.config)
+    config, problem = resolve_scenario(args)
     if maybe_print_config(args, config, problem):
         return 0
-    m = config.m
-    v_min, w_min = problem["tau_min"]
-    v_max, w_max = problem["tau_max"]
-    bounds = Bounds.uniform(m, float(v_max), float(w_max), float(v_min), float(w_min))
-    rng = np.random.default_rng(args.seed)
-    plan = build_initial_plan(m, bounds, rng)
-    plan = [TollVector.from_array(
-        repair_smoothing(p.as_array(), float(problem["alpha"]), float(problem["beta"]), bounds))
-        for p in plan]
+    spec = build_spec(config, problem)
+    plan = repaired_initial_plan(spec, np.random.default_rng(args.seed))
     path = args.out or "plan.csv"
     save_plan_csv(plan, path)
-    print(f"{len(plan)} design points ({2 * (2 * m + 1)} space-filling + 3 anchors) -> {path}")
+    print(f"{len(plan)} design points ({len(plan) - 3} space-filling + 3 anchors) -> {path}")
     return 0
 
 

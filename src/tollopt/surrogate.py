@@ -89,6 +89,23 @@ def corr_vector(design: np.ndarray, theta: np.ndarray, x: np.ndarray) -> np.ndar
     return np.exp(-np.einsum("kjl,l->kj", diff * diff, theta))
 
 
+def _gls_profile(chol: np.ndarray, y: np.ndarray, floor: float) -> tuple[float, np.ndarray, float]:
+    """Generalized-least-squares mean and process variance of ``y`` given the
+    lower Cholesky factor of its correlation matrix R.
+
+    Returns ``(mu, weights, sigma2)`` with ``weights = R^-1 (y - mu)`` and
+    ``sigma2`` clamped below at ``floor``.
+    """
+    n = y.shape[0]
+    ones = np.ones(n)
+    rinv_y = cho_solve((chol, True), y)
+    rinv_1 = cho_solve((chol, True), ones)
+    mu = float(ones @ rinv_y) / float(ones @ rinv_1)
+    resid = y - mu
+    weights = cho_solve((chol, True), resid)
+    return mu, weights, max(float(resid @ weights) / n, floor)
+
+
 def log_likelihood(design: np.ndarray, y: np.ndarray, theta, lam: float) -> float:
     """Concentrated Gaussian-process log-likelihood with mean and variance profiled out.
 
@@ -107,13 +124,7 @@ def log_likelihood(design: np.ndarray, y: np.ndarray, theta, lam: float) -> floa
     r = corr_matrix(design, theta)
     r[np.diag_indices_from(r)] = 1.0 + lam
     chol, _ = _cholesky_with_jitter(r, strict=True)
-    ones = np.ones(n)
-    rinv_y = cho_solve((chol, True), y)
-    rinv_1 = cho_solve((chol, True), ones)
-    mu = float(ones @ rinv_y) / float(ones @ rinv_1)
-    resid = y - mu
-    sigma2 = float(resid @ cho_solve((chol, True), resid)) / n
-    sigma2 = max(sigma2, 1e-300)
+    _, _, sigma2 = _gls_profile(chol, y, 1e-300)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * (n * math.log(2.0 * math.pi) + n * math.log(sigma2) + n + log_det)
 
@@ -191,13 +202,7 @@ def _assemble(design: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) 
     r[np.diag_indices_from(r)] = 1.0 + lam
     chol_r, _ = _cholesky_with_jitter(r)
     chol_psi, _ = _cholesky_with_jitter(psi)
-    ones = np.ones(n)
-    rinv_y = cho_solve((chol_r, True), y_std)
-    rinv_1 = cho_solve((chol_r, True), ones)
-    mu_std = float(ones @ rinv_y) / float(ones @ rinv_1)
-    resid = y_std - mu_std
-    weights = cho_solve((chol_r, True), resid)
-    sigma2_std = max(float(resid @ weights) / n, 0.0)
+    mu_std, weights, sigma2_std = _gls_profile(chol_r, y_std, 0.0)
     sigma2_ri_std = max(float(weights @ psi @ weights) / n, 0.0)
     return RKModel(
         design=design,
@@ -218,6 +223,17 @@ def _assemble(design: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) 
     )
 
 
+def _design_rows(samples: Sequence[tuple], bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-cube design rows and responses from ``(toll_or_vector, response)`` pairs."""
+    rows = []
+    ys = []
+    for x, val in samples:
+        arr = x.as_array() if isinstance(x, TollVector) else np.asarray(x, dtype=float)
+        rows.append(bounds.to_unit(arr))
+        ys.append(float(val))
+    return np.asarray(rows), np.asarray(ys)
+
+
 def fit(
     samples: Sequence[tuple],
     bounds: Bounds,
@@ -236,14 +252,7 @@ def fit(
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 sample points")
-    rows = []
-    ys = []
-    for x, val in samples:
-        arr = x.as_array() if isinstance(x, TollVector) else np.asarray(x, dtype=float)
-        rows.append(bounds.to_unit(arr))
-        ys.append(float(val))
-    design = np.asarray(rows)
-    y = np.asarray(ys)
+    design, y = _design_rows(samples, bounds)
     if np.unique(design, axis=0).shape[0] < 2:
         raise ValueError("need at least 2 distinct sample points")
     d = design.shape[1]
@@ -278,13 +287,8 @@ def fit(
 
 def fit_fixed(samples: Sequence[tuple], bounds: Bounds, theta, lam: float) -> RKModel:
     """Assemble a model at given hyperparameters (no search)."""
-    rows = []
-    ys = []
-    for x, val in samples:
-        arr = x.as_array() if isinstance(x, TollVector) else np.asarray(x, dtype=float)
-        rows.append(bounds.to_unit(arr))
-        ys.append(float(val))
-    return _assemble(np.asarray(rows), np.asarray(ys), np.asarray(theta, dtype=float), float(lam))
+    design, y = _design_rows(samples, bounds)
+    return _assemble(design, y, np.asarray(theta, dtype=float), float(lam))
 
 
 def _predict_arrays(model: RKModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,14 +348,7 @@ def loo_cv(model: RKModel) -> list[CVRecord]:
         except NumericalError:
             records.append(CVRecord(i, float(model.y[i]), math.nan, math.nan, math.nan, True))
             continue
-        y_red = y_std[keep]
-        ones = np.ones(n - 1)
-        rinv_y = cho_solve((chol, True), y_red)
-        rinv_1 = cho_solve((chol, True), ones)
-        mu = float(ones @ rinv_y) / float(ones @ rinv_1)
-        resid = y_red - mu
-        w = cho_solve((chol, True), resid)
-        sigma2 = max(float(resid @ w) / (n - 1), 0.0)
+        mu, w, sigma2 = _gls_profile(chol, y_std[keep], 0.0)
         psi_i = psi_full[keep, i]
         mean_std = mu + psi_i @ w
         var_std = sigma2 * (1.0 + model.lam - float(psi_i @ cho_solve((chol, True), psi_i)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import direct as direct_mod
 from .doe import build_initial_plan
-from .ga import GAParams, ga_maximize
+from .ga import GAParams
 from .infill import AcquisitionContext, propose_infill, repair_smoothing
 from .simnet import NetworkConfig, SimulationResult, simulate
 from .surrogate import fit
@@ -136,7 +136,6 @@ class OptimizationRun:
     acquisition_history: list[float]
     best_index: int
     evaluations: int
-    direct_history: list[tuple[int, float]] = field(default_factory=list)
 
     @property
     def best(self) -> SampleRecord:
@@ -219,14 +218,17 @@ def optimize(spec: ProblemSpec, method: str = "rk", seed: int = 0) -> Optimizati
     return _optimize_direct(spec, seed, rep_seeds)
 
 
+def repaired_initial_plan(spec: ProblemSpec, rng: np.random.Generator) -> list[TollVector]:
+    """The initial plan with every point repaired onto the smoothing-feasible set."""
+    plan = build_initial_plan(spec.m, spec.bounds, rng, spec.doe_candidates)
+    return [TollVector.from_array(
+        repair_smoothing(toll.as_array(), spec.alpha, spec.beta, spec.bounds)) for toll in plan]
+
+
 def _optimize_rk(spec: ProblemSpec, seed: int, rep_seeds: list[int]) -> OptimizationRun:
     rng = np.random.default_rng(seed)
-    plan = build_initial_plan(spec.m, spec.bounds, rng, spec.doe_candidates)
-    samples: list[SampleRecord] = []
-    for toll in plan:
-        repaired = TollVector.from_array(
-            repair_smoothing(toll.as_array(), spec.alpha, spec.beta, spec.bounds))
-        samples.append(evaluate_toll(spec, repaired, rep_seeds, origin="initial"))
+    samples = [evaluate_toll(spec, toll, rep_seeds, origin="initial")
+               for toll in repaired_initial_plan(spec, rng)]
 
     acquisition_history: list[float] = []
     while len(samples) < spec.budget:
@@ -301,14 +303,13 @@ def _optimize_direct(spec: ProblemSpec, seed: int, rep_seeds: list[int]) -> Opti
     rho = 1e3 * max(scale, 1e-12)
     penalized = direct_mod.penalized_objective(raw_objective, constraint_fns, rho)
 
-    _, _, history = direct_mod.direct_minimize(
+    direct_mod.direct_minimize(
         penalized, (spec.bounds.lower, spec.bounds.upper), max_evals=spec.budget)
 
     return OptimizationRun(
         spec=spec, method="direct", master_seed=int(seed), rep_seeds=rep_seeds,
         samples=samples, acquisition_history=[],
         best_index=_best_index(samples, spec), evaluations=len(samples),
-        direct_history=history,
     )
 
 
@@ -370,13 +371,6 @@ def write_run_dir(run: OptimizationRun, outdir) -> None:
             writer.writerow(["iteration", "acquisition", "best_objective_vpkmpl"])
             for it, acq in enumerate(run.acquisition_history):
                 writer.writerow([it, repr(acq), repr(float(best[n0 + it]))])
-
-    if run.direct_history:
-        with open(os.path.join(outdir, "history.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["evals", "best_value_vpkmpl"])
-            for evals, val in run.direct_history:
-                writer.writerow([evals, repr(float(val))])
 
     for i, rec in enumerate(run.samples):
         with open(os.path.join(evals_dir, f"eval_{i:04d}.csv"), "w", newline="") as fh:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -54,6 +55,37 @@ def test_print_config_dumps_resolved_scenario(capsys):
     assert doc["problem"]["tau_max"] == [1.0, 15.0]
 
 
+def test_print_config_shows_flag_overrides(capsys):
+    assert run_cli(["optimize", "desk", "--budget", "30", "--delta-max", "7",
+                    "--smoothing", "0.2,3", "--print-config"]) == 0
+    problem = yaml.safe_load(capsys.readouterr().out)["problem"]
+    assert (problem["budget"], problem["delta_max"]) == (30, 7.0)
+    assert (problem["alpha"], problem["beta"]) == (0.2, 3.0)
+
+
+def test_optimize_records_smoothing_override(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli(["optimize", "desk", "--smoothing", "0.2,3", "--budget", "22",
+                    "--replications", "1", "--out", str(out)]) == 0
+    problem = yaml.safe_load((out / "config.yaml").read_text())["problem"]
+    assert (problem["alpha"], problem["beta"]) == (0.2, 3.0)
+    flags = json.loads((out / "run.json").read_text())["flags"]
+    assert flags["smoothing"] == [0.2, 3.0]
+
+
+def test_compare_plots_best_feasible_objective_per_evaluation(tmp_path):
+    out = tmp_path / "cmp"
+    assert run_cli(["compare", "desk", "--budget", "22", "--replications", "1",
+                    "--seeds", "0", "--out", str(out)]) == 0
+    with open(out / "comparison.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for label in ("rk-seed0", "direct-seed0"):
+        evals = [int(r["evals"]) for r in rows if r["run"] == label]
+        best = [float(r["best_objective_vpkmpl"]) for r in rows if r["run"] == label]
+        assert evals == list(range(evals[0], evals[-1] + 1))    # one point per evaluation
+        assert all(b <= a for a, b in zip(best, best[1:]))
+
+
 def test_doe_export_shape_and_header(tmp_path):
     path = tmp_path / "plan.csv"
     assert run_cli(["doe", "desk", "--seed", "1", "--out", str(path)]) == 0
@@ -79,23 +111,35 @@ def test_optimize_budget_below_plan_reports_plan_size(capsys):
     assert "21" in capsys.readouterr().err
 
 
-def test_validate_insufficient_samples(tmp_path, capsys):
-    run_dir = tmp_path / "tiny"
+def write_tiny_run_dir(run_dir, samples=((0.0, 30.0, 5.0), (0.5, 12.0, 7.0)), **problem_extra):
+    """A run directory on the desk scenario with one replication per sample:
+    each sample is a (uniform toll level, objective, constraint) triple."""
     run_dir.mkdir()
     doc = config_to_dict(desk_preset())
     doc["problem"] = {"tau_min": [0.0, 0.0], "tau_max": [1.0, 15.0],
                       "alpha": 1 / 3, "beta": 5.0, "replications": 1,
-                      "budget": 30, "delta_max": None}
+                      "budget": 30, "delta_max": None, **problem_extra}
     (run_dir / "config.yaml").write_text(yaml.safe_dump(doc))
     header = ("index,origin," + ",".join(f"v_{h}_per_km" for h in range(1, 5)) + ","
               + ",".join(f"w_{h}_per_h" for h in range(1, 5))
               + ",objective_rep0_vpkmpl,objective_mean_vpkmpl"
               + ",constraint_rep0_vpkmpl,constraint_mean_vpkmpl,smoothing_feasible")
-    rows = ["0,initial," + ",".join(["0.0"] * 8) + ",30.0,30.0,5.0,5.0,1",
-            "1,initial," + ",".join(["0.5"] * 8) + ",12.0,12.0,7.0,7.0,1"]
+    rows = [f"{i},initial," + ",".join([str(level)] * 8) + f",{obj},{obj},{con},{con},1"
+            for i, (level, obj, con) in enumerate(samples)]
     (run_dir / "samples.csv").write_text(header + "\n" + "\n".join(rows) + "\n")
-    assert run_cli(["validate", str(run_dir)]) == 2
+
+
+def test_validate_insufficient_samples(tmp_path, capsys):
+    write_tiny_run_dir(tmp_path / "tiny")
+    assert run_cli(["validate", str(tmp_path / "tiny")]) == 2
     assert "insufficient samples" in capsys.readouterr().err
+
+
+def test_validate_rejects_unknown_problem_key(tmp_path, capsys):
+    samples = ((0.0, 30.0, 5.0), (0.5, 12.0, 7.0), (1.0, 20.0, 9.0))
+    write_tiny_run_dir(tmp_path / "bogus", samples=samples, bogus=1)
+    assert run_cli(["validate", str(tmp_path / "bogus")]) == 2
+    assert "problem.bogus" in capsys.readouterr().err
 
 
 def test_validate_missing_run_dir(capsys):
