@@ -8,7 +8,7 @@ nonzero prediction error at the sampled points themselves.
 
 import numpy as np
 
-from tollopt import Bounds, fit, loo_cv, model_from_json, model_to_json, predict
+from tollopt import Bounds, fit, loo_cv, predict
 from tollopt.doe import lhs
 
 rng = np.random.default_rng(3)
@@ -45,7 +45,3 @@ print(f"\nat a training point: variance {at_sample.variance:.2e}, "
 records = loo_cv(model)
 inside = sum(1 for r in records if not r.degenerate and abs(r.standardized_residual) <= 3)
 print(f"leave-one-out: {inside}/{len(records)} standardized residuals within [-3, 3]")
-
-clone = model_from_json(model_to_json(model))
-assert np.array_equal(predict(clone, grid).mean, pred.mean)
-print("JSON round trip reproduces predictions bit for bit")

@@ -10,7 +10,7 @@ from .doe import build_initial_plan, lhs, maximin_lhs
 from .ga import GAParams, ga_maximize
 from .surrogate import (CVRecord, NumericalError, Prediction, RKModel,
                         correlation, fit, fit_fixed, log_likelihood, loo_cv,
-                        model_from_json, model_to_json, predict)
+                        predict)
 from .infill import (AcquisitionContext, acquisition_value, constrained_ei,
                      expected_improvement, prob_feasible, propose_infill,
                      repair_smoothing)
@@ -18,8 +18,7 @@ from .direct import HyperRect, direct_minimize, penalized_objective, potentially
 from .simnet import (ConfigError, NetworkConfig, RouteState, SimulationResult,
                      demand_split, desk_preset, deviation_from_spread,
                      envelope_gamma, fit_lower_envelope, generalized_cost,
-                     load_config, paper_preset, save_config, simulate,
-                     spatial_spread)
+                     paper_preset, simulate, spatial_spread)
 from .tlp import (OptimizationRun, ProblemSpec, SampleRecord, check_smoothing,
                   constraint_value, convergence_history, objective_value,
                   optimize)

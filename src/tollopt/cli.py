@@ -38,6 +38,23 @@ DEFAULT_PROBLEM = {
 }
 
 
+def _rate_pair(value) -> tuple[float, float]:
+    distance, delay = (float(v) for v in value)
+    return distance, delay
+
+
+# problem key -> conversion to the type the toll level problem takes
+_PROBLEM_TYPES = {
+    "tau_min": _rate_pair,
+    "tau_max": _rate_pair,
+    "alpha": float,
+    "beta": float,
+    "replications": int,
+    "budget": int,
+    "delta_max": lambda v: None if v is None else float(v),
+}
+
+
 class UsageError(Exception):
     pass
 
@@ -81,15 +98,22 @@ def resolve_scenario(args) -> tuple[NetworkConfig, dict]:
 
 
 def build_spec(config: NetworkConfig, problem: dict, args=None) -> ProblemSpec:
-    """The toll level problem of a scenario, with the ``args`` flag overrides applied."""
-    p = resolve_problem(problem, args)
+    """The toll level problem of a scenario, with the ``args`` flag overrides applied.
+
+    The one place problem values are converted; a bad one is a ConfigError
+    that names its key."""
+    resolved = resolve_problem(problem, args)
+    p = {}
+    for key, convert in _PROBLEM_TYPES.items():
+        try:
+            p[key] = convert(resolved[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"problem.{key}: {resolved[key]!r} is not usable ({exc})") from exc
     (v_min, w_min), (v_max, w_max) = p["tau_min"], p["tau_max"]
-    bounds = Bounds.uniform(config.m, float(v_max), float(w_max), float(v_min), float(w_min))
-    delta_max = p["delta_max"]
-    return ProblemSpec(config=config, bounds=bounds,
-                       alpha=float(p["alpha"]), beta=float(p["beta"]),
-                       delta_max=None if delta_max is None else float(delta_max),
-                       replications=int(p["replications"]), budget=int(p["budget"]))
+    bounds = Bounds.uniform(config.m, v_max, w_max, v_min, w_min)
+    return ProblemSpec(config=config, bounds=bounds, alpha=p["alpha"], beta=p["beta"],
+                       delta_max=p["delta_max"], replications=p["replications"],
+                       budget=p["budget"])
 
 
 def scenario_doc(config: NetworkConfig, problem: dict) -> dict:

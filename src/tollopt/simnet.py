@@ -12,11 +12,10 @@ heterogeneity metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-import yaml
 from scipy.special import expit
 
 from .toll import TollVector
@@ -139,11 +138,6 @@ class NetworkConfig:
         if any(k[1] < 0 for k in self.demand_knots):
             raise ConfigError("demand_knots: demand must be nonnegative")
 
-    def demand_at(self, hour: float) -> float:
-        hours = np.array([k[0] for k in self.demand_knots])
-        rates = np.array([k[1] for k in self.demand_knots])
-        return float(np.interp(hour, hours, rates))
-
 
 # (section, key) -> dataclass field; single place defining the file schema
 _SCHEMA = {
@@ -221,20 +215,6 @@ def config_to_dict(config: NetworkConfig) -> dict:
             value = float(value)
         net.setdefault(section, {})[key] = value
     return {"network": net}
-
-
-def load_config(path) -> NetworkConfig:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    return config_from_dict(doc)
-
-
-def save_config(config: NetworkConfig, path, extra: Optional[dict] = None) -> None:
-    doc = config_to_dict(config)
-    if extra:
-        doc.update(extra)
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +344,13 @@ class SimulationResult:
         return self.interval_density.size
 
 
-def _triangular_flow(k, u_f, k_c, k_j, crawl=0.0):
+def _triangular_flow(k, u_f, k_j, wave, crawl):
     """Per-lane triangular fundamental diagram flow (veh/h/lane).
 
-    The ``crawl`` speed floors the congested branch so a jammed cell keeps a
+    ``wave`` is the congested-branch wave speed u_f k_c / (k_j - k_c).  The
+    ``crawl`` speed floors the congested branch so a jammed cell keeps a
     trickle of movement and gridlock never becomes an absorbing state.
     """
-    wave = u_f * k_c / (k_j - k_c)
     tri = np.maximum(np.minimum(u_f * k, wave * (k_j - k)), 0.0)
     return np.maximum(tri, crawl * k)
 
@@ -378,12 +358,14 @@ def _triangular_flow(k, u_f, k_c, k_j, crawl=0.0):
 def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationResult:
     """Run one seeded replication of the reservoir model under a toll pattern.
 
-    The per-step loop: perturb demand, split it between zone and bypass with
-    the current generalized costs, load the zone cells by their inflow shares
-    subject to receiving capacity (excess queues at the gate), drain each
-    cell through its fundamental diagram (scaled by the drain multipliers
-    while the network is unloading), then record the aggregate state.  Toll
-    rates apply only inside the tolling window.
+    Each step's time, demand (with its lognormal noise) and tolling interval
+    are scheduled once up front.  The per-step loop then splits demand
+    between zone and bypass with the current generalized costs, loads the
+    zone cells by their inflow shares subject to receiving capacity (excess
+    queues at the gate), drains each cell through its fundamental diagram
+    (scaled by the drain multipliers while the network is unloading), and
+    records the aggregate state.  Toll rates apply only inside the tolling
+    window.
     """
     config.validate()
     m = config.m
@@ -403,9 +385,26 @@ def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationRe
     mean_free_speed = float(np.sum(u_f * lane_km) / total_lane_km)
     pz_free_min = 60.0 * config.pz_path_length / mean_free_speed
     bypass_free_h = config.bypass_length / config.bypass_free_speed
+
+    # per-run schedule: step times, demand with its per-step lognormal
+    # (mean-one) noise, and the tolling interval of each step (-1 outside
+    # the window), which sets both the step's toll and the interval means
+    step_h = np.arange(n_steps) * dt_h
+    knot_h, knot_q = zip(*config.demand_knots)
+    step_demand = np.interp(step_h, knot_h, knot_q)
+    log_sigma = math.sqrt(math.log(1.0 + config.demand_cv ** 2))
+    if log_sigma > 0:
+        # math.exp, not np.exp: the two can differ in the last bit, and
+        # fixed-seed runs are pinned (tests/test_golden.py)
+        draws = rng.normal(-0.5 * log_sigma ** 2, log_sigma, size=n_steps)
+        step_demand = step_demand * np.array([math.exp(z) for z in draws])
     win_start, win_end = config.tolling_window
     interval_h = config.interval_minutes / 60.0
-    log_sigma = math.sqrt(math.log(1.0 + config.demand_cv ** 2))
+    in_window = (step_h >= win_start) & (step_h < win_end)
+    step_interval = np.where(
+        in_window, np.minimum(((step_h - win_start) / interval_h).astype(int), m - 1), -1)
+    # index -1, a step outside the window, is the untolled rate
+    rates = [toll.rates_for_interval(h) for h in range(m)] + [(0.0, 0.0)]
 
     veh = np.zeros(C)            # vehicles per cell
     queue = 0.0
@@ -420,24 +419,15 @@ def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationRe
     k_hist = np.zeros((n_steps, C))
     veh_h_pz = veh_km_pz = veh_h_queue = veh_h_byp = veh_km_byp = 0.0
     revenue = 0.0
-    a_env, b_env, c_env = config.envelope
 
-    for s in range(n_steps):
-        t_h = s * dt_h
-        # demand with per-step lognormal perturbation (mean-one factor)
-        noise = math.exp(rng.normal(-0.5 * log_sigma ** 2, log_sigma)) if log_sigma > 0 else 1.0
-        demand = config.demand_at(t_h) * noise
-
-        in_window = win_start <= t_h < win_end
-        if in_window:
-            h = min(int((t_h - win_start) / interval_h), m - 1)
-            v_h, w_h = toll.rates_for_interval(h)
-        else:
-            v_h, w_h = 0.0, 0.0
+    schedule = zip(step_h.tolist(), step_demand.tolist(), step_interval.tolist())
+    for s, (t_h, demand, h) in enumerate(schedule):
+        v_h, w_h = rates[h]
 
         # current performance of both routes
         k = veh / lane_km
-        production = float(np.sum(_triangular_flow(k, u_f, k_c, k_j, crawl) * lane_km))  # veh km/h
+        cell_flow = _triangular_flow(k, u_f, k_j, wave, crawl)   # veh/h per lane
+        production = float(np.sum(cell_flow * lane_km))  # veh km/h
         accumulation = float(np.sum(veh))
         speed = production / accumulation if accumulation > 1e-9 else mean_free_speed
         speed = max(speed, 1e-3)
@@ -457,13 +447,14 @@ def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationRe
         # zone approaches gridlock), anything left queues at the gate
         arrivals = pz_rate * dt_h
         avail = queue + arrivals
-        headroom = np.maximum(k_j - k, 0.0) * lane_km
+        jam_gap = np.maximum(k_j - k, 0.0)
+        headroom = jam_gap * lane_km
         hr_total = float(np.sum(headroom))
         shares = config.heterogeneity_bias
         if config.rebalancing > 0 and hr_total > 0:
             shares = (1.0 - config.rebalancing) * shares \
                 + config.rebalancing * headroom / hr_total
-        supply = np.minimum(cap_flow, wave * np.maximum(k_j - k, 0.0) * config.cell_lanes) * dt_h
+        supply = np.minimum(cap_flow, wave * jam_gap * config.cell_lanes) * dt_h
         wanted = avail * shares
         inflow = np.minimum(wanted, supply)
         spare = supply - inflow
@@ -479,7 +470,7 @@ def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationRe
         # deadband keeps demand noise from flapping the phase flag
         unloading = accumulation > 0 and (accumulation / total_lane_km) < k_ema - 0.5
         mult = config.drain_multipliers if unloading else 1.0
-        out_rate = mult * _triangular_flow(k, u_f, k_c, k_j, crawl) * lane_km / config.pz_path_length
+        out_rate = mult * cell_flow * lane_km / config.pz_path_length
         outflow = np.minimum(out_rate * dt_h, veh + inflow)
         exited = float(np.sum(outflow))
         veh = veh + inflow - outflow
@@ -491,7 +482,7 @@ def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationRe
 
         k = veh / lane_km
         gamma, K = spatial_spread(k, config.cell_lengths, config.cell_lanes)
-        delta = gamma - ((a_env * K + b_env) * K + c_env) * K
+        delta = deviation_from_spread(gamma, K, config.envelope)
         k_ema += (config.step_seconds / 300.0) * (K - k_ema)
 
         delay_h = max(0.0, perceived_tt - pz_free_min) / 60.0
@@ -507,15 +498,8 @@ def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationRe
                  demand, pz_rate, arrivals, entered, exited)
         k_hist[s] = k
 
-    times_h = ts[:, 0] / 3600.0
-    interval_density = np.zeros(m)
-    interval_deviation = np.zeros(m)
-    for h in range(m):
-        t0 = win_start + h * interval_h
-        t1 = t0 + interval_h
-        mask = (times_h >= t0 - 1e-12) & (times_h < t1 - 1e-12)
-        interval_density[h] = float(np.mean(ts[mask, 1]))
-        interval_deviation[h] = float(np.mean(ts[mask, 3]))
+    interval_density = np.array([float(np.mean(ts[step_interval == h, 1])) for h in range(m)])
+    interval_deviation = np.array([float(np.mean(ts[step_interval == h, 3])) for h in range(m)])
 
     pz_att = 60.0 * veh_h_pz / veh_km_pz if veh_km_pz > 0 else 0.0
     net_hours = veh_h_pz + veh_h_queue + veh_h_byp

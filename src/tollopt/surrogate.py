@@ -15,7 +15,6 @@ already-sampled points.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -362,39 +361,3 @@ def loo_cv(model: RKModel) -> list[CVRecord]:
                                     (observed - predicted) / std_err, False))
     return records
 
-
-def model_to_json(model: RKModel) -> str:
-    """Serialize for reproducible resume; floats round-trip exactly via 17-digit strings."""
-
-    def enc(x) -> list | str:
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return format(float(arr), ".17g")
-        return [enc(v) for v in arr]
-
-    doc = {
-        "design": enc(model.design),
-        "y": enc(model.y),
-        "theta": enc(model.theta),
-        "lambda": enc(model.lam),
-        "mu_hat": enc(model.mu_hat),
-        "sigma2_hat": enc(model.sigma2_hat),
-        "sigma2_ri": enc(model.sigma2_ri),
-        "y_shift": enc(model.y_shift),
-        "y_scale": enc(model.y_scale),
-    }
-    return json.dumps(doc, indent=2)
-
-
-def model_from_json(text: str) -> RKModel:
-    doc = json.loads(text)
-
-    def dec(v):
-        if isinstance(v, list):
-            return np.asarray([dec(u) for u in v], dtype=float)
-        return float(v)
-
-    design = np.atleast_2d(dec(doc["design"]))
-    y = np.atleast_1d(dec(doc["y"]))
-    model = _assemble(design, y, np.atleast_1d(dec(doc["theta"])), float(dec(doc["lambda"])))
-    return model

@@ -163,20 +163,10 @@ def _is_feasible(rec: SampleRecord, spec: ProblemSpec) -> bool:
 
 
 def _best_index(samples: Sequence[SampleRecord], spec: ProblemSpec) -> int:
+    """Index of the best feasible sample, or of the best one while none is feasible."""
     feasible = [i for i, rec in enumerate(samples) if _is_feasible(rec, spec)]
     pool = feasible if feasible else range(len(samples))
     return min(pool, key=lambda i: samples[i].objective)
-
-
-def _feasible_y_min(samples: Sequence[SampleRecord], spec: ProblemSpec) -> float:
-    """Best observed objective among constraint-satisfying points, with a
-    global-minimum fallback when nothing observed is feasible yet."""
-    if spec.delta_max is None:
-        return min(rec.objective for rec in samples)
-    vals = [rec.objective for rec in samples if rec.constraint <= spec.delta_max]
-    if vals:
-        return min(vals)
-    return min(rec.objective for rec in samples)
 
 
 def replication_seeds(master_seed: int, replications: int) -> list[int]:
@@ -241,7 +231,7 @@ def _optimize_rk(spec: ProblemSpec, seed: int, rep_seeds: list[int]) -> Optimiza
         ctx = AcquisitionContext(
             obj_model=obj_model,
             bounds=spec.bounds,
-            y_min=_feasible_y_min(samples, spec),
+            y_min=samples[_best_index(samples, spec)].objective,
             smoothing=(spec.alpha, spec.beta),
             con_model=con_model,
             delta_max=spec.delta_max,

@@ -43,6 +43,16 @@ def test_malformed_config_names_offending_key(tmp_path, capsys):
     assert "network.choice.voodoo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("budget", None), ("alpha", "abc")])
+def test_bad_problem_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    doc = config_to_dict(desk_preset())
+    doc["problem"] = {key: value}
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli(["optimize", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert f"problem.{key}" in capsys.readouterr().err
+
+
 def test_toll_argument_length_checked(capsys):
     assert run_cli(["simulate", "desk", "--toll", "0.5,0.5"]) == 2
     assert "8" in capsys.readouterr().err

@@ -2,14 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tollopt.simnet import (ConfigError, RouteState, config_from_dict, config_to_dict,
                             demand_split, desk_preset, deviation_from_spread,
                             envelope_gamma, fit_lower_envelope, generalized_cost,
-                            load_config, paper_preset, save_config, simulate,
-                            spatial_spread)
+                            paper_preset, simulate, spatial_spread)
 from tollopt.toll import TollVector
 
 
@@ -153,8 +153,9 @@ class TestSimulate:
         assert np.all(res.k_cells >= 0.0)
         assert np.all(res.k_cells <= config.jam_density[None, :] + 1e-9)
 
-    def test_interval_average_matches_time_series(self):
-        config = desk_preset()
+    @pytest.mark.parametrize("preset", [desk_preset, paper_preset], ids=["desk", "paper"])
+    def test_interval_average_matches_time_series(self, preset):
+        config = preset()
         res = simulate(config, TollVector.zero(config.m), seed=5)
         hours = res.t / 3600.0
         start, _ = config.tolling_window
@@ -163,6 +164,22 @@ class TestSimulate:
             mask = (hours >= start + h * width - 1e-12) & (hours < start + (h + 1) * width - 1e-12)
             assert res.interval_density[h] == pytest.approx(
                 float(np.mean(res.network_density[mask])), abs=1e-12)
+
+    @pytest.mark.parametrize("preset", [desk_preset, paper_preset], ids=["desk", "paper"])
+    def test_toll_starts_where_its_interval_average_starts(self, preset):
+        config = preset()
+        free = simulate(config, TollVector.zero(config.m), seed=6)
+        start, _ = config.tolling_window
+        width = config.interval_minutes / 60.0
+        for h in range(config.m):
+            distance, delay = np.zeros(config.m), np.zeros(config.m)
+            distance[h], delay[h] = 0.5, 5.0
+            tolled = simulate(config, TollVector(distance, delay), seed=6)
+            first = int(round((start + h * width) * 3600.0 / config.step_seconds))
+            assert tolled.t[first] == pytest.approx((start + h * width) * 3600.0)
+            assert np.array_equal(tolled.demand, free.demand)
+            assert np.array_equal(tolled.pz_demand[:first], free.pz_demand[:first])
+            assert tolled.pz_demand[first] != free.pz_demand[first]
 
     def test_toll_interval_count_must_match(self):
         config = desk_preset()
@@ -182,11 +199,9 @@ class TestSimulate:
 
 
 class TestConfigIO:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         config = desk_preset()
-        path = tmp_path / "net.yaml"
-        save_config(config, path)
-        loaded = load_config(path)
+        loaded = config_from_dict(yaml.safe_load(yaml.safe_dump(config_to_dict(config))))
         assert config_to_dict(loaded) == config_to_dict(config)
 
     def test_unknown_key_is_named(self):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,8 +9,7 @@ from scipy.stats import multivariate_normal
 from tollopt.doe import lhs
 from tollopt.ga import GAParams
 from tollopt.surrogate import (NumericalError, correlation, corr_matrix, fit,
-                               fit_fixed, log_likelihood, loo_cv,
-                               model_from_json, model_to_json, predict)
+                               fit_fixed, log_likelihood, loo_cv, predict)
 from tollopt.toll import Bounds
 
 UNIT2 = Bounds(np.zeros(2), np.ones(2))
@@ -204,27 +202,3 @@ def test_regularized_matrix_diagonal_is_one_plus_lambda():
     assert np.allclose(np.diag(reconstructed), 1.0 + lam, atol=1e-12)
     psi = corr_matrix(pts, np.array([1.5, 0.8]))
     assert np.all(np.diag(psi) == 1.0)
-
-
-class TestSerialization:
-    def test_round_trip_is_exact(self):
-        samples, _, _ = make_samples(10, seed=14)
-        model = fit_fixed(samples, UNIT2, theta=np.array([2.5, 0.4]), lam=0.01)
-        text = model_to_json(model)
-        clone = model_from_json(text)
-        assert np.array_equal(model.design, clone.design)
-        assert np.array_equal(model.y, clone.y)
-        assert model.lam == clone.lam
-        q = lhs(20, 2, np.random.default_rng(15))
-        pa, pb = predict(model, q), predict(clone, q)
-        assert np.array_equal(pa.mean, pb.mean)
-        assert np.array_equal(pa.variance, pb.variance)
-        assert np.array_equal(pa.ri_variance, pb.ri_variance)
-
-    def test_document_fields_are_decimal_strings(self):
-        samples, _, _ = make_samples(4, seed=16)
-        model = fit_fixed(samples, UNIT2, theta=np.array([1.0, 1.0]), lam=0.0)
-        doc = json.loads(model_to_json(model))
-        assert isinstance(doc["lambda"], str)
-        assert isinstance(doc["design"][0][0], str)
-        assert float(doc["sigma2_hat"]) == model.sigma2_hat
