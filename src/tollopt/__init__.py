@@ -15,10 +15,11 @@ from .infill import (AcquisitionContext, acquisition_value, constrained_ei,
                      expected_improvement, prob_feasible, propose_infill,
                      repair_smoothing)
 from .direct import HyperRect, direct_minimize, penalized_objective, potentially_optimal
-from .simnet import (ConfigError, NetworkConfig, RouteState, SimulationResult,
-                     demand_split, desk_preset, deviation_from_spread,
-                     envelope_gamma, fit_lower_envelope, generalized_cost,
-                     paper_preset, simulate, spatial_spread)
+from .simnet import (BatchResult, ConfigError, NetworkConfig, RouteState,
+                     SimulationResult, demand_split, desk_preset,
+                     deviation_from_spread, envelope_gamma, fit_lower_envelope,
+                     generalized_cost, paper_preset, simulate, simulate_batch,
+                     spatial_spread)
 from .tlp import (OptimizationRun, ProblemSpec, SampleRecord, check_smoothing,
                   constraint_value, convergence_history, objective_value,
                   optimize)

@@ -21,7 +21,7 @@ import yaml
 from . import __version__
 from .doe import save_plan_csv
 from .simnet import (ConfigError, NetworkConfig, PRESETS, config_from_dict,
-                     config_to_dict, fit_lower_envelope, simulate)
+                     config_to_dict, fit_lower_envelope, simulate, simulate_batch)
 from .surrogate import fit, loo_cv
 from .tlp import (OptimizationRun, ProblemSpec, load_samples_csv, optimize,
                   repaired_initial_plan, write_run_dir)
@@ -312,10 +312,10 @@ def cmd_envelope(args) -> int:
     config, problem = resolve_scenario(args)
     if maybe_print_config(args, config, problem):
         return 0
-    pairs = []
-    for i in range(args.runs):
-        result = simulate(config, TollVector.zero(config.m), args.seed + i)
-        pairs.extend(zip(result.network_density, result.gamma))
+    batch = simulate_batch(config, [TollVector.zero(config.m)] * args.runs,
+                           [args.seed + i for i in range(args.runs)])
+    pairs = [pair for k, gamma in zip(batch.network_density, batch.gamma)
+             for pair in zip(k, gamma)]
     a, b, c = fit_lower_envelope(pairs)
     outdir = out_dir(args, "envelope")
     os.makedirs(outdir, exist_ok=True)

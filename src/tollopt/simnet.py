@@ -137,6 +137,11 @@ class NetworkConfig:
             raise ConfigError("demand_knots: hours must be strictly increasing")
         if any(k[1] < 0 for k in self.demand_knots):
             raise ConfigError("demand_knots: demand must be nonnegative")
+        _, step_interval = _step_intervals(self)
+        stepless = sorted(set(range(self.m)) - set(step_interval.tolist()))
+        if stepless:
+            raise ConfigError(f"step_seconds: {self.step_seconds:g} s leaves tolling "
+                              f"interval {stepless[0] + 1} of {self.m} without a step")
 
 
 # (section, key) -> dataclass field; single place defining the file schema
@@ -220,18 +225,34 @@ def config_to_dict(config: NetworkConfig) -> dict:
 # ---------------------------------------------------------------------------
 # aggregate metrics
 
-def spatial_spread(densities, lengths, lanes) -> tuple[float, float]:
-    """Length-lane-weighted mean density K and spread gamma (weighted std)."""
-    k = np.asarray(densities, dtype=float)
+def _cell_weights(lengths, lanes) -> np.ndarray:
     w = np.asarray(lengths, dtype=float) * np.asarray(lanes, dtype=float)
-    if k.size == 0 or w.size != k.size:
+    if w.ndim != 1 or w.size == 0:
         raise ValueError("need one positive weight per cell")
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
-    total = float(np.sum(w))
-    mean = float(np.sum(k * w)) / total
-    spread = math.sqrt(float(np.sum(w * (k - mean) ** 2)) / total)
+    return w
+
+
+def _weighted_spread(k: np.ndarray, w: np.ndarray, total: float):
+    # rows are summed along the contiguous last axis, which keeps numpy's
+    # pairwise order of a one-dimensional sum
+    mean = np.add.reduce(k * w, axis=-1) / total
+    spread = np.sqrt(np.add.reduce(w * (k - mean[..., None]) ** 2, axis=-1) / total)
     return spread, mean
+
+
+def spatial_spread(densities, lengths, lanes):
+    """Length-lane-weighted mean density K and spread gamma (weighted std).
+
+    Reduces along the last axis: a ``(..., C)`` array of cell densities gives
+    one (gamma, K) pair per row.
+    """
+    k = np.asarray(densities, dtype=float)
+    w = _cell_weights(lengths, lanes)
+    if k.shape[-1:] != w.shape:
+        raise ValueError("need one positive weight per cell")
+    return _weighted_spread(k, w, float(np.sum(w)))
 
 
 def envelope_gamma(k: float, envelope: Sequence[float]) -> float:
@@ -282,34 +303,41 @@ def fit_lower_envelope(samples: Sequence[tuple[float, float]], n_bins: int = 20
 
 @dataclass
 class RouteState:
-    """Instantaneous travel conditions used to price the two routes (minutes)."""
+    """Instantaneous travel conditions used to price the two routes (minutes).
 
-    pz_travel_time: float
+    Fields are floats, or arrays holding one value per simulated lane.
+    """
+
+    pz_travel_time: float | np.ndarray
     pz_free_time: float
-    bypass_travel_time: float
+    bypass_travel_time: float | np.ndarray
 
 
-def generalized_cost(route: str, toll_rates: tuple[float, float],
-                     state: RouteState, config: NetworkConfig) -> float:
+def _trip_toll(toll_rates, state: RouteState, config: NetworkConfig):
+    """Toll charged for one through-zone trip (currency)."""
+    v_h, w_h = toll_rates
+    delay_hours = np.maximum(0.0, state.pz_travel_time - state.pz_free_time) / 60.0
+    return v_h * config.pz_path_length + w_h * delay_hours
+
+
+def generalized_cost(route: str, toll_rates, state: RouteState, config: NetworkConfig):
     """Generalized cost of one route in time-equivalent minutes.
 
     The through-zone cost adds the distance toll and the delay toll converted
     by the value of travel time; the bypass carries no toll.  The delay term
-    vanishes whenever the zone runs at free flow.
+    vanishes whenever the zone runs at free flow.  Rates and state may be
+    arrays of lanes.
     """
     if route == "bypass":
         return state.bypass_travel_time
     if route != "through_pz":
         raise ValueError(f"unknown route {route!r}")
-    v_h, w_h = toll_rates
-    delay_hours = max(0.0, state.pz_travel_time - state.pz_free_time) / 60.0
-    toll = v_h * config.pz_path_length + w_h * delay_hours
-    return state.pz_travel_time + 60.0 * toll / config.vtt
+    return state.pz_travel_time + 60.0 * _trip_toll(toll_rates, state, config) / config.vtt
 
 
-def demand_split(cost_pz: float, cost_bypass: float, logit_scale: float) -> float:
+def demand_split(cost_pz, cost_bypass, logit_scale: float):
     """Binary logit probability of choosing the through-zone route."""
-    return float(expit(-logit_scale * (cost_pz - cost_bypass)))
+    return expit(-logit_scale * (cost_pz - cost_bypass))
 
 
 # ---------------------------------------------------------------------------
@@ -355,28 +383,98 @@ def _triangular_flow(k, u_f, k_j, wave, crawl):
     return np.maximum(tri, crawl * k)
 
 
+@dataclass
+class BatchResult:
+    """Per-lane aggregates of one :func:`simulate_batch` call.
+
+    Lane ``b`` is the replication of ``tolls[b]`` under ``seeds[b]``.  Only
+    the network density K and spread gamma are kept per step.
+    """
+
+    network_density: np.ndarray     # (B, T) K
+    gamma: np.ndarray               # (B, T)
+    interval_density: np.ndarray    # (B, m) mean K per tolling interval
+    interval_deviation: np.ndarray  # (B, m) mean Delta per tolling interval
+    pz_avg_travel_time: np.ndarray  # (B,) min/km inside the zone
+    net_avg_travel_time: np.ndarray  # (B,) min/km across zone + queue + bypass
+    toll_revenue: np.ndarray        # (B,) currency
+
+
+# per-step series that only simulate keeps, in the order the step loop records them
+_HISTORY = ("flow", "speed", "queue", "demand", "pz_demand", "arrivals", "entered",
+            "exited", "k_cells")
+
+
+def _step_intervals(config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Start hour of every step and its tolling interval (-1 outside the window)."""
+    dt_h = config.step_seconds / 3600.0
+    step_h = np.arange(int(round(config.horizon_hours / dt_h))) * dt_h
+    win_start, win_end = config.tolling_window
+    interval_h = config.interval_minutes / 60.0
+    in_window = (step_h >= win_start) & (step_h < win_end)
+    step_interval = np.where(
+        in_window, np.minimum(((step_h - win_start) / interval_h).astype(int), config.m - 1), -1)
+    return step_h, step_interval
+
+
 def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationResult:
     """Run one seeded replication of the reservoir model under a toll pattern.
 
+    The step loop of :func:`simulate_batch` with one lane, keeping every
+    per-step series.
+    """
+    batch, history = _run(config, [toll], [seed], keep_history=True)
+    k, gamma = batch.network_density[0], batch.gamma[0]
+    return SimulationResult(
+        t=_step_intervals(config)[0] * 3600.0, network_density=k, gamma=gamma,
+        deviation=deviation_from_spread(gamma, k, config.envelope),
+        **{name: series[:, 0] for name, series in history.items()},
+        interval_density=batch.interval_density[0],
+        interval_deviation=batch.interval_deviation[0],
+        pz_avg_travel_time=float(batch.pz_avg_travel_time[0]),
+        net_avg_travel_time=float(batch.net_avg_travel_time[0]),
+        toll_revenue=float(batch.toll_revenue[0]), seed=int(seed),
+    )
+
+
+def simulate_batch(config: NetworkConfig, tolls: Sequence[TollVector],
+                   seeds: Sequence[int]) -> BatchResult:
+    """Run independent seeded replications in one step loop over a lane axis.
+
+    Lane ``b`` is bit-for-bit the replication ``simulate(config, tolls[b],
+    seeds[b])``; replications of one point, or several points, share every
+    step's numpy calls.
+    """
+    return _run(config, tolls, seeds, keep_history=False)[0]
+
+
+def _run(config: NetworkConfig, tolls: Sequence[TollVector], seeds: Sequence[int],
+         keep_history: bool) -> tuple[BatchResult, dict | None]:
+    """The step loop over B lanes of (toll, seed).
+
     Each step's time, demand (with its lognormal noise) and tolling interval
-    are scheduled once up front.  The per-step loop then splits demand
-    between zone and bypass with the current generalized costs, loads the
-    zone cells by their inflow shares subject to receiving capacity (excess
-    queues at the gate), drains each cell through its fundamental diagram
-    (scaled by the drain multipliers while the network is unloading), and
-    records the aggregate state.  Toll rates apply only inside the tolling
-    window.
+    are scheduled once up front.  Each step then splits demand between zone
+    and bypass with the current generalized costs, loads the zone cells by
+    their inflow shares subject to receiving capacity (excess queues at the
+    gate), drains each cell through its fundamental diagram (scaled by the
+    drain multipliers while the network is unloading), and records the
+    aggregate state.  Toll rates apply only inside the tolling window.
+    ``keep_history`` also returns every per-step series of every lane.
     """
     config.validate()
     m = config.m
-    if toll.m != m:
-        raise ValueError(f"toll has {toll.m} intervals, config defines {m}")
-    rng = np.random.default_rng(seed)
+    if len(tolls) != len(seeds):
+        raise ValueError(f"got {len(tolls)} tolls for {len(seeds)} seeds")
+    if not tolls:
+        raise ValueError("need at least one (toll, seed) lane")
+    for toll in tolls:
+        if toll.m != m:
+            raise ValueError(f"toll has {toll.m} intervals, config defines {m}")
+    B = len(tolls)
 
     dt_h = config.step_seconds / 3600.0
-    n_steps = int(round(config.horizon_hours / dt_h))
     C = config.n_cells
-    lane_km = config.lane_km
+    lane_km = _cell_weights(config.cell_lengths, config.cell_lanes)
     total_lane_km = float(np.sum(lane_km))
     u_f, k_c, k_j = config.free_flow_speed, config.critical_density, config.jam_density
     crawl = config.crawl_speed
@@ -385,58 +483,70 @@ def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationRe
     mean_free_speed = float(np.sum(u_f * lane_km) / total_lane_km)
     pz_free_min = 60.0 * config.pz_path_length / mean_free_speed
     bypass_free_h = config.bypass_length / config.bypass_free_speed
+    base_shares = config.heterogeneity_bias
+    rebalanced_base = (1.0 - config.rebalancing) * base_shares
 
-    # per-run schedule: step times, demand with its per-step lognormal
-    # (mean-one) noise, and the tolling interval of each step (-1 outside
-    # the window), which sets both the step's toll and the interval means
-    step_h = np.arange(n_steps) * dt_h
+    # per-run schedule: step times, demand with each lane's per-step
+    # lognormal (mean-one) noise, and the tolling interval of each step,
+    # which sets both the step's toll and the interval means
+    step_h, step_interval = _step_intervals(config)
+    n_steps = step_h.size
     knot_h, knot_q = zip(*config.demand_knots)
-    step_demand = np.interp(step_h, knot_h, knot_q)
+    step_demand = np.empty((n_steps, B))
+    step_demand[:] = np.interp(step_h, knot_h, knot_q)[:, None]
     log_sigma = math.sqrt(math.log(1.0 + config.demand_cv ** 2))
     if log_sigma > 0:
-        # math.exp, not np.exp: the two can differ in the last bit, and
-        # fixed-seed runs are pinned (tests/test_golden.py)
-        draws = rng.normal(-0.5 * log_sigma ** 2, log_sigma, size=n_steps)
-        step_demand = step_demand * np.array([math.exp(z) for z in draws])
-    win_start, win_end = config.tolling_window
-    interval_h = config.interval_minutes / 60.0
-    in_window = (step_h >= win_start) & (step_h < win_end)
-    step_interval = np.where(
-        in_window, np.minimum(((step_h - win_start) / interval_h).astype(int), m - 1), -1)
-    # index -1, a step outside the window, is the untolled rate
-    rates = [toll.rates_for_interval(h) for h in range(m)] + [(0.0, 0.0)]
+        for b, seed in enumerate(seeds):
+            draws = np.random.default_rng(seed).normal(
+                -0.5 * log_sigma ** 2, log_sigma, size=n_steps)
+            # math.exp, not np.exp: the two can differ in the last bit, and
+            # fixed-seed runs are pinned (tests/test_golden.py)
+            step_demand[:, b] *= np.array([math.exp(z) for z in draws])
+    # row -1, a step outside the window, is the untolled rate
+    rate_v = np.zeros((m + 1, B))
+    rate_w = np.zeros((m + 1, B))
+    rate_v[:m] = np.array([toll.distance_rates for toll in tolls]).T
+    rate_w[:m] = np.array([toll.delay_rates for toll in tolls]).T
 
-    veh = np.zeros(C)            # vehicles per cell
-    queue = 0.0
-    bypass_veh = 0.0
-    bypass_inflow = 0.0          # veh/h, previous step, feeds the BPR delay
-    k_ema = 0.0                  # slow network-density trend for the phase flag
-    perceived_tt = pz_free_min   # travel time drivers react to (smoothed)
+    veh = np.zeros((B, C))       # vehicles per cell
+    queue = np.zeros(B)
+    bypass_veh = np.zeros(B)
+    bypass_inflow = np.zeros(B)  # veh/h, previous step, feeds the BPR delay
+    k_ema = np.zeros(B)          # slow network-density trend for the phase flag
+    perceived_tt = np.full(B, pz_free_min)  # travel time drivers react to (smoothed)
     tau_s = config.perception_tau_minutes * 60.0
     alpha_p = 1.0 if tau_s <= 0 else min(1.0, config.step_seconds / tau_s)
+    ema_rate = config.step_seconds / 300.0
 
-    ts = np.zeros((n_steps, 12))
-    k_hist = np.zeros((n_steps, C))
-    veh_h_pz = veh_km_pz = veh_h_queue = veh_h_byp = veh_km_byp = 0.0
-    revenue = 0.0
+    # a step reads its demand row once, so that row then keeps the step's K
+    # and the loop holds two (T, B) arrays, not three
+    k_steps = step_demand
+    gamma_steps = np.zeros((n_steps, B))
+    if keep_history:
+        history = {name: np.zeros((n_steps, B, C) if name == "k_cells" else (n_steps, B))
+                   for name in _HISTORY}
+    veh_h_pz, veh_km_pz, veh_h_queue, veh_h_byp, veh_km_byp, revenue = np.zeros((6, B))
 
-    schedule = zip(step_h.tolist(), step_demand.tolist(), step_interval.tolist())
-    for s, (t_h, demand, h) in enumerate(schedule):
-        v_h, w_h = rates[h]
+    for s, (demand, h) in enumerate(zip(step_demand, step_interval.tolist())):
+        rates = (rate_v[h], rate_w[h])
 
         # current performance of both routes
         k = veh / lane_km
         cell_flow = _triangular_flow(k, u_f, k_j, wave, crawl)   # veh/h per lane
-        production = float(np.sum(cell_flow * lane_km))  # veh km/h
-        accumulation = float(np.sum(veh))
-        speed = production / accumulation if accumulation > 1e-9 else mean_free_speed
-        speed = max(speed, 1e-3)
+        production = np.add.reduce(cell_flow * lane_km, axis=-1)  # veh km/h
+        accumulation = np.add.reduce(veh, axis=-1)
+        speed = np.divide(production, accumulation, out=np.full(B, mean_free_speed),
+                          where=accumulation > 1e-9)
+        speed = np.maximum(speed, 1e-3)
         pz_tt_min = 60.0 * config.pz_path_length / speed
         perceived_tt += alpha_p * (pz_tt_min - perceived_tt)
-        bypass_tt_h = bypass_free_h * (1.0 + 0.15 * (bypass_inflow / config.bypass_capacity) ** 2)
+        # float_power is libm pow, as Python's float ** 2 is; an array's ** 2
+        # squares, which differs from pow in the last bit on some inputs
+        bypass_tt_h = bypass_free_h * (
+            1.0 + 0.15 * np.float_power(bypass_inflow / config.bypass_capacity, 2.0))
         state = RouteState(perceived_tt, pz_free_min, bypass_tt_h * 60.0)
-        cost_pz = generalized_cost("through_pz", (v_h, w_h), state, config)
-        cost_b = generalized_cost("bypass", (v_h, w_h), state, config)
+        cost_pz = generalized_cost("through_pz", rates, state, config)
+        cost_b = generalized_cost("bypass", rates, state, config)
         p_pz = demand_split(cost_pz, cost_b, config.logit_scale)
         pz_rate = p_pz * demand
         bypass_rate = demand - pz_rate
@@ -449,73 +559,82 @@ def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationRe
         avail = queue + arrivals
         jam_gap = np.maximum(k_j - k, 0.0)
         headroom = jam_gap * lane_km
-        hr_total = float(np.sum(headroom))
-        shares = config.heterogeneity_bias
-        if config.rebalancing > 0 and hr_total > 0:
-            shares = (1.0 - config.rebalancing) * shares \
-                + config.rebalancing * headroom / hr_total
+        hr_total = np.add.reduce(headroom, axis=-1)
+        shares = base_shares
+        if config.rebalancing > 0:
+            has_room = hr_total > 0
+            rebalanced = rebalanced_base + config.rebalancing * headroom \
+                / np.where(has_room, hr_total, 1.0)[:, None]
+            shares = np.where(has_room[:, None], rebalanced, base_shares)
         supply = np.minimum(cap_flow, wave * jam_gap * config.cell_lanes) * dt_h
-        wanted = avail * shares
+        wanted = avail[:, None] * shares
         inflow = np.minimum(wanted, supply)
         spare = supply - inflow
-        surplus = avail - float(np.sum(inflow))
-        spare_total = float(np.sum(spare))
-        if surplus > 1e-12 and spare_total > 1e-12:
-            inflow = inflow + spare * (min(surplus, spare_total) / spare_total)
-        entered = float(np.sum(inflow))
-        queue = max(avail - entered, 0.0)
+        surplus = avail - np.add.reduce(inflow, axis=-1)
+        spare_total = np.add.reduce(spare, axis=-1)
+        top_up = (surplus > 1e-12) & (spare_total > 1e-12)
+        if top_up.any():
+            fill = np.minimum(surplus, spare_total) / np.where(top_up, spare_total, 1.0)
+            inflow = np.where(top_up[:, None], inflow + spare * fill[:, None], inflow)
+        entered = np.add.reduce(inflow, axis=-1)
+        queue = np.maximum(avail - entered, 0.0)
 
         # drain: per-cell completion via the fundamental diagram, slowed by
         # the drain multipliers while the network trend is falling; the
         # deadband keeps demand noise from flapping the phase flag
-        unloading = accumulation > 0 and (accumulation / total_lane_km) < k_ema - 0.5
-        mult = config.drain_multipliers if unloading else 1.0
+        unloading = (accumulation > 0) & ((accumulation / total_lane_km) < k_ema - 0.5)
+        mult = np.where(unloading[:, None], config.drain_multipliers, 1.0)
         out_rate = mult * cell_flow * lane_km / config.pz_path_length
         outflow = np.minimum(out_rate * dt_h, veh + inflow)
-        exited = float(np.sum(outflow))
+        exited = np.add.reduce(outflow, axis=-1)
         veh = veh + inflow - outflow
 
         # bypass as a first-order delay reservoir with a BPR-style travel time
-        bypass_out = min(bypass_veh, bypass_veh * dt_h / bypass_tt_h)
+        bypass_out = np.minimum(bypass_veh, bypass_veh * dt_h / bypass_tt_h)
         bypass_veh = bypass_veh + bypass_rate * dt_h - bypass_out
         bypass_inflow = bypass_rate
 
         k = veh / lane_km
-        gamma, K = spatial_spread(k, config.cell_lengths, config.cell_lanes)
-        delta = deviation_from_spread(gamma, K, config.envelope)
-        k_ema += (config.step_seconds / 300.0) * (K - k_ema)
+        gamma, K = _weighted_spread(k, lane_km, total_lane_km)
+        k_ema += ema_rate * (K - k_ema)
 
-        delay_h = max(0.0, perceived_tt - pz_free_min) / 60.0
-        revenue += entered * (v_h * config.pz_path_length + w_h * delay_h)
+        revenue += entered * _trip_toll(rates, state, config)
         veh_h_pz += accumulation * dt_h
         veh_km_pz += production * dt_h
         veh_h_queue += queue * dt_h
         veh_h_byp += bypass_veh * dt_h
         veh_km_byp += (bypass_veh / bypass_tt_h) * config.bypass_length * dt_h
 
-        flow_per_lane = production / total_lane_km
-        ts[s] = (t_h * 3600.0, K, gamma, delta, flow_per_lane, speed, queue,
-                 demand, pz_rate, arrivals, entered, exited)
-        k_hist[s] = k
+        if keep_history:
+            for name, value in zip(_HISTORY, (production / total_lane_km, speed, queue, demand,
+                                              pz_rate, arrivals, entered, exited, k)):
+                history[name][s] = value
+        k_steps[s] = K   # after the last read of this step's demand
+        gamma_steps[s] = gamma
 
-    interval_density = np.array([float(np.mean(ts[step_interval == h, 1])) for h in range(m)])
-    interval_deviation = np.array([float(np.mean(ts[step_interval == h, 3])) for h in range(m)])
+    # interval means per lane; Delta is elementwise in (gamma, K), so it is
+    # computed here, and each lane's steps are summed as one contiguous row
+    interval_density = np.empty((B, m))
+    interval_deviation = np.empty((B, m))
+    for h in range(m):
+        in_h = step_interval == h
+        k_h = np.ascontiguousarray(k_steps[in_h].T)
+        gamma_h = np.ascontiguousarray(gamma_steps[in_h].T)
+        interval_density[:, h] = np.mean(k_h, axis=-1)
+        interval_deviation[:, h] = np.mean(
+            deviation_from_spread(gamma_h, k_h, config.envelope), axis=-1)
 
-    pz_att = 60.0 * veh_h_pz / veh_km_pz if veh_km_pz > 0 else 0.0
+    pz_att = np.divide(60.0 * veh_h_pz, veh_km_pz, out=np.zeros(B), where=veh_km_pz > 0)
     net_hours = veh_h_pz + veh_h_queue + veh_h_byp
     net_km = veh_km_pz + veh_km_byp
-    net_att = 60.0 * net_hours / net_km if net_km > 0 else 0.0
+    net_att = np.divide(60.0 * net_hours, net_km, out=np.zeros(B), where=net_km > 0)
 
-    return SimulationResult(
-        t=ts[:, 0].copy(), k_cells=k_hist,
-        network_density=ts[:, 1].copy(), gamma=ts[:, 2].copy(),
-        deviation=ts[:, 3].copy(), flow=ts[:, 4].copy(), speed=ts[:, 5].copy(),
-        queue=ts[:, 6].copy(), demand=ts[:, 7].copy(), pz_demand=ts[:, 8].copy(),
-        arrivals=ts[:, 9].copy(), entered=ts[:, 10].copy(), exited=ts[:, 11].copy(),
+    batch = BatchResult(
+        network_density=k_steps.T, gamma=gamma_steps.T,
         interval_density=interval_density, interval_deviation=interval_deviation,
-        pz_avg_travel_time=pz_att, net_avg_travel_time=net_att,
-        toll_revenue=revenue, seed=int(seed),
+        pz_avg_travel_time=pz_att, net_avg_travel_time=net_att, toll_revenue=revenue,
     )
+    return batch, history if keep_history else None
 
 
 # ---------------------------------------------------------------------------

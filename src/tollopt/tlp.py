@@ -18,7 +18,9 @@ from . import direct as direct_mod
 from .doe import build_initial_plan
 from .ga import GAParams
 from .infill import AcquisitionContext, propose_infill, repair_smoothing
-from .simnet import NetworkConfig, SimulationResult, simulate
+# simulate is unused here but kept as tlp.simulate, the lookup point that
+# outside tracers wrap (perfbench/spans.py)
+from .simnet import NetworkConfig, SimulationResult, simulate, simulate_batch  # noqa: F401
 from .surrogate import fit
 from .toll import Bounds, TollVector
 
@@ -64,6 +66,11 @@ class ProblemSpec:
         return 2 * (2 * self.m + 1) + 3
 
 
+def _density_gap(interval_density: np.ndarray, k_cr: float) -> float:
+    """Mean absolute gap between one replication's interval densities and the target."""
+    return float(np.mean(np.abs(interval_density - k_cr)))
+
+
 def objective_value(results: Sequence[SimulationResult], k_cr: float) -> float:
     """Replication average of the mean absolute gap between interval density and target."""
     if not results:
@@ -71,7 +78,7 @@ def objective_value(results: Sequence[SimulationResult], k_cr: float) -> float:
     m = results[0].m
     if any(r.m != m for r in results):
         raise ValueError("replications disagree on the number of tolling intervals")
-    return float(np.mean([np.mean(np.abs(r.interval_density - k_cr)) for r in results]))
+    return float(np.mean([_density_gap(r.interval_density, k_cr) for r in results]))
 
 
 def constraint_value(results: Sequence[SimulationResult]) -> float:
@@ -176,19 +183,33 @@ def replication_seeds(master_seed: int, replications: int) -> list[int]:
 
 def evaluate_toll(spec: ProblemSpec, toll: TollVector, rep_seeds: Sequence[int],
                   origin: str = "initial") -> SampleRecord:
-    results = [simulate(spec.config, toll, seed) for seed in rep_seeds]
-    obj_reps = np.array([objective_value([r], spec.k_cr) for r in results])
-    con_reps = np.array([constraint_value([r]) for r in results])
-    return SampleRecord(
-        toll=toll,
-        objective_reps=obj_reps,
-        constraint_reps=con_reps,
-        objective=float(np.mean(obj_reps)),
-        constraint=float(np.mean(con_reps)),
-        origin=origin,
-        interval_density_reps=np.array([r.interval_density for r in results]),
-        interval_deviation_reps=np.array([r.interval_deviation for r in results]),
-    )
+    return evaluate_tolls(spec, [toll], rep_seeds, origin)[0]
+
+
+def evaluate_tolls(spec: ProblemSpec, tolls: Sequence[TollVector], rep_seeds: Sequence[int],
+                   origin: str = "initial") -> list[SampleRecord]:
+    """Evaluate design points with every replication of every point in one
+    simulate_batch call (lanes point-major, seeds in ``rep_seeds`` order)."""
+    reps = len(rep_seeds)
+    batch = simulate_batch(spec.config, [toll for toll in tolls for _ in rep_seeds],
+                           list(rep_seeds) * len(tolls))
+    records = []
+    for i, toll in enumerate(tolls):
+        density = batch.interval_density[i * reps:(i + 1) * reps]
+        deviation = batch.interval_deviation[i * reps:(i + 1) * reps]
+        obj_reps = np.array([_density_gap(row, spec.k_cr) for row in density])
+        con_reps = np.array([float(np.mean(row)) for row in deviation])
+        records.append(SampleRecord(
+            toll=toll,
+            objective_reps=obj_reps,
+            constraint_reps=con_reps,
+            objective=float(np.mean(obj_reps)),
+            constraint=float(np.mean(con_reps)),
+            origin=origin,
+            interval_density_reps=density,
+            interval_deviation_reps=deviation,
+        ))
+    return records
 
 
 def optimize(spec: ProblemSpec, method: str = "rk", seed: int = 0) -> OptimizationRun:
@@ -217,8 +238,7 @@ def repaired_initial_plan(spec: ProblemSpec, rng: np.random.Generator) -> list[T
 
 def _optimize_rk(spec: ProblemSpec, seed: int, rep_seeds: list[int]) -> OptimizationRun:
     rng = np.random.default_rng(seed)
-    samples = [evaluate_toll(spec, toll, rep_seeds, origin="initial")
-               for toll in repaired_initial_plan(spec, rng)]
+    samples = evaluate_tolls(spec, repaired_initial_plan(spec, rng), rep_seeds, origin="initial")
 
     acquisition_history: list[float] = []
     while len(samples) < spec.budget:
@@ -266,8 +286,11 @@ def _optimize_direct(spec: ProblemSpec, seed: int, rep_seeds: list[int]) -> Opti
     samples: list[SampleRecord] = []
     cache: dict[tuple, int] = {}
 
+    def key_of(x: np.ndarray) -> tuple:
+        return tuple(np.round(np.asarray(x, dtype=float), 12))
+
     def raw_objective(x: np.ndarray) -> float:
-        key = tuple(np.round(np.asarray(x, dtype=float), 12))
+        key = key_of(x)
         if key not in cache:
             toll = TollVector.from_array(np.asarray(x, dtype=float))
             cache[key] = len(samples)
@@ -282,13 +305,20 @@ def _optimize_direct(spec: ProblemSpec, seed: int, rep_seeds: list[int]) -> Opti
     if spec.delta_max is not None:
         def delta_excess(x: np.ndarray) -> float:
             raw_objective(x)  # ensure evaluated
-            key = tuple(np.round(np.asarray(x, dtype=float), 12))
-            return samples[cache[key]].constraint - spec.delta_max
+            return samples[cache[key_of(x)]].constraint - spec.delta_max
         constraint_fns.append(delta_excess)
 
     # penalty weight scaled to the objective magnitude seen over the first
-    # probe evaluations; the memo makes the probes free when DIRECT revisits them
+    # probe evaluations, all simulated in one batch; the memo makes them free
+    # when DIRECT revisits them
     probes = _direct_probe_points(spec.bounds, 10)
+    fresh: dict[tuple, np.ndarray] = {}
+    for p in probes:
+        fresh.setdefault(key_of(p), p)
+    for key, rec in zip(fresh, evaluate_tolls(
+            spec, [TollVector.from_array(p) for p in fresh.values()], rep_seeds, origin="direct")):
+        cache[key] = len(samples)
+        samples.append(rec)
     scale = float(np.mean([abs(raw_objective(p)) for p in probes]))
     rho = 1e3 * max(scale, 1e-12)
     penalized = direct_mod.penalized_objective(raw_objective, constraint_fns, rho)

@@ -19,7 +19,8 @@ from tollopt.doe import build_initial_plan, lhs, maximin_lhs
 from tollopt.ga import GAParams
 from tollopt.infill import constrained_ei, expected_improvement, prob_feasible
 from tollopt.simnet import (config_to_dict, desk_preset, envelope_gamma,
-                            fit_lower_envelope, simulate, spatial_spread)
+                            fit_lower_envelope, simulate, simulate_batch,
+                            spatial_spread)
 from tollopt.surrogate import (corr_matrix, fit, fit_fixed, log_likelihood,
                                loo_cv, predict)
 from tollopt.tlp import (ProblemSpec, check_smoothing, convergence_history,
@@ -344,9 +345,10 @@ def test_criterion_13_rk_vs_direct_against_grid_oracle(tmp_path):
     rep_seed = replication_seeds(seed, 1)[0]
     best_grid = np.inf
     for v in np.linspace(0.0, 1.0, 50):
-        for w in np.linspace(0.0, 15.0, 50):
-            result = simulate(config, TollVector(np.array([v]), np.array([w])), rep_seed)
-            best_grid = min(best_grid, float(np.mean(np.abs(result.interval_density - config.k_cr))))
+        row = [TollVector(np.array([v]), np.array([w])) for w in np.linspace(0.0, 15.0, 50)]
+        batch = simulate_batch(config, row, [rep_seed] * len(row))
+        for density in batch.interval_density:
+            best_grid = min(best_grid, float(np.mean(np.abs(density - config.k_cr))))
 
     run_rk = optimize(spec, method="rk", seed=seed)
     run_direct = optimize(spec, method="direct", seed=seed)

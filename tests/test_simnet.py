@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tollopt.simnet import (ConfigError, RouteState, config_from_dict, config_to_dict,
                             demand_split, desk_preset, deviation_from_spread,
                             envelope_gamma, fit_lower_envelope, generalized_cost,
-                            paper_preset, simulate, spatial_spread)
+                            paper_preset, simulate, simulate_batch, spatial_spread)
 from tollopt.toll import TollVector
 
 
@@ -49,6 +49,16 @@ class TestSpatialSpread:
             assert gamma ** 2 == pytest.approx(var_direct, abs=1e-12)
             # weighted deviations cancel
             assert np.sum(w * (k - mean)) == pytest.approx(0.0, abs=1e-9)
+
+    def test_rows_match_one_dimensional_calls(self):
+        rng = np.random.default_rng(6)
+        k = rng.uniform(0, 80, size=(5, 8))
+        lengths = rng.uniform(0.1, 3.0, size=8)
+        lanes = rng.integers(1, 5, size=8).astype(float)
+        gamma, mean = spatial_spread(k, lengths, lanes)
+        assert gamma.shape == mean.shape == (5,)
+        for b in range(5):
+            assert (gamma[b], mean[b]) == spatial_spread(k[b], lengths, lanes)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -124,6 +134,18 @@ class TestRouteChoice:
         with pytest.raises(ValueError):
             generalized_cost("teleport", (0.0, 0.0), state, self.config)
 
+    def test_lane_arrays_match_scalar_calls(self):
+        pz = np.array([9.6, 14.0, 22.5])
+        byp = np.array([16.0, 15.0, 30.0])
+        v, w = np.array([0.0, 0.4, 1.0]), np.array([15.0, 6.0, 0.0])
+        costs = generalized_cost("through_pz", (v, w), RouteState(pz, 9.6, byp), self.config)
+        splits = demand_split(costs, byp, 0.12)
+        for b in range(3):
+            state = RouteState(float(pz[b]), 9.6, float(byp[b]))
+            cost = generalized_cost("through_pz", (float(v[b]), float(w[b])), state, self.config)
+            assert costs[b] == cost
+            assert splits[b] == demand_split(cost, float(byp[b]), 0.12)
+
     def test_split_symmetry_and_limits(self):
         assert demand_split(20.0, 20.0, 0.12) == pytest.approx(0.5)
         assert demand_split(np.inf, 20.0, 0.12) == 0.0
@@ -198,6 +220,51 @@ class TestSimulate:
         assert paper_preset().m == 8
 
 
+PRESETS = {"desk": desk_preset, "paper": paper_preset}
+# one lane: a seed from a small range, so seeds repeat, and a toll given as
+# unit-box fractions (the first 2m are used) or None for the zero toll
+LANE = st.tuples(st.integers(0, 2),
+                 st.none() | st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16))
+
+
+def _lane_toll(m: int, fractions) -> TollVector:
+    if fractions is None:
+        return TollVector.zero(m)
+    return TollVector.from_array(np.array(fractions[:2 * m]) * np.r_[np.ones(m), np.full(m, 15.0)])
+
+
+class TestSimulateBatch:
+    @given(preset=st.sampled_from(sorted(PRESETS)), lanes=st.lists(LANE, min_size=1, max_size=6))
+    @example(preset="desk", lanes=[(0, None)])
+    @example(preset="paper", lanes=[(1, None), (1, [0.5] * 16), (0, None), (1, None),
+                                    (2, [0.1 * i for i in range(16)]), (1, [1.0] * 16)])
+    @settings(max_examples=8, deadline=None)
+    def test_each_lane_is_its_own_simulate(self, preset, lanes):
+        config = PRESETS[preset]()
+        tolls = [_lane_toll(config.m, fractions) for _, fractions in lanes]
+        seeds = [seed for seed, _ in lanes]
+        batch = simulate_batch(config, tolls, seeds)
+        for b, (toll, seed) in enumerate(zip(tolls, seeds)):
+            one = simulate(config, toll, seed)
+            assert np.array_equal(batch.interval_density[b], one.interval_density)
+            assert np.array_equal(batch.interval_deviation[b], one.interval_deviation)
+            assert batch.pz_avg_travel_time[b] == one.pz_avg_travel_time
+            assert batch.net_avg_travel_time[b] == one.net_avg_travel_time
+            assert batch.toll_revenue[b] == one.toll_revenue
+            assert np.array_equal(batch.network_density[b], one.network_density)
+            assert np.array_equal(batch.gamma[b], one.gamma)
+
+    def test_toll_with_wrong_interval_count_rejected(self):
+        config = desk_preset()
+        with pytest.raises(ValueError, match="intervals"):
+            simulate_batch(config, [TollVector.zero(config.m), TollVector.zero(config.m + 1)], [0, 1])
+
+    def test_toll_and_seed_counts_must_match(self):
+        config = desk_preset()
+        with pytest.raises(ValueError, match="seeds"):
+            simulate_batch(config, [TollVector.zero(config.m)] * 2, [0, 1, 2])
+
+
 class TestConfigIO:
     def test_round_trip(self):
         config = desk_preset()
@@ -223,6 +290,8 @@ class TestConfigIO:
         ("cell_lengths", [-1.0] * 8, "positive"),
         ("drain_multipliers", [1.2] * 8, "drain_multipliers"),
         ("demand_cv", -0.1, "demand_cv"),
+        # 40-minute steps leave the last 30-minute tolling interval without one
+        ("step_seconds", 2400.0, "step_seconds"),
     ])
     def test_invariant_violations_rejected(self, field, value, match):
         with pytest.raises(ConfigError, match=match):
