@@ -7,6 +7,7 @@ A change that alters optimizer output on purpose updates them and says why.
 import hashlib
 
 import pytest
+import yaml
 
 from tollopt.cli import main
 
@@ -23,15 +24,37 @@ GOLDEN = [
     (["paper", "--method", "rk", "--delta-max", "7.0", "--budget", "38",
       "--replications", "1", "--seed", "5"],
      "f80a15b6652239b381149ced613a64f799a251f18d2aeb3571dda6e2c66c6839"),
+    # DIRECT with the heterogeneity penalty on top of the smoothing penalties
+    ([*DESK, "--method", "direct", "--delta-max", "7.0"],
+     "73b308d56354cb3502e7fdbeedea0f93ee741c1a155ba0d67f88d7165f5d90b4"),
+    (["paper", "--method", "direct", "--budget", "38", "--replications", "1", "--seed", "5"],
+     "b6bee8537da1f7cbf36c0fef6eb22d25b283215a303da6b1bcf08f193c2c8d41"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", GOLDEN,
-                         ids=["rk", "rk-constrained", "direct", "paper-rk-constrained"])
+                         ids=["rk", "rk-constrained", "direct", "paper-rk-constrained",
+                              "direct-constrained", "paper-direct"])
 def test_fixed_seed_samples_digest(tmp_path, capsys, args, digest):
     out = tmp_path / "run"
     assert main(["optimize", *args, "--out", str(out)]) == 0
     assert hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest() == digest
+
+
+def test_fixed_seed_direct_digest_two_intervals(tmp_path, capsys):
+    # desk with 60-minute intervals: m = 2, so DIRECT's first iteration
+    # samples 9 points, fewer than the 10 its penalty weight averages over
+    assert main(["optimize", "desk", "--print-config"]) == 0
+    doc = yaml.safe_load(capsys.readouterr().out)
+    doc["network"]["control"]["interval_minutes"] = 60
+    scenario = tmp_path / "desk-m2.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "run"
+    assert main(["optimize", str(scenario), "--method", "direct", "--delta-max", "6.0",
+                 "--budget", "22", "--replications", "1", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert (hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
+            == "c32207aae5b86680034e4a28726bdad029272b7978167f82336fbb0770184859")
 
 
 PAPER_TOLL = "0.2,0.35,0.5,0.6,0.6,0.45,0.3,0.15,3,5,7,9,9,7,5,3"
