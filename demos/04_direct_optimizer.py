@@ -3,18 +3,19 @@
 The box is normalized to the unit cube and the center sampled first.  Each
 iteration selects the potentially optimal rectangles (the lower convex hull
 of the value-vs-size cloud), trisects them along their longest sides, and
-samples the new centers, so evaluations arrive in iteration-sized bursts.
+samples the new centers, so evaluations arrive in iteration-sized bursts:
+the objective gets each iteration's points as one (n, d) array.
 Constraints enter through a quadratic penalty.
 """
 
 import numpy as np
 
-from tollopt import direct_minimize, penalized_objective
+from tollopt import direct_minimize, quadratic_penalty
 
 
 def branin_scaled(u):
-    x = -5.0 + 15.0 * u[0]
-    y = 15.0 * u[1]
+    x = -5.0 + 15.0 * u[:, 0]
+    y = 15.0 * u[:, 1]
     return ((y - 5.1 / (4 * np.pi ** 2) * x ** 2 + 5 / np.pi * x - 6) ** 2
             + 10 * (1 - 1 / (8 * np.pi)) * np.cos(x) + 10)
 
@@ -32,7 +33,10 @@ assert again[1] == value
 print("second run identical, as expected for a deterministic method")
 
 # constrained use: keep the two coordinates within 0.2 of each other
-g = penalized_objective(branin_scaled, [lambda u: abs(u[0] - u[1]) - 0.2], rho=1e3)
+def g(u):
+    return quadratic_penalty(branin_scaled(u), [np.abs(u[:, 0] - u[:, 1]) - 0.2], rho=1e3)
+
+
 pt, val, _ = direct_minimize(g, (np.zeros(2), np.ones(2)), max_evals=200)
 print(f"\npenalized run: point {np.round(pt, 4)}, coordinate gap "
       f"{abs(pt[0] - pt[1]):.3f} (limit 0.2)")

@@ -14,7 +14,7 @@ from .surrogate import (CVRecord, NumericalError, Prediction, RKModel,
 from .infill import (AcquisitionContext, acquisition_value, constrained_ei,
                      expected_improvement, prob_feasible, propose_infill,
                      repair_smoothing)
-from .direct import HyperRect, direct_minimize, penalized_objective, potentially_optimal
+from .direct import HyperRect, direct_minimize, potentially_optimal, quadratic_penalty
 from .simnet import (BatchResult, ConfigError, NetworkConfig, RouteState,
                      SimulationResult, demand_split, desk_preset,
                      deviation_from_spread, envelope_gamma, fit_lower_envelope,

@@ -141,7 +141,10 @@ def maybe_print_config(args, config: NetworkConfig, problem: dict) -> bool:
 
 
 def parse_toll(arg: str, m: int) -> TollVector:
-    values = [float(x) for x in arg.split(",")]
+    try:
+        values = [float(x) for x in arg.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"--toll takes comma-separated numbers ({exc})") from exc
     if len(values) != 2 * m:
         raise UsageError(f"--toll needs {2 * m} comma-separated values, got {len(values)}")
     return TollVector.from_array(values)
@@ -312,6 +315,8 @@ def cmd_envelope(args) -> int:
     config, problem = resolve_scenario(args)
     if maybe_print_config(args, config, problem):
         return 0
+    if args.runs < 1:
+        raise UsageError(f"--runs must be at least 1, got {args.runs}")
     batch = simulate_batch(config, [TollVector.zero(config.m)] * args.runs,
                            [args.seed + i for i in range(args.runs)])
     pairs = [pair for k, gamma in zip(batch.network_density, batch.gamma)

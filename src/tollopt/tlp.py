@@ -219,7 +219,9 @@ def optimize(spec: ProblemSpec, method: str = "rk", seed: int = 0) -> Optimizati
     smoothing-feasible set), then expected-improvement infill until the
     evaluation budget is spent.  ``method="direct"``: DIRECT over the toll
     box with smoothing (and heterogeneity, when set) constraints folded into
-    a quadratic penalty; the final iteration may overshoot the budget.
+    a quadratic penalty; each DIRECT iteration's points are simulated in one
+    batch, in DIRECT's sampling order, and the final iteration may overshoot
+    the budget.
     """
     if method not in ("rk", "direct"):
         raise ValueError(f"unknown method {method!r}")
@@ -267,61 +269,28 @@ def _optimize_rk(spec: ProblemSpec, seed: int, rep_seeds: list[int]) -> Optimiza
     )
 
 
-def _direct_probe_points(bounds: Bounds, count: int) -> list[np.ndarray]:
-    """The first points DIRECT will sample, in order: the center, then the
-    center offset by a third of the box along each dimension in turn."""
-    mid = np.full(bounds.d, 0.5)
-    pts = [mid.copy()]
-    for dim in range(bounds.d):
-        for sign in (+1, -1):
-            u = mid.copy()
-            u[dim] += sign / 3.0
-            pts.append(u)
-            if len(pts) >= count:
-                return [bounds.scale_from_unit(u) for u in pts]
-    return [bounds.scale_from_unit(u) for u in pts]
-
-
 def _optimize_direct(spec: ProblemSpec, seed: int, rep_seeds: list[int]) -> OptimizationRun:
     samples: list[SampleRecord] = []
-    cache: dict[tuple, int] = {}
-
-    def key_of(x: np.ndarray) -> tuple:
-        return tuple(np.round(np.asarray(x, dtype=float), 12))
-
-    def raw_objective(x: np.ndarray) -> float:
-        key = key_of(x)
-        if key not in cache:
-            toll = TollVector.from_array(np.asarray(x, dtype=float))
-            cache[key] = len(samples)
-            samples.append(evaluate_toll(spec, toll, rep_seeds, origin="direct"))
-        return samples[cache[key]].objective
-
-    constraint_fns = []
     m = spec.m
-    for h in range(m - 1):
-        constraint_fns.append(lambda x, h=h: abs(x[h] - x[h + 1]) - spec.alpha)
-        constraint_fns.append(lambda x, h=h: abs(x[m + h] - x[m + h + 1]) - spec.beta)
-    if spec.delta_max is not None:
-        def delta_excess(x: np.ndarray) -> float:
-            raw_objective(x)  # ensure evaluated
-            return samples[cache[key_of(x)]].constraint - spec.delta_max
-        constraint_fns.append(delta_excess)
+    rho = None
 
-    # penalty weight scaled to the objective magnitude seen over the first
-    # probe evaluations, all simulated in one batch; the memo makes them free
-    # when DIRECT revisits them
-    probes = _direct_probe_points(spec.bounds, 10)
-    fresh: dict[tuple, np.ndarray] = {}
-    for p in probes:
-        fresh.setdefault(key_of(p), p)
-    for key, rec in zip(fresh, evaluate_tolls(
-            spec, [TollVector.from_array(p) for p in fresh.values()], rep_seeds, origin="direct")):
-        cache[key] = len(samples)
-        samples.append(rec)
-    scale = float(np.mean([abs(raw_objective(p)) for p in probes]))
-    rho = 1e3 * max(scale, 1e-12)
-    penalized = direct_mod.penalized_objective(raw_objective, constraint_fns, rho)
+    def penalized(X: np.ndarray) -> np.ndarray:
+        """One DIRECT iteration's points, simulated as one batch and penalized."""
+        nonlocal rho
+        records = evaluate_tolls(spec, [TollVector.from_array(x) for x in X], rep_seeds,
+                                 origin="direct")
+        samples.extend(records)
+        objective = np.array([rec.objective for rec in records])
+        if rho is None:
+            # penalty weight scaled to the objective magnitude over the first
+            # ten points DIRECT samples: the center and the box's trisection
+            rho = 1e3 * max(float(np.mean(np.abs(objective[:10]))), 1e-12)
+        distance = np.abs(np.diff(X[:, :m], axis=1)) - spec.alpha
+        delay = np.abs(np.diff(X[:, m:], axis=1)) - spec.beta
+        excess = [row for h in range(m - 1) for row in (distance[:, h], delay[:, h])]
+        if spec.delta_max is not None:
+            excess.append(np.array([rec.constraint for rec in records]) - spec.delta_max)
+        return direct_mod.quadratic_penalty(objective, excess, rho)
 
     direct_mod.direct_minimize(
         penalized, (spec.bounds.lower, spec.bounds.upper), max_evals=spec.budget)

@@ -27,7 +27,7 @@ from tollopt.tlp import (ProblemSpec, check_smoothing, convergence_history,
                          optimize, replication_seeds)
 from tollopt.toll import Bounds, TollVector
 
-from test_direct import jones_oracle  # reuse the independent selection oracle
+from test_direct import batched, jones_oracle  # reuse the independent selection oracle
 import tollopt.direct as direct_mod
 from tollopt.direct import HyperRect, direct_minimize
 
@@ -195,13 +195,13 @@ def test_criterion_07_direct_correctness(monkeypatch):
         calls.append(x.copy())
         return (x[0] - 0.21) ** 2 + 2.0 * (x[1] - 0.67) ** 2
 
-    direct_minimize(f2, (np.zeros(2), np.ones(2)), max_evals=50)
+    direct_minimize(batched(f2), (np.zeros(2), np.ones(2)), max_evals=50)
     assert np.array_equal(calls[0], [0.5, 0.5])
     assert len(snapshots) >= 3
     for rects, f_min, eps, selected in snapshots:
         assert selected == sorted(jones_oracle(rects, f_min, eps))
 
-    point, value, _ = direct_minimize(lambda x: (x[0] - 0.3) ** 2,
+    point, value, _ = direct_minimize(batched(lambda x: (x[0] - 0.3) ** 2),
                                       (np.zeros(1), np.ones(1)), max_evals=50)
     assert abs(point[0] - 0.3) <= 1e-2
     elapsed = time.time() - start

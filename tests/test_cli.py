@@ -58,6 +58,16 @@ def test_toll_argument_length_checked(capsys):
     assert "8" in capsys.readouterr().err
 
 
+def test_non_numeric_toll_exits_2_naming_the_flag(capsys):
+    assert run_cli(["simulate", "desk", "--toll", "a,b,c,d,e,f,g,h"]) == 2
+    assert "--toll" in capsys.readouterr().err
+
+
+def test_envelope_without_runs_exits_2_naming_the_flag(capsys):
+    assert run_cli(["envelope", "desk", "--runs", "0"]) == 2
+    assert "--runs" in capsys.readouterr().err
+
+
 def test_print_config_dumps_resolved_scenario(capsys):
     assert run_cli(["simulate", "desk", "--print-config"]) == 0
     doc = yaml.safe_load(capsys.readouterr().out)

@@ -175,3 +175,20 @@ class TestOptimizeSmallBudget:
             assert a.objective == b.objective
             assert a.constraint == b.constraint
             assert a.origin == b.origin
+
+
+def test_direct_simulates_one_batch_per_iteration(monkeypatch):
+    import tollopt.tlp as tlp
+
+    lanes = []
+    original = tlp.simulate_batch
+
+    def counting(config, tolls, seeds):
+        lanes.append(len(tolls))
+        return original(config, tolls, seeds)
+
+    monkeypatch.setattr(tlp, "simulate_batch", counting)
+    run = optimize(make_desk_spec(budget=22, replications=1), method="direct", seed=5)
+    # the center with the box's trisection, then one more iteration
+    assert len(lanes) == 2
+    assert sum(lanes) == run.evaluations == len(run.samples)
