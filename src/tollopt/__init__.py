@@ -8,18 +8,16 @@ expensive black-box objective.
 from .toll import Bounds, TollVector
 from .doe import build_initial_plan, lhs, maximin_lhs
 from .ga import GAParams, ga_maximize
-from .surrogate import (CVRecord, NumericalError, Prediction, RKModel,
-                        correlation, fit, fit_fixed, log_likelihood, loo_cv,
-                        predict)
+from .surrogate import (CVRecord, NumericalError, Prediction, RKModel, fit,
+                        fit_fixed, log_likelihood, loo_cv, predict)
 from .infill import (AcquisitionContext, acquisition_value, constrained_ei,
                      expected_improvement, prob_feasible, propose_infill,
                      repair_smoothing)
 from .direct import HyperRect, direct_minimize, potentially_optimal, quadratic_penalty
-from .simnet import (BatchResult, ConfigError, NetworkConfig, RouteState,
-                     SimulationResult, demand_split, desk_preset,
-                     deviation_from_spread, envelope_gamma, fit_lower_envelope,
-                     generalized_cost, paper_preset, simulate, simulate_batch,
-                     spatial_spread)
+from .simnet import (BatchResult, ConfigError, NetworkConfig, SimulationResult,
+                     desk_preset, deviation_from_spread, envelope_gamma,
+                     fit_lower_envelope, paper_preset, simulate, simulate_batch,
+                     spatial_spread, zone_choice)
 from .tlp import (OptimizationRun, ProblemSpec, SampleRecord, check_smoothing,
                   constraint_value, convergence_history, objective_value,
                   optimize)

@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -19,7 +20,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .doe import save_plan_csv
+from .doe import ANCHORS, save_plan_csv
 from .simnet import (ConfigError, NetworkConfig, PRESETS, config_from_dict,
                      config_to_dict, fit_lower_envelope, simulate, simulate_batch)
 from .surrogate import fit, loo_cv
@@ -69,7 +70,10 @@ def load_scenario(config_arg: str) -> tuple[NetworkConfig, dict]:
     with open(config_arg) as fh:
         doc = yaml.safe_load(fh)
     config = config_from_dict(doc)
-    for key, val in (doc.get("problem") or {}).items():
+    section = doc.get("problem") or {}
+    if not isinstance(section, dict):
+        raise ConfigError("problem: must be a mapping")
+    for key, val in section.items():
         if key not in problem:
             raise ConfigError(f"problem.{key}: unknown key")
         problem[key] = val
@@ -100,8 +104,8 @@ def resolve_scenario(args) -> tuple[NetworkConfig, dict]:
 def build_spec(config: NetworkConfig, problem: dict, args=None) -> ProblemSpec:
     """The toll level problem of a scenario, with the ``args`` flag overrides applied.
 
-    The one place problem values are converted; a bad one is a ConfigError
-    that names its key."""
+    The one place problem values are converted and checked; a bad one is a
+    ConfigError that names its key."""
     resolved = resolve_problem(problem, args)
     p = {}
     for key, convert in _PROBLEM_TYPES.items():
@@ -110,10 +114,16 @@ def build_spec(config: NetworkConfig, problem: dict, args=None) -> ProblemSpec:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"problem.{key}: {resolved[key]!r} is not usable ({exc})") from exc
     (v_min, w_min), (v_max, w_max) = p["tau_min"], p["tau_max"]
-    bounds = Bounds.uniform(config.m, v_max, w_max, v_min, w_min)
-    return ProblemSpec(config=config, bounds=bounds, alpha=p["alpha"], beta=p["beta"],
-                       delta_max=p["delta_max"], replications=p["replications"],
-                       budget=p["budget"])
+    try:
+        bounds = Bounds.uniform(config.m, v_max, w_max, v_min, w_min)
+        return ProblemSpec(config=config, bounds=bounds, alpha=p["alpha"], beta=p["beta"],
+                           delta_max=p["delta_max"], replications=p["replications"],
+                           budget=p["budget"])
+    except ValueError as exc:
+        # Bounds and ProblemSpec start each message with the field they reject
+        field, _, reason = str(exc).partition(": ")
+        key = {"lower": "tau_min", "upper": "tau_max"}.get(field, field)
+        raise ConfigError(f"problem.{key}: {reason}") from exc
 
 
 def scenario_doc(config: NetworkConfig, problem: dict) -> dict:
@@ -133,18 +143,13 @@ def out_dir(args, default_name: str) -> str:
     return os.path.join(root, default_name)
 
 
-def maybe_print_config(args, config: NetworkConfig, problem: dict) -> bool:
-    if getattr(args, "print_config", False):
-        yaml.safe_dump(scenario_doc(config, problem), sys.stdout, sort_keys=False)
-        return True
-    return False
-
-
 def parse_toll(arg: str, m: int) -> TollVector:
     try:
         values = [float(x) for x in arg.split(",")]
     except ValueError as exc:
         raise UsageError(f"--toll takes comma-separated numbers ({exc})") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"--toll values must be finite, got {arg}")
     if len(values) != 2 * m:
         raise UsageError(f"--toll needs {2 * m} comma-separated values, got {len(values)}")
     return TollVector.from_array(values)
@@ -171,8 +176,6 @@ def write_manifest(path: str, doc_cfg: dict, args_dict: dict, method: str, seed:
 
 def cmd_simulate(args) -> int:
     config, problem = resolve_scenario(args)
-    if maybe_print_config(args, config, problem):
-        return 0
     m = config.m
     toll = TollVector.zero(m) if args.toll is None else parse_toll(args.toll, m)
     result = simulate(config, toll, args.seed)
@@ -215,8 +218,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_optimize(args) -> int:
     config, problem = resolve_scenario(args)
-    if maybe_print_config(args, config, problem):
-        return 0
     spec = build_spec(config, problem)
     run = optimize(spec, method=args.method, seed=args.seed)
     outdir = out_dir(args, f"optimize-{args.method}-seed{args.seed}")
@@ -283,8 +284,6 @@ def cmd_validate(args) -> int:
 
 def cmd_compare(args) -> int:
     config, problem = resolve_scenario(args)
-    if maybe_print_config(args, config, problem):
-        return 0
     spec = build_spec(config, problem)
     outdir = out_dir(args, "compare")
     os.makedirs(outdir, exist_ok=True)
@@ -313,8 +312,6 @@ def cmd_compare(args) -> int:
 
 def cmd_envelope(args) -> int:
     config, problem = resolve_scenario(args)
-    if maybe_print_config(args, config, problem):
-        return 0
     if args.runs < 1:
         raise UsageError(f"--runs must be at least 1, got {args.runs}")
     batch = simulate_batch(config, [TollVector.zero(config.m)] * args.runs,
@@ -336,13 +333,12 @@ def cmd_envelope(args) -> int:
 
 def cmd_doe(args) -> int:
     config, problem = resolve_scenario(args)
-    if maybe_print_config(args, config, problem):
-        return 0
     spec = build_spec(config, problem)
     plan = repaired_initial_plan(spec, np.random.default_rng(args.seed))
     path = args.out or "plan.csv"
     save_plan_csv(plan, path)
-    print(f"{len(plan)} design points ({len(plan) - 3} space-filling + 3 anchors) -> {path}")
+    print(f"{len(plan)} design points ({len(plan) - ANCHORS} space-filling + {ANCHORS} anchors)"
+          f" -> {path}")
     return 0
 
 
@@ -405,7 +401,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "print_config", False):
+            yaml.safe_dump(scenario_doc(*resolve_scenario(args)), sys.stdout, sort_keys=False)
+            sys.stdout.flush()
+            return 0
         return args.func(args)
+    except BrokenPipeError:
+        # the reader stopped early (as in ``--print-config | head``): point stdout
+        # at devnull so the interpreter's flush at exit cannot fail on the pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (UsageError, ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-DEFAULT_EPSILON = 1e-4
+EPSILON = 1e-4   # Jones et al.'s minimum relative improvement
 
 
 @dataclass
@@ -88,7 +88,6 @@ def direct_minimize(
     f: Callable[[np.ndarray], np.ndarray],
     box,
     max_evals: int,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> tuple[np.ndarray, float, list[tuple[int, float]]]:
     """Minimize ``f`` over a box by iterative trisection of potentially optimal rectangles.
 
@@ -164,7 +163,7 @@ def direct_minimize(
         history.append((evals, best_f))
         if evals >= max_evals:
             break
-        selected = sorted(potentially_optimal(rects, best_f, epsilon), key=lambda r: r.index)
+        selected = sorted(potentially_optimal(rects, best_f, EPSILON), key=lambda r: r.index)
         if not selected:
             break
 

@@ -10,6 +10,9 @@ from scipy.spatial.distance import pdist
 
 from .toll import Bounds, TollVector
 
+MAXIMIN_CANDIDATES = 100   # Latin hypercube plans compared per initial plan
+ANCHORS = 3                # lower corner, upper corner and midpoint close every plan
+
 
 def lhs(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one Latin hypercube plan of ``n`` points in ``[0, 1]^d``.
@@ -51,13 +54,17 @@ def maximin_lhs(n: int, d: int, n_candidates: int, rng: np.random.Generator) -> 
     return best_plan
 
 
-def build_initial_plan(m: int, bounds: Bounds, rng: np.random.Generator,
-                       n_candidates: int = 100) -> list[TollVector]:
+def initial_plan_size(m: int) -> int:
+    """Points in the initial plan for ``m`` tolling intervals: ``2(2m + 1) + 3``."""
+    return 2 * (2 * m + 1) + ANCHORS
+
+
+def build_initial_plan(m: int, bounds: Bounds, rng: np.random.Generator) -> list[TollVector]:
     """Initial sample plan for a toll problem with ``m`` tolling intervals.
 
     ``2(2m + 1)`` maximin-LHS points are scaled from the unit cube into the
-    toll box, then three fixed augmentation points are appended: the lower
-    corner, the upper corner, and the box midpoint.  Total ``2(2m + 1) + 3``.
+    toll box, then the ``ANCHORS`` are appended: the lower corner, the upper
+    corner, and the box midpoint.  Total :func:`initial_plan_size`.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
@@ -66,8 +73,8 @@ def build_initial_plan(m: int, bounds: Bounds, rng: np.random.Generator,
         raise ValueError(f"bounds have dimension {bounds.d}, expected {d}")
     if np.all(bounds.span == 0.0):
         warnings.warn("degenerate bounds: all plan points collapse to a single toll vector")
-    n = 2 * (2 * m + 1)
-    unit = maximin_lhs(n, d, n_candidates, rng)
+    n = initial_plan_size(m) - ANCHORS
+    unit = maximin_lhs(n, d, MAXIMIN_CANDIDATES, rng)
     points = [TollVector.from_array(bounds.scale_from_unit(row)) for row in unit]
     points.append(TollVector.from_array(bounds.lower.copy()))
     points.append(TollVector.from_array(bounds.upper.copy()))
@@ -86,10 +93,3 @@ def save_plan_csv(points: list[TollVector], path) -> None:
         writer.writerow(header)
         for p in points:
             writer.writerow([repr(float(x)) for x in p.as_array()])
-
-
-def load_plan_csv(path) -> list[TollVector]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        return [TollVector.from_array([float(x) for x in row]) for row in reader]

@@ -81,10 +81,6 @@ class NetworkConfig:
         start, end = self.tolling_window
         return int(round((end - start) * 60.0 / self.interval_minutes))
 
-    @property
-    def lane_km(self) -> np.ndarray:
-        return self.cell_lengths * self.cell_lanes
-
     def validate(self) -> None:
         c = self.cell_lengths.size
         for name in ("cell_lanes", "free_flow_speed", "critical_density",
@@ -210,9 +206,7 @@ def config_to_dict(config: NetworkConfig) -> dict:
     net: dict = {}
     for (section, key), fieldname in _SCHEMA.items():
         value = getattr(config, fieldname)
-        if isinstance(value, np.ndarray):
-            value = [float(v) for v in value]
-        elif isinstance(value, tuple):
+        if isinstance(value, (np.ndarray, tuple)):
             value = [float(v) for v in value]
         elif fieldname == "demand_knots":
             value = [[float(h), float(q)] for h, q in value]
@@ -301,43 +295,22 @@ def fit_lower_envelope(samples: Sequence[tuple[float, float]], n_bins: int = 20
 # ---------------------------------------------------------------------------
 # route choice
 
-@dataclass
-class RouteState:
-    """Instantaneous travel conditions used to price the two routes (minutes).
+def zone_choice(toll_rates, zone_time, free_time: float, bypass_time, config: NetworkConfig):
+    """Binary logit share of the through-zone route and its trip toll.
 
-    Fields are floats, or arrays holding one value per simulated lane.
+    The joint distance and delay toll of one through-zone trip is
+    ``v * pz_path_length + w * delay_hours``, where the delay term vanishes
+    whenever the zone runs at free flow.  Converted by the value of travel
+    time, it adds to the zone travel time to give the through-zone cost in
+    time-equivalent minutes; the bypass carries no toll.  Times are in
+    minutes; rates and times may be arrays holding one value per lane.
+    Returns ``(p_pz, trip_toll)``.
     """
-
-    pz_travel_time: float | np.ndarray
-    pz_free_time: float
-    bypass_travel_time: float | np.ndarray
-
-
-def _trip_toll(toll_rates, state: RouteState, config: NetworkConfig):
-    """Toll charged for one through-zone trip (currency)."""
     v_h, w_h = toll_rates
-    delay_hours = np.maximum(0.0, state.pz_travel_time - state.pz_free_time) / 60.0
-    return v_h * config.pz_path_length + w_h * delay_hours
-
-
-def generalized_cost(route: str, toll_rates, state: RouteState, config: NetworkConfig):
-    """Generalized cost of one route in time-equivalent minutes.
-
-    The through-zone cost adds the distance toll and the delay toll converted
-    by the value of travel time; the bypass carries no toll.  The delay term
-    vanishes whenever the zone runs at free flow.  Rates and state may be
-    arrays of lanes.
-    """
-    if route == "bypass":
-        return state.bypass_travel_time
-    if route != "through_pz":
-        raise ValueError(f"unknown route {route!r}")
-    return state.pz_travel_time + 60.0 * _trip_toll(toll_rates, state, config) / config.vtt
-
-
-def demand_split(cost_pz, cost_bypass, logit_scale: float):
-    """Binary logit probability of choosing the through-zone route."""
-    return expit(-logit_scale * (cost_pz - cost_bypass))
+    delay_hours = np.maximum(0.0, zone_time - free_time) / 60.0
+    trip_toll = v_h * config.pz_path_length + w_h * delay_hours
+    cost_pz = zone_time + 60.0 * trip_toll / config.vtt
+    return expit(-config.logit_scale * (cost_pz - bypass_time)), trip_toll
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +501,6 @@ def _run(config: NetworkConfig, tolls: Sequence[TollVector], seeds: Sequence[int
     veh_h_pz, veh_km_pz, veh_h_queue, veh_h_byp, veh_km_byp, revenue = np.zeros((6, B))
 
     for s, (demand, h) in enumerate(zip(step_demand, step_interval.tolist())):
-        rates = (rate_v[h], rate_w[h])
-
         # current performance of both routes
         k = veh / lane_km
         cell_flow = _triangular_flow(k, u_f, k_j, wave, crawl)   # veh/h per lane
@@ -544,10 +515,8 @@ def _run(config: NetworkConfig, tolls: Sequence[TollVector], seeds: Sequence[int
         # squares, which differs from pow in the last bit on some inputs
         bypass_tt_h = bypass_free_h * (
             1.0 + 0.15 * np.float_power(bypass_inflow / config.bypass_capacity, 2.0))
-        state = RouteState(perceived_tt, pz_free_min, bypass_tt_h * 60.0)
-        cost_pz = generalized_cost("through_pz", rates, state, config)
-        cost_b = generalized_cost("bypass", rates, state, config)
-        p_pz = demand_split(cost_pz, cost_b, config.logit_scale)
+        p_pz, trip_toll = zone_choice((rate_v[h], rate_w[h]), perceived_tt, pz_free_min,
+                                      bypass_tt_h * 60.0, config)
         pz_rate = p_pz * demand
         bypass_rate = demand - pz_rate
 
@@ -598,7 +567,7 @@ def _run(config: NetworkConfig, tolls: Sequence[TollVector], seeds: Sequence[int
         gamma, K = _weighted_spread(k, lane_km, total_lane_km)
         k_ema += ema_rate * (K - k_ema)
 
-        revenue += entered * _trip_toll(rates, state, config)
+        revenue += entered * trip_toll
         veh_h_pz += accumulation * dt_h
         veh_km_pz += production * dt_h
         veh_h_queue += queue * dt_h

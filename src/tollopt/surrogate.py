@@ -29,7 +29,7 @@ from .toll import Bounds, TollVector
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
 
-DEFAULT_THETA_BOUNDS = (1e-3, 1e2)
+THETA_BOUNDS = (1e-3, 1e2)
 DEFAULT_LAMBDA_BOUNDS = (1e-6, 1.0)
 
 
@@ -62,18 +62,6 @@ def _cholesky_with_jitter(a: np.ndarray, strict: bool = False) -> tuple[np.ndarr
             jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
             if jitter > JITTER_MAX * (1.0 + 1e-12):
                 raise NumericalError("correlation matrix not positive definite", JITTER_MAX)
-
-
-def correlation(x1, x2, theta) -> float:
-    """Gaussian correlation between two points; 1 at zero distance."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if x1.shape != x2.shape or x1.shape != theta.shape:
-        raise ValueError("points and theta must share one dimension")
-    if np.any(theta < 0):
-        raise ValueError("theta must be nonnegative")
-    return float(np.exp(-np.sum(theta * (x1 - x2) ** 2)))
 
 
 def corr_matrix(design: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -170,7 +158,6 @@ class Prediction:
     mean: np.ndarray | float
     variance: np.ndarray | float
     ri_variance: np.ndarray | float
-    extrapolated: bool = False
 
 
 @dataclass
@@ -236,7 +223,6 @@ def _design_rows(samples: Sequence[tuple], bounds: Bounds) -> tuple[np.ndarray, 
 def fit(
     samples: Sequence[tuple],
     bounds: Bounds,
-    theta_bounds: tuple[float, float] = DEFAULT_THETA_BOUNDS,
     lambda_bounds: tuple[float, float] = DEFAULT_LAMBDA_BOUNDS,
     ga_params: Optional[GAParams] = None,
     rng: Optional[np.random.Generator] = None,
@@ -245,7 +231,8 @@ def fit(
 
     ``samples`` is a sequence of ``(toll_or_vector, response)`` pairs; inputs
     are normalized to the unit cube with ``bounds`` before fitting.  ``theta``
-    and ``lambda`` are searched in log10 space inside their boxes; passing
+    and ``lambda`` are searched in log10 space inside ``THETA_BOUNDS`` and
+    ``lambda_bounds``; passing
     equal lambda bounds pins ``lambda`` (``(0, 0)`` gives an interpolating
     ordinary-kriging fit).
     """
@@ -258,7 +245,7 @@ def fit(
     y_std, _, _ = _standardize(y)
 
     lam_fixed = lambda_bounds[0] == lambda_bounds[1]
-    log_theta_lo, log_theta_hi = np.log10(theta_bounds[0]), np.log10(theta_bounds[1])
+    log_theta_lo, log_theta_hi = np.log10(THETA_BOUNDS[0]), np.log10(THETA_BOUNDS[1])
     genes = d if lam_fixed else d + 1
     lower = np.full(genes, log_theta_lo)
     upper = np.full(genes, log_theta_hi)
@@ -290,8 +277,18 @@ def fit_fixed(samples: Sequence[tuple], bounds: Bounds, theta, lam: float) -> RK
     return _assemble(design, y, np.asarray(theta, dtype=float), float(lam))
 
 
-def _predict_arrays(model: RKModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    psi = corr_vector(model.design, model.theta, x)           # (k, n)
+def predict(model: RKModel, x) -> Prediction:
+    """Predictive mean, variance, and reinterpolation variance at ``x``.
+
+    ``x`` lives in the unit cube; a single point gives scalar fields, a
+    ``(k, d)`` batch gives arrays.  Querying outside the cube is allowed.
+    """
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = x[None, :] if single else x
+    if pts.shape[1] != model.d:
+        raise ValueError(f"query dimension {pts.shape[1]} != model dimension {model.d}")
+    psi = corr_vector(model.design, model.theta, pts)         # (k, n)
     mean_std = model._mu_std + psi @ model._weights
     a = cho_solve((model._chol_r, True), psi.T)               # (n, k)
     var_std = model._sigma2_std * (1.0 + model.lam - np.einsum("kn,nk->k", psi, a))
@@ -301,26 +298,9 @@ def _predict_arrays(model: RKModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     mean = model.y_shift + model.y_scale * mean_std
     variance = np.maximum(var_std, 0.0) * scale2
     ri_variance = np.maximum(ri_std, 0.0) * scale2
-    return mean, variance, ri_variance
-
-
-def predict(model: RKModel, x) -> Prediction:
-    """Predictive mean, variance, and reinterpolation variance at ``x``.
-
-    ``x`` lives in the unit cube; a single point gives scalar fields, a
-    ``(k, d)`` batch gives arrays.  Querying outside the cube is allowed but
-    flagged as extrapolation.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.shape[1] != model.d:
-        raise ValueError(f"query dimension {pts.shape[1]} != model dimension {model.d}")
-    extrapolated = bool(np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12))
-    mean, var, ri = _predict_arrays(model, pts)
     if single:
-        return Prediction(float(mean[0]), float(var[0]), float(ri[0]), extrapolated)
-    return Prediction(mean, var, ri, extrapolated)
+        return Prediction(float(mean[0]), float(variance[0]), float(ri_variance[0]))
+    return Prediction(mean, variance, ri_variance)
 
 
 def loo_cv(model: RKModel) -> list[CVRecord]:

@@ -8,14 +8,17 @@ expected-improvement infill or by DIRECT with a quadratic penalty.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import direct as direct_mod
-from .doe import build_initial_plan
+from .doe import build_initial_plan, initial_plan_size
 from .ga import GAParams
 from .infill import AcquisitionContext, propose_infill, repair_smoothing
 # simulate is unused here but kept as tlp.simulate, the lookup point that
@@ -38,20 +41,23 @@ class ProblemSpec:
     delta_max: Optional[float] = None   # heterogeneity cap; None = single objective
     replications: int = 2
     budget: int = 60
-    doe_candidates: int = 100
     fit_ga: GAParams = field(default_factory=GAParams)
     infill_ga: GAParams = field(default_factory=GAParams)
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("smoothing limits alpha and beta must be positive")
+        # each message starts with the field it rejects
+        for name in ("alpha", "beta"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name}: smoothing limits must be positive")
+        if self.delta_max is not None and math.isnan(self.delta_max):
+            raise ValueError("delta_max: the heterogeneity cap must be a number, got nan")
         if self.replications < 1:
-            raise ValueError("need at least one replication per evaluation")
+            raise ValueError("replications: need at least one replication per evaluation")
         if self.bounds.d != 2 * self.config.m:
-            raise ValueError(f"bounds dimension {self.bounds.d} != 2m = {2 * self.config.m}")
+            raise ValueError(f"bounds: dimension {self.bounds.d} != 2m = {2 * self.config.m}")
         if self.budget <= self.initial_plan_size:
             raise ValueError(
-                f"budget {self.budget} must exceed the initial plan size {self.initial_plan_size}")
+                f"budget: {self.budget} must exceed the initial plan size {self.initial_plan_size}")
 
     @property
     def m(self) -> int:
@@ -63,54 +69,44 @@ class ProblemSpec:
 
     @property
     def initial_plan_size(self) -> int:
-        return 2 * (2 * self.m + 1) + 3
+        return initial_plan_size(self.m)
 
 
-def _density_gap(interval_density: np.ndarray, k_cr: float) -> float:
-    """Mean absolute gap between one replication's interval densities and the target."""
-    return float(np.mean(np.abs(interval_density - k_cr)))
+def _gap_per_rep(interval_density: np.ndarray, k_cr: float) -> np.ndarray:
+    """Mean absolute gap of interval densities from the target, per replication (last axis)."""
+    return np.mean(np.abs(interval_density - k_cr), axis=-1)
+
+
+def _deviation_per_rep(interval_deviation: np.ndarray) -> np.ndarray:
+    """Mean per-interval deviation from spread, per replication (last axis)."""
+    return np.mean(interval_deviation, axis=-1)
+
+
+def _replication_rows(results: Sequence[SimulationResult], name: str) -> np.ndarray:
+    """The ``name`` interval means of every replication as one ``(reps, m)`` array."""
+    if not results:
+        raise ValueError("need at least one replication result")
+    m = results[0].m
+    if any(r.m != m for r in results):
+        raise ValueError("replications disagree on the number of tolling intervals")
+    return np.array([getattr(r, name) for r in results], dtype=float)
 
 
 def objective_value(results: Sequence[SimulationResult], k_cr: float) -> float:
     """Replication average of the mean absolute gap between interval density and target."""
-    if not results:
-        raise ValueError("need at least one replication result")
-    m = results[0].m
-    if any(r.m != m for r in results):
-        raise ValueError("replications disagree on the number of tolling intervals")
-    return float(np.mean([_density_gap(r.interval_density, k_cr) for r in results]))
+    return float(np.mean(_gap_per_rep(_replication_rows(results, "interval_density"), k_cr)))
 
 
 def constraint_value(results: Sequence[SimulationResult]) -> float:
     """Replication average of the mean per-interval deviation from spread."""
-    if not results:
-        raise ValueError("need at least one replication result")
-    m = results[0].m
-    if any(r.m != m for r in results):
-        raise ValueError("replications disagree on the number of tolling intervals")
-    return float(np.mean([np.mean(r.interval_deviation) for r in results]))
-
-
-@dataclass
-class SmoothingVerdict:
-    feasible: bool
-    violations: list[tuple[str, int, float]]   # (rate kind, interval h, excess)
-
-    def __bool__(self) -> bool:
-        return self.feasible
+    return float(np.mean(_deviation_per_rep(_replication_rows(results, "interval_deviation"))))
 
 
 def check_smoothing(toll: TollVector, alpha: float, beta: float,
-                    tol: float = SMOOTHING_TOL) -> SmoothingVerdict:
+                    tol: float = SMOOTHING_TOL) -> bool:
     """Adjacent-interval rate changes must stay within alpha (distance) and beta (delay)."""
-    violations = []
-    for kind, rates, limit in (("distance", toll.distance_rates, alpha),
-                               ("delay", toll.delay_rates, beta)):
-        diffs = np.abs(np.diff(rates))
-        for h, gap in enumerate(diffs):
-            if gap > limit + tol:
-                violations.append((kind, h, float(gap - limit)))
-    return SmoothingVerdict(not violations, violations)
+    return not (np.any(np.abs(np.diff(toll.distance_rates)) > alpha + tol)
+                or np.any(np.abs(np.diff(toll.delay_rates)) > beta + tol))
 
 
 @dataclass
@@ -126,10 +122,6 @@ class SampleRecord:
     interval_density_reps: Optional[np.ndarray] = None    # (reps, m)
     interval_deviation_reps: Optional[np.ndarray] = None  # (reps, m)
 
-    @property
-    def replications(self) -> int:
-        return self.objective_reps.size
-
 
 @dataclass
 class OptimizationRun:
@@ -142,7 +134,10 @@ class OptimizationRun:
     samples: list[SampleRecord]
     acquisition_history: list[float]
     best_index: int
-    evaluations: int
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.samples)
 
     @property
     def best(self) -> SampleRecord:
@@ -190,26 +185,23 @@ def evaluate_tolls(spec: ProblemSpec, tolls: Sequence[TollVector], rep_seeds: Se
                    origin: str = "initial") -> list[SampleRecord]:
     """Evaluate design points with every replication of every point in one
     simulate_batch call (lanes point-major, seeds in ``rep_seeds`` order)."""
-    reps = len(rep_seeds)
+    n, reps = len(tolls), len(rep_seeds)
     batch = simulate_batch(spec.config, [toll for toll in tolls for _ in rep_seeds],
-                           list(rep_seeds) * len(tolls))
-    records = []
-    for i, toll in enumerate(tolls):
-        density = batch.interval_density[i * reps:(i + 1) * reps]
-        deviation = batch.interval_deviation[i * reps:(i + 1) * reps]
-        obj_reps = np.array([_density_gap(row, spec.k_cr) for row in density])
-        con_reps = np.array([float(np.mean(row)) for row in deviation])
-        records.append(SampleRecord(
-            toll=toll,
-            objective_reps=obj_reps,
-            constraint_reps=con_reps,
-            objective=float(np.mean(obj_reps)),
-            constraint=float(np.mean(con_reps)),
-            origin=origin,
-            interval_density_reps=density,
-            interval_deviation_reps=deviation,
-        ))
-    return records
+                           list(rep_seeds) * n)
+    obj_reps = _gap_per_rep(batch.interval_density, spec.k_cr).reshape(n, reps)
+    con_reps = _deviation_per_rep(batch.interval_deviation).reshape(n, reps)
+    density = batch.interval_density.reshape(n, reps, -1)
+    deviation = batch.interval_deviation.reshape(n, reps, -1)
+    return [SampleRecord(
+        toll=toll,
+        objective_reps=obj_reps[i],
+        constraint_reps=con_reps[i],
+        objective=float(np.mean(obj_reps[i])),
+        constraint=float(np.mean(con_reps[i])),
+        origin=origin,
+        interval_density_reps=density[i],
+        interval_deviation_reps=deviation[i],
+    ) for i, toll in enumerate(tolls)]
 
 
 def optimize(spec: ProblemSpec, method: str = "rk", seed: int = 0) -> OptimizationRun:
@@ -227,18 +219,25 @@ def optimize(spec: ProblemSpec, method: str = "rk", seed: int = 0) -> Optimizati
         raise ValueError(f"unknown method {method!r}")
     rep_seeds = replication_seeds(seed, spec.replications)
     if method == "rk":
-        return _optimize_rk(spec, seed, rep_seeds)
-    return _optimize_direct(spec, seed, rep_seeds)
+        samples, acquisition_history = _optimize_rk(spec, seed, rep_seeds)
+    else:
+        samples, acquisition_history = _optimize_direct(spec, rep_seeds), []
+    return OptimizationRun(
+        spec=spec, method=method, master_seed=int(seed), rep_seeds=rep_seeds,
+        samples=samples, acquisition_history=acquisition_history,
+        best_index=_best_index(samples, spec),
+    )
 
 
 def repaired_initial_plan(spec: ProblemSpec, rng: np.random.Generator) -> list[TollVector]:
     """The initial plan with every point repaired onto the smoothing-feasible set."""
-    plan = build_initial_plan(spec.m, spec.bounds, rng, spec.doe_candidates)
+    plan = build_initial_plan(spec.m, spec.bounds, rng)
     return [TollVector.from_array(
         repair_smoothing(toll.as_array(), spec.alpha, spec.beta, spec.bounds)) for toll in plan]
 
 
-def _optimize_rk(spec: ProblemSpec, seed: int, rep_seeds: list[int]) -> OptimizationRun:
+def _optimize_rk(spec: ProblemSpec, seed: int,
+                 rep_seeds: list[int]) -> tuple[list[SampleRecord], list[float]]:
     rng = np.random.default_rng(seed)
     samples = evaluate_tolls(spec, repaired_initial_plan(spec, rng), rep_seeds, origin="initial")
 
@@ -262,14 +261,10 @@ def _optimize_rk(spec: ProblemSpec, seed: int, rep_seeds: list[int]) -> Optimiza
         acquisition_history.append(acq)
         samples.append(evaluate_toll(spec, toll, rep_seeds, origin="infill"))
 
-    return OptimizationRun(
-        spec=spec, method="rk", master_seed=int(seed), rep_seeds=rep_seeds,
-        samples=samples, acquisition_history=acquisition_history,
-        best_index=_best_index(samples, spec), evaluations=len(samples),
-    )
+    return samples, acquisition_history
 
 
-def _optimize_direct(spec: ProblemSpec, seed: int, rep_seeds: list[int]) -> OptimizationRun:
+def _optimize_direct(spec: ProblemSpec, rep_seeds: list[int]) -> list[SampleRecord]:
     samples: list[SampleRecord] = []
     m = spec.m
     rho = None
@@ -295,11 +290,7 @@ def _optimize_direct(spec: ProblemSpec, seed: int, rep_seeds: list[int]) -> Opti
     direct_mod.direct_minimize(
         penalized, (spec.bounds.lower, spec.bounds.upper), max_evals=spec.budget)
 
-    return OptimizationRun(
-        spec=spec, method="direct", master_seed=int(seed), rep_seeds=rep_seeds,
-        samples=samples, acquisition_history=[],
-        best_index=_best_index(samples, spec), evaluations=len(samples),
-    )
+    return samples
 
 
 def convergence_history(run: OptimizationRun, window: int = 4) -> tuple[np.ndarray, np.ndarray]:
@@ -322,9 +313,6 @@ def write_run_dir(run: OptimizationRun, outdir) -> None:
     """Write the run artifact files: samples, convergence, best point, and the
     per-evaluation interval tables.  Everything except timestamps is a pure
     function of (config, flags, master seed)."""
-    import csv
-    import os
-
     os.makedirs(outdir, exist_ok=True)
     evals_dir = os.path.join(outdir, "evals")
     os.makedirs(evals_dir, exist_ok=True)
@@ -384,15 +372,12 @@ def write_run_dir(run: OptimizationRun, outdir) -> None:
         "method": run.method,
         "evaluations": run.evaluations,
     }
-    import json
     with open(os.path.join(outdir, "best.json"), "w") as fh:
         json.dump(best_doc, fh, indent=2)
 
 
 def load_samples_csv(path) -> list[SampleRecord]:
     """Rebuild sample records from a run's samples.csv (interval tables not reloaded)."""
-    import csv
-
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -70,8 +70,11 @@ class Bounds:
             raise ValueError("lower and upper bounds must be 1-D vectors of equal length")
         if lo.size == 0 or lo.size % 2 != 0:
             raise ValueError("bounds must have even positive length 2m")
+        for name, limits in (("lower", lo), ("upper", hi)):
+            if not np.all(np.isfinite(limits)):
+                raise ValueError(f"{name}: bounds must be finite")
         if np.any(lo > hi):
-            raise ValueError("lower bound exceeds upper bound")
+            raise ValueError("lower: bound exceeds the upper bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

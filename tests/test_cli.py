@@ -1,5 +1,8 @@
 import csv
+import io
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -43,14 +46,34 @@ def test_malformed_config_names_offending_key(tmp_path, capsys):
     assert "network.choice.voodoo" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value", [("budget", None), ("alpha", "abc")])
+@pytest.mark.parametrize("key,value", [("budget", None), ("alpha", "abc"),
+                                       ("tau_max", [float("nan"), 15.0])])
 def test_bad_problem_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     doc = config_to_dict(desk_preset())
     doc["problem"] = {key: value}
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(doc))
-    assert run_cli(["optimize", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert run_cli(["optimize", str(path), "--method", "direct",
+                    "--out", str(tmp_path / "run")]) == 2
     assert f"problem.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags,key", [(["--replications", "0"], "replications"),
+                                       (["--smoothing", "0,1"], "alpha"),
+                                       (["--delta-max", "nan"], "delta_max")])
+def test_bad_problem_flag_exits_2_naming_the_key(capsys, flags, key):
+    assert run_cli(["optimize", "desk", *flags]) == 2
+    assert f"problem.{key}" in capsys.readouterr().err
+
+
+def test_problem_section_must_be_a_mapping(tmp_path, capsys):
+    doc = config_to_dict(desk_preset())
+    doc["problem"] = [1, 2]
+    path = tmp_path / "list.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli(["optimize", str(path)]) == 2
+    assert "problem: must be a mapping" in capsys.readouterr().err
 
 
 def test_toll_argument_length_checked(capsys):
@@ -61,6 +84,13 @@ def test_toll_argument_length_checked(capsys):
 def test_non_numeric_toll_exits_2_naming_the_flag(capsys):
     assert run_cli(["simulate", "desk", "--toll", "a,b,c,d,e,f,g,h"]) == 2
     assert "--toll" in capsys.readouterr().err
+
+
+def test_non_finite_toll_exits_2_naming_the_flag(tmp_path, capsys):
+    assert run_cli(["simulate", "desk", "--toll", "nan,0,0,0,0,0,0,0",
+                    "--out", str(tmp_path / "run")]) == 2
+    assert "--toll" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_envelope_without_runs_exits_2_naming_the_flag(capsys):
@@ -81,6 +111,26 @@ def test_print_config_shows_flag_overrides(capsys):
     problem = yaml.safe_load(capsys.readouterr().out)["problem"]
     assert (problem["budget"], problem["delta_max"]) == (30, 7.0)
     assert (problem["alpha"], problem["beta"]) == (0.2, 3.0)
+
+
+def test_print_config_into_closed_pipe_exits_quietly(tmp_path, monkeypatch, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe(io.StringIO):
+        """A stdout whose reader has gone, as in ``--print-config | head -2``."""
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert run_cli(["optimize", "desk", "--print-config"]) == 0
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
 
 
 def test_optimize_records_smoothing_override(tmp_path):
@@ -127,7 +177,7 @@ def test_envelope_single_run_and_determinism(tmp_path, capsys):
 
 
 def test_optimize_budget_below_plan_reports_plan_size(capsys):
-    assert run_cli(["optimize", "desk", "--budget", "10"]) == 1
+    assert run_cli(["optimize", "desk", "--budget", "10"]) == 2
     assert "21" in capsys.readouterr().err
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
@@ -116,6 +116,20 @@ class TestRepairSmoothing:
         fixed = repair_smoothing(x, 1.0 / 3.0, 5.0, bounds)
         assert bounds.contains(fixed)
         assert check_smoothing(TollVector.from_array(fixed), 1.0 / 3.0, 5.0)
+
+    @given(m=st.sampled_from([4, 8]), seed=st.integers(0, 5000),
+           reach=st.sampled_from([1.0, 1.5, 3.0]))
+    @settings(max_examples=100, deadline=None)
+    @example(m=4, seed=0, reach=1.0)
+    @example(m=8, seed=1, reach=3.0)
+    def test_repair_is_idempotent(self, m, seed, reach):
+        # desk (m = 4) and paper (m = 8) boxes and limits; unit coordinates
+        # come from 0.5 +- reach, so every reach puts points outside the box
+        bounds = Bounds.uniform(m, 1.0, 15.0)
+        rng = np.random.default_rng(seed)
+        x = bounds.scale_from_unit(rng.uniform(0.5 - reach, 0.5 + reach, size=2 * m))
+        once = repair_smoothing(x, 1.0 / 3.0, 5.0, bounds)
+        assert np.array_equal(repair_smoothing(once, 1.0 / 3.0, 5.0, bounds), once)
 
 
 def ridge_model(n=14, seed=0, lam=0.05):

@@ -6,10 +6,12 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tollopt.simnet import (ConfigError, RouteState, config_from_dict, config_to_dict,
-                            demand_split, desk_preset, deviation_from_spread,
-                            envelope_gamma, fit_lower_envelope, generalized_cost,
-                            paper_preset, simulate, simulate_batch, spatial_spread)
+from scipy.special import expit
+
+from tollopt.simnet import (ConfigError, config_from_dict, config_to_dict, desk_preset,
+                            deviation_from_spread, envelope_gamma, fit_lower_envelope,
+                            paper_preset, simulate, simulate_batch, spatial_spread,
+                            zone_choice)
 from tollopt.toll import TollVector
 
 
@@ -111,45 +113,40 @@ class TestEnvelopeFit:
 
 class TestRouteChoice:
     def setup_method(self):
-        self.config = desk_preset()
+        self.config = desk_preset()   # logit scale 0.12 per minute
 
     def test_zero_toll_cost_is_pure_travel_time(self):
-        state = RouteState(pz_travel_time=18.0, pz_free_time=9.6, bypass_travel_time=16.0)
-        assert generalized_cost("through_pz", (0.0, 0.0), state, self.config) == 18.0
-        assert generalized_cost("bypass", (1.0, 15.0), state, self.config) == 16.0
+        p, toll = zone_choice((0.0, 0.0), 18.0, 9.6, 16.0, self.config)
+        assert toll == 0.0
+        assert p == expit(-0.12 * (18.0 - 16.0))
 
     def test_distance_toll_time_equivalent(self):
         config = dataclasses.replace(self.config, pz_path_length=5.0, vtt=15.0)
-        state = RouteState(pz_travel_time=6.0, pz_free_time=6.0, bypass_travel_time=16.0)
-        cost = generalized_cost("through_pz", (1.0, 0.0), state, config)
-        assert cost - state.pz_travel_time == pytest.approx(20.0)  # 5 km at 1/km = 1/3 h
+        p, toll = zone_choice((1.0, 0.0), 6.0, 6.0, 26.0, config)
+        assert toll == 5.0          # 5 km at 1/km
+        assert p == 0.5             # 5 at 15/h is 20 min: zone cost 26 = bypass
 
     def test_delay_toll_inert_at_free_flow(self):
-        state = RouteState(pz_travel_time=9.6, pz_free_time=9.6, bypass_travel_time=16.0)
+        untolled, _ = zone_choice((0.0, 0.0), 9.6, 9.6, 16.0, self.config)
         for omega in (0.0, 5.0, 15.0):
-            assert generalized_cost("through_pz", (0.0, omega), state, self.config) == 9.6
-
-    def test_unknown_route_rejected(self):
-        state = RouteState(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            generalized_cost("teleport", (0.0, 0.0), state, self.config)
+            p, toll = zone_choice((0.0, omega), 9.6, 9.6, 16.0, self.config)
+            assert (p, toll) == (untolled, 0.0)
 
     def test_lane_arrays_match_scalar_calls(self):
         pz = np.array([9.6, 14.0, 22.5])
         byp = np.array([16.0, 15.0, 30.0])
         v, w = np.array([0.0, 0.4, 1.0]), np.array([15.0, 6.0, 0.0])
-        costs = generalized_cost("through_pz", (v, w), RouteState(pz, 9.6, byp), self.config)
-        splits = demand_split(costs, byp, 0.12)
+        splits, tolls = zone_choice((v, w), pz, 9.6, byp, self.config)
         for b in range(3):
-            state = RouteState(float(pz[b]), 9.6, float(byp[b]))
-            cost = generalized_cost("through_pz", (float(v[b]), float(w[b])), state, self.config)
-            assert costs[b] == cost
-            assert splits[b] == demand_split(cost, float(byp[b]), 0.12)
+            p, toll = zone_choice((float(v[b]), float(w[b])), float(pz[b]), 9.6,
+                                  float(byp[b]), self.config)
+            assert (splits[b], tolls[b]) == (p, toll)
 
     def test_split_symmetry_and_limits(self):
-        assert demand_split(20.0, 20.0, 0.12) == pytest.approx(0.5)
-        assert demand_split(np.inf, 20.0, 0.12) == 0.0
-        assert demand_split(35.0, 12.0, 0.0) == pytest.approx(0.5)
+        assert zone_choice((0.0, 0.0), 20.0, 9.6, 20.0, self.config)[0] == 0.5
+        assert zone_choice((0.0, 0.0), 1e4, 9.6, 20.0, self.config)[0] == 0.0
+        indifferent = dataclasses.replace(self.config, logit_scale=0.0)
+        assert zone_choice((1.0, 15.0), 35.0, 9.6, 12.0, indifferent)[0] == 0.5
 
 
 class TestSimulate:

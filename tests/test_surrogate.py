@@ -8,7 +8,7 @@ from scipy.stats import multivariate_normal
 
 from tollopt.doe import lhs
 from tollopt.ga import GAParams
-from tollopt.surrogate import (NumericalError, correlation, corr_matrix, fit,
+from tollopt.surrogate import (NumericalError, corr_matrix, corr_vector, fit,
                                fit_fixed, log_likelihood, loo_cv, predict)
 from tollopt.toll import Bounds
 
@@ -32,30 +32,32 @@ def make_samples(n, seed=0, noise=0.0):
 
 class TestCorrelation:
     def test_identical_points_correlate_fully(self):
-        x = np.array([0.2, 0.9, 0.4])
-        assert correlation(x, x, np.array([1.0, 2.0, 3.0])) == 1.0
+        design = np.array([[0.2, 0.9, 0.4], [0.7, 0.1, 0.5]])
+        theta = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(np.diag(corr_matrix(design, theta)), [1.0, 1.0])
+        assert np.array_equal(corr_vector(design, theta, design[:1])[:, 0], [1.0])
 
     def test_zero_theta_degenerates_to_one(self):
-        assert correlation(np.zeros(3), np.ones(3), np.zeros(3)) == 1.0
+        design = np.array([np.zeros(3), np.ones(3)])
+        assert np.array_equal(corr_matrix(design, np.zeros(3)), np.ones((2, 2)))
+        assert np.array_equal(corr_vector(design, np.zeros(3), np.full((1, 3), 0.5)),
+                              np.ones((1, 2)))
 
     def test_unit_distance_unit_theta(self):
-        val = correlation(np.array([0.0]), np.array([1.0]), np.array([1.0]))
+        val = corr_matrix(np.array([[0.0], [1.0]]), np.array([1.0]))[0, 1]
         assert val == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert val == pytest.approx(0.367879, abs=1e-6)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            correlation(np.zeros(2), np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            correlation(np.zeros(2), np.zeros(2), -np.ones(2))
+        assert corr_vector(np.array([[1.0]]), np.array([1.0]), np.array([[0.0]]))[0, 0] == val
 
     @given(d0=st.floats(0.05, 2.0), bump=st.floats(0.01, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_strictly_decreasing_in_coordinate_distance(self, d0, bump):
         theta = np.array([0.7, 1.3])
-        near = correlation(np.zeros(2), np.array([d0, 0.1]), theta)
-        far = correlation(np.zeros(2), np.array([d0 + bump, 0.1]), theta)
+        design = np.array([[d0, 0.1], [d0 + bump, 0.1]])
+        near, far = corr_vector(design, theta, np.zeros((1, 2)))[0]
         assert far < near
+        corr = corr_matrix(np.array([[0.0, 0.0], *design]), theta)
+        assert (corr[0, 1], corr[0, 2]) == (near, far)
 
 
 class TestLogLikelihood:
@@ -160,12 +162,6 @@ class TestPredict:
         grid = lhs(60, 2, np.random.default_rng(9))
         pred = predict(model, grid)
         assert np.all(pred.ri_variance <= pred.variance + 1e-12)
-
-    def test_extrapolation_flag(self):
-        samples, _, _ = make_samples(5, seed=10)
-        model = fit_fixed(samples, UNIT2, theta=np.array([1.0, 1.0]), lam=0.0)
-        assert not predict(model, np.array([0.5, 0.5])).extrapolated
-        assert predict(model, np.array([1.4, 0.5])).extrapolated
 
 
 class TestCrossValidation:

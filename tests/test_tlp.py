@@ -5,10 +5,11 @@ import pytest
 
 from conftest import make_desk_spec
 from tollopt.ga import GAParams
-from tollopt.simnet import desk_preset
+from tollopt.simnet import desk_preset, simulate
 from tollopt.tlp import (OptimizationRun, SampleRecord, check_smoothing, constraint_value,
-                         convergence_history, evaluate_toll, load_samples_csv,
-                         objective_value, optimize, replication_seeds, write_run_dir)
+                         convergence_history, evaluate_toll, evaluate_tolls,
+                         load_samples_csv, objective_value, optimize, replication_seeds,
+                         write_run_dir)
 from tollopt.toll import Bounds, TollVector
 
 FAST_GA = GAParams(population_size=20, generations=12)
@@ -51,15 +52,15 @@ class TestSmoothing:
         assert check_smoothing(toll, 1.0 / 3.0, 5.0)
 
     def test_jump_detected_with_location(self):
-        toll = TollVector(np.array([0.0, 0.5, 0.5]), np.zeros(3))
-        verdict = check_smoothing(toll, 0.33, 5.0)
-        assert not verdict
-        assert verdict.violations == [("distance", 0, pytest.approx(0.5 - 0.33))]
+        for rates in ([0.0, 0.5, 0.5], [0.5, 0.5, 0.0]):    # first and last step
+            toll = TollVector(np.array(rates), np.zeros(3))
+            assert check_smoothing(toll, 0.33, 5.0) is False
+            assert check_smoothing(toll, 0.5, 5.0) is True
 
     def test_delay_chain_checked_against_beta(self):
         toll = TollVector(np.zeros(3), np.array([0.0, 6.0, 6.0]))
-        verdict = check_smoothing(toll, 0.33, 5.0)
-        assert [v[0] for v in verdict.violations] == ["delay"]
+        assert check_smoothing(toll, 0.33, 5.0) is False
+        assert check_smoothing(toll, 0.33, 6.0) is True
 
 
 class TestConvergenceHistory:
@@ -67,7 +68,7 @@ class TestConvergenceHistory:
         spec = make_desk_spec()
         return OptimizationRun(spec=spec, method="rk", master_seed=0, rep_seeds=[0],
                                samples=[], acquisition_history=list(values),
-                               best_index=0, evaluations=0)
+                               best_index=0)
 
     def test_window_of_four_averages(self):
         _, avg = convergence_history(self.run_with([4.0, 0.0, 2.0, 2.0]))
@@ -98,6 +99,17 @@ class TestEvaluation:
         b = evaluate_toll(spec, toll, seeds)
         assert np.array_equal(a.objective_reps, b.objective_reps)
         assert a.objective == b.objective
+
+    def test_records_hold_objective_and_constraint_of_their_replications(self):
+        spec = make_desk_spec(replications=2)
+        seeds = replication_seeds(3, 2)
+        tolls = [TollVector.zero(spec.m), TollVector.constant(spec.m, 0.3, 4.0)]
+        for toll, rec in zip(tolls, evaluate_tolls(spec, tolls, seeds)):
+            results = [simulate(spec.config, toll, seed) for seed in seeds]
+            assert rec.objective == objective_value(results, spec.k_cr)
+            assert rec.constraint == constraint_value(results)
+            assert list(rec.objective_reps) == [objective_value([r], spec.k_cr) for r in results]
+            assert list(rec.constraint_reps) == [constraint_value([r]) for r in results]
 
     def test_replication_seed_layout(self):
         assert replication_seeds(3, 3) == [3000, 3001, 3002]
