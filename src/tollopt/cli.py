@@ -88,10 +88,11 @@ def resolve_problem(problem: dict, args) -> dict:
         if getattr(args, key, None) is not None:
             resolved[key] = getattr(args, key)
     if getattr(args, "smoothing", None):
-        parts = args.smoothing.split(",")
-        if len(parts) != 2:
-            raise UsageError("--smoothing takes 'alpha,beta'")
-        resolved["alpha"], resolved["beta"] = float(parts[0]), float(parts[1])
+        try:
+            resolved["alpha"], resolved["beta"] = (float(v) for v in args.smoothing.split(","))
+        except ValueError as exc:
+            raise UsageError(f"--smoothing takes 'alpha,beta' as two numbers, "
+                             f"got {args.smoothing!r}") from exc
     return resolved
 
 
@@ -235,8 +236,8 @@ def cmd_optimize(args) -> int:
                           "rep_seeds": run.rep_seeds})
 
     best = run.best
-    print(f"method={run.method} evaluations={run.evaluations} "
-          f"(initial plan {spec.initial_plan_size})")
+    plan = f" (initial plan {spec.initial_plan_size})" if run.method == "rk" else ""
+    print(f"method={run.method} evaluations={run.evaluations}{plan}")
     print(f"best objective: {best.objective:.4f} vpkmpl | constraint: {best.constraint:.4f} vpkmpl")
     print(f"{'interval':>8} {'distance_rate_per_km':>21} {'delay_rate_per_h':>17}")
     for h in range(spec.m):

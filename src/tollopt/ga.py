@@ -12,33 +12,23 @@ from typing import Callable, Optional
 
 import numpy as np
 
+CROSSOVER_RATE = 0.9
+MUTATION_SCALE = 0.1      # fraction of box width; each gene mutates with rate 1/d
+ELITISM = 2               # best individuals carried over unscored
+TOURNAMENT_SIZE = 3
+BLEND_ALPHA = 0.5         # BLX-alpha crossover expansion
+
 
 @dataclass
 class GAParams:
     population_size: int = 50
     generations: int = 40
-    crossover_rate: float = 0.9
-    mutation_rate: Optional[float] = None  # default 1/d, resolved at run time
-    mutation_scale: float = 0.1            # fraction of box width
-    elitism: int = 2
-    tournament_size: int = 3
-    blend_alpha: float = 0.5               # BLX-alpha crossover expansion
 
     def validate(self) -> None:
-        if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
-        for name in ("crossover_rate", "mutation_scale"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val}")
-        if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError(f"mutation_rate must lie in [0, 1], got {self.mutation_rate}")
-        if not 0 <= self.elitism < self.population_size:
-            raise ValueError("elitism must be smaller than the population size")
+        if self.population_size <= ELITISM:
+            raise ValueError(f"population_size must exceed the {ELITISM} elites")
         if self.generations < 1:
             raise ValueError("generations must be at least 1")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be at least 1")
 
 
 def _as_box(box) -> tuple[np.ndarray, np.ndarray]:
@@ -55,7 +45,7 @@ def _as_box(box) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ga_maximize(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], np.ndarray],
     box,
     params: Optional[GAParams] = None,
     rng: Optional[np.random.Generator] = None,
@@ -64,11 +54,14 @@ def ga_maximize(
     """Maximize ``f`` over a box with tournament selection, blend crossover,
     Gaussian mutation, and elitism.
 
-    ``repair`` (if given) maps any box point onto the feasible set and is
-    applied before every evaluation, so only feasible points are ever scored
-    or returned.  Non-finite objective values are discarded with a warning;
-    if every candidate is non-finite the search fails.  Elite individuals are
-    carried over without re-invoking ``f``.  Deterministic under a fixed
+    ``f`` scores a whole generation: it maps a ``(P, d)`` array of points to
+    ``(P,)`` values and is called exactly ``params.generations`` times, first
+    on the initial population, then on each generation's children (the
+    ``ELITISM`` best are carried over without re-scoring).  ``repair`` (if
+    given) maps ``(P, d)`` box points onto the feasible set and is applied
+    before every call of ``f``, so only feasible points are ever scored or
+    returned.  Non-finite values are discarded with a warning; if every
+    candidate is non-finite the search fails.  Deterministic under a fixed
     generator state.
     """
     params = params or GAParams()
@@ -77,7 +70,6 @@ def ga_maximize(
     lower, upper = _as_box(box)
     d = lower.size
     width = upper - lower
-    mut_rate = params.mutation_rate if params.mutation_rate is not None else 1.0 / d
     pop_size = params.population_size
 
     def prepare(x: np.ndarray) -> np.ndarray:
@@ -88,48 +80,49 @@ def ga_maximize(
 
     saw_nonfinite = False
 
-    def evaluate(x: np.ndarray) -> float:
+    def evaluate(x: np.ndarray) -> np.ndarray:
         nonlocal saw_nonfinite
-        val = float(f(x))
-        if not np.isfinite(val):
+        vals = np.asarray(f(x), dtype=float)
+        if vals.shape != (len(x),):
+            raise ValueError(f"f returned shape {vals.shape} for {len(x)} points")
+        finite = np.isfinite(vals)
+        if not finite.all():
             saw_nonfinite = True
-            return -np.inf
-        return val
+            vals = np.where(finite, vals, -np.inf)
+        return vals
 
-    pop = np.array([prepare(lower + rng.uniform(size=d) * width) for _ in range(pop_size)])
-    fitness = np.array([evaluate(x) for x in pop])
+    pop = prepare(lower + rng.uniform(size=(pop_size, d)) * width)
+    fitness = evaluate(pop)
 
     best_idx = int(np.argmax(fitness))
     best_x = pop[best_idx].copy()
     best_f = fitness[best_idx]
 
     def tournament() -> int:
-        contenders = rng.integers(0, pop_size, size=params.tournament_size)
+        contenders = rng.integers(0, pop_size, size=TOURNAMENT_SIZE)
         return int(contenders[np.argmax(fitness[contenders])])
 
     for _ in range(params.generations - 1):
-        order = np.argsort(-fitness, kind="stable")
-        new_pop = [pop[i].copy() for i in order[: params.elitism]]
-        new_fit = [fitness[i] for i in order[: params.elitism]]
-        while len(new_pop) < pop_size:
+        # children select from the current generation only, so all are bred
+        # before any is scored
+        children = np.empty((pop_size - ELITISM, d))
+        for child in children:
             pa = pop[tournament()]
             pb = pop[tournament()]
-            if rng.uniform() < params.crossover_rate:
+            if rng.uniform() < CROSSOVER_RATE:
                 lo = np.minimum(pa, pb)
                 hi = np.maximum(pa, pb)
-                spread = params.blend_alpha * (hi - lo)
-                child = rng.uniform(lo - spread, hi + spread)
+                spread = BLEND_ALPHA * (hi - lo)
+                child[:] = rng.uniform(lo - spread, hi + spread)
             else:
-                child = pa.copy()
-            mask = rng.uniform(size=d) < mut_rate
+                child[:] = pa
+            mask = rng.uniform(size=d) < 1.0 / d
             if np.any(mask):
-                child = child.copy()
-                child[mask] += rng.normal(size=int(mask.sum())) * params.mutation_scale * width[mask]
-            child = prepare(child)
-            new_pop.append(child)
-            new_fit.append(evaluate(child))
-        pop = np.array(new_pop)
-        fitness = np.array(new_fit)
+                child[mask] += rng.normal(size=int(mask.sum())) * MUTATION_SCALE * width[mask]
+        children = prepare(children)
+        elite = np.argsort(-fitness, kind="stable")[:ELITISM]
+        pop = np.concatenate([pop[elite], children])
+        fitness = np.concatenate([fitness[elite], evaluate(children)])
         gen_best = int(np.argmax(fitness))
         if fitness[gen_best] > best_f:
             best_f = fitness[gen_best]

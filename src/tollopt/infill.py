@@ -79,24 +79,24 @@ class AcquisitionContext:
 
 
 def repair_smoothing(x: np.ndarray, alpha: float, beta: float, bounds: Bounds) -> np.ndarray:
-    """Clip a flat toll vector onto the smoothing-feasible part of the box.
+    """Clip flat toll vectors onto the smoothing-feasible part of the box.
 
-    Scans each rate chain left to right and clips every rate into the band
-    reachable from its predecessor intersected with the box.  With identical
-    per-interval bounds the intersection is never empty, so the result always
-    satisfies both the box and the adjacent-interval limits.
+    ``x`` is one vector or a ``(n, d)`` batch of rows.  Scans each rate chain
+    left to right and clips every rate into the band reachable from its
+    predecessor intersected with the box.  With identical per-interval bounds
+    the intersection is never empty, so the result always satisfies both the
+    box and the adjacent-interval limits.
     """
-    x = np.asarray(x, dtype=float)
+    out = np.array(x, dtype=float)
     m = bounds.m
-    out = x.copy()
     for start, limit in ((0, alpha), (m, beta)):
         lo = bounds.lower[start:start + m]
         hi = bounds.upper[start:start + m]
-        seg = out[start:start + m]
-        seg[0] = min(max(seg[0], lo[0]), hi[0])
+        seg = out[..., start:start + m]
+        seg[..., 0] = np.minimum(np.maximum(seg[..., 0], lo[0]), hi[0])
         for h in range(1, m):
-            delta = min(max(seg[h] - seg[h - 1], -limit), limit)
-            seg[h] = min(max(seg[h - 1] + delta, lo[h]), hi[h])
+            delta = np.minimum(np.maximum(seg[..., h] - seg[..., h - 1], -limit), limit)
+            seg[..., h] = np.minimum(np.maximum(seg[..., h - 1] + delta, lo[h]), hi[h])
     return out
 
 
@@ -118,11 +118,12 @@ def propose_infill(
 ) -> tuple[TollVector, float]:
     """GA-maximize the acquisition over the smoothing-feasible toll box.
 
-    Infeasible candidates are repaired by sequential clipping before
-    evaluation, so the returned toll satisfies the box and smoothing limits
-    exactly.  If the acquisition surface has collapsed to a flat zero plateau,
-    the tie is broken by maximizing the distance to the nearest existing
-    sample, which keeps late iterations space-filling.
+    Each GA generation is repaired by sequential clipping and then scored by
+    one :func:`acquisition_value` call, so the returned toll satisfies the
+    box and smoothing limits exactly.  If the acquisition surface has
+    collapsed to a flat zero plateau, the tie is broken by maximizing the
+    distance to the nearest existing sample, which keeps late iterations
+    space-filling.
     """
     rng = rng or np.random.default_rng()
     bounds = ctx.bounds
@@ -134,19 +135,17 @@ def propose_infill(
         tolls = bounds.scale_from_unit(np.clip(u, 0.0, 1.0))
         return bounds.to_unit(repair_smoothing(tolls, alpha, beta, bounds))
 
-    def acq(u: np.ndarray) -> float:
-        return float(acquisition_value(ctx, u))
-
-    best_u, best_val = ga_maximize(acq, unit_box, params=ga_params, rng=rng, repair=repair)
+    best_u, best_val = ga_maximize(lambda u: acquisition_value(ctx, u), unit_box,
+                                   params=ga_params, rng=rng, repair=repair)
 
     if best_val <= ACQUISITION_TIE_EPS:
         design = ctx.obj_model.design
 
-        def spread(u: np.ndarray) -> float:
-            return float(np.min(np.linalg.norm(design - u, axis=1)))
+        def spread(u: np.ndarray) -> np.ndarray:
+            return np.min(np.linalg.norm(design - u[:, None, :], axis=2), axis=1)
 
         best_u, _ = ga_maximize(spread, unit_box, params=ga_params, rng=rng, repair=repair)
-        best_val = acq(best_u)
+        best_val = acquisition_value(ctx, best_u)
 
     tolls = repair_smoothing(bounds.scale_from_unit(best_u), alpha, beta, bounds)
     return TollVector.from_array(tolls), float(best_val)

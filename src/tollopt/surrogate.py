@@ -234,7 +234,9 @@ def fit(
     and ``lambda`` are searched in log10 space inside ``THETA_BOUNDS`` and
     ``lambda_bounds``; passing
     equal lambda bounds pins ``lambda`` (``(0, 0)`` gives an interpolating
-    ordinary-kriging fit).
+    ordinary-kriging fit).  Each GA generation is scored by one
+    :func:`log_likelihood` call per candidate; a candidate whose correlation
+    matrix will not factor scores ``-inf``.
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 sample points")
@@ -253,13 +255,16 @@ def fit(
         lower[d] = np.log10(lambda_bounds[0])
         upper[d] = np.log10(lambda_bounds[1])
 
-    def objective(z: np.ndarray) -> float:
+    def loglik(z: np.ndarray) -> float:
         theta = 10.0 ** z[:d]
         lam = lambda_bounds[0] if lam_fixed else 10.0 ** z[d]
         try:
             return log_likelihood(design, y_std, theta, lam)
         except NumericalError:
             return -np.inf
+
+    def objective(zs: np.ndarray) -> np.ndarray:
+        return np.array([loglik(z) for z in zs])
 
     rng = rng or np.random.default_rng()
     with warnings.catch_warnings():
@@ -289,7 +294,9 @@ def predict(model: RKModel, x) -> Prediction:
     if pts.shape[1] != model.d:
         raise ValueError(f"query dimension {pts.shape[1]} != model dimension {model.d}")
     psi = corr_vector(model.design, model.theta, pts)         # (k, n)
-    mean_std = model._mu_std + psi @ model._weights
+    # vecdot sums each row as a lone point's product does, so a batch
+    # predicts bit for bit what its rows predict one at a time
+    mean_std = model._mu_std + np.vecdot(psi, model._weights)
     a = cho_solve((model._chol_r, True), psi.T)               # (n, k)
     var_std = model._sigma2_std * (1.0 + model.lam - np.einsum("kn,nk->k", psi, a))
     b = cho_solve((model._chol_psi, True), psi.T)

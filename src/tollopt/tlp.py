@@ -41,8 +41,7 @@ class ProblemSpec:
     delta_max: Optional[float] = None   # heterogeneity cap; None = single objective
     replications: int = 2
     budget: int = 60
-    fit_ga: GAParams = field(default_factory=GAParams)
-    infill_ga: GAParams = field(default_factory=GAParams)
+    ga: GAParams = field(default_factory=GAParams)   # likelihood and infill searches
 
     def __post_init__(self):
         # each message starts with the field it rejects
@@ -231,9 +230,9 @@ def optimize(spec: ProblemSpec, method: str = "rk", seed: int = 0) -> Optimizati
 
 def repaired_initial_plan(spec: ProblemSpec, rng: np.random.Generator) -> list[TollVector]:
     """The initial plan with every point repaired onto the smoothing-feasible set."""
-    plan = build_initial_plan(spec.m, spec.bounds, rng)
-    return [TollVector.from_array(
-        repair_smoothing(toll.as_array(), spec.alpha, spec.beta, spec.bounds)) for toll in plan]
+    plan = np.array([toll.as_array() for toll in build_initial_plan(spec.m, spec.bounds, rng)])
+    return [TollVector.from_array(x)
+            for x in repair_smoothing(plan, spec.alpha, spec.beta, spec.bounds)]
 
 
 def _optimize_rk(spec: ProblemSpec, seed: int,
@@ -244,11 +243,11 @@ def _optimize_rk(spec: ProblemSpec, seed: int,
     acquisition_history: list[float] = []
     while len(samples) < spec.budget:
         pairs = [(rec.toll, rec.objective) for rec in samples]
-        obj_model = fit(pairs, spec.bounds, ga_params=spec.fit_ga, rng=rng)
+        obj_model = fit(pairs, spec.bounds, ga_params=spec.ga, rng=rng)
         con_model = None
         if spec.delta_max is not None:
             con_pairs = [(rec.toll, rec.constraint) for rec in samples]
-            con_model = fit(con_pairs, spec.bounds, ga_params=spec.fit_ga, rng=rng)
+            con_model = fit(con_pairs, spec.bounds, ga_params=spec.ga, rng=rng)
         ctx = AcquisitionContext(
             obj_model=obj_model,
             bounds=spec.bounds,
@@ -257,7 +256,7 @@ def _optimize_rk(spec: ProblemSpec, seed: int,
             con_model=con_model,
             delta_max=spec.delta_max,
         )
-        toll, acq = propose_infill(ctx, ga_params=spec.infill_ga, rng=rng)
+        toll, acq = propose_infill(ctx, ga_params=spec.ga, rng=rng)
         acquisition_history.append(acq)
         samples.append(evaluate_toll(spec, toll, rep_seeds, origin="infill"))
 

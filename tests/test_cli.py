@@ -61,10 +61,12 @@ def test_bad_problem_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("flags,key", [(["--replications", "0"], "replications"),
                                        (["--smoothing", "0,1"], "alpha"),
-                                       (["--delta-max", "nan"], "delta_max")])
+                                       (["--delta-max", "nan"], "delta_max"),
+                                       (["--smoothing", "a,b"], "--smoothing")])
 def test_bad_problem_flag_exits_2_naming_the_key(capsys, flags, key):
+    # a value that is not a number is named by its flag, a bad number by its problem key
     assert run_cli(["optimize", "desk", *flags]) == 2
-    assert f"problem.{key}" in capsys.readouterr().err
+    assert (key if key.startswith("--") else f"problem.{key}") in capsys.readouterr().err
 
 
 def test_problem_section_must_be_a_mapping(tmp_path, capsys):
@@ -179,6 +181,15 @@ def test_envelope_single_run_and_determinism(tmp_path, capsys):
 def test_optimize_budget_below_plan_reports_plan_size(capsys):
     assert run_cli(["optimize", "desk", "--budget", "10"]) == 2
     assert "21" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method,plan_line", [("direct", False), ("rk", True)])
+def test_optimize_reports_plan_size_only_for_rk(tmp_path, capsys, method, plan_line):
+    assert run_cli(["optimize", "desk", "--method", method, "--budget", "22",
+                    "--replications", "1", "--out", str(tmp_path / "run")]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith(f"method={method} evaluations=")
+    assert ("initial plan 21" in first) == plan_line
 
 
 def write_tiny_run_dir(run_dir, samples=((0.0, 30.0, 5.0), (0.5, 12.0, 7.0)), **problem_extra):

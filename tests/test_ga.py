@@ -1,44 +1,49 @@
 import numpy as np
 import pytest
 
-from tollopt.ga import GAParams, ga_maximize
+from tollopt.ga import ELITISM, GAParams, ga_maximize
+
+
+def batched(f):
+    """The generation-at-a-time objective the GA takes, built from a one-point ``f``."""
+    return lambda X: np.array([f(x) for x in X])
 
 
 def test_one_dim_quadratic_peak_located():
-    best_x, best_f = ga_maximize(lambda x: -(x[0] - 0.7) ** 2, (np.zeros(1), np.ones(1)),
-                                 rng=np.random.default_rng(0))
+    best_x, best_f = ga_maximize(batched(lambda x: -(x[0] - 0.7) ** 2),
+                                 (np.zeros(1), np.ones(1)), rng=np.random.default_rng(0))
     assert abs(best_x[0] - 0.7) < 0.01
     assert best_f <= 0.0
 
 
 def test_constant_objective_returns_a_box_point():
-    best_x, best_f = ga_maximize(lambda x: 3.5, (np.array([-1.0, 2.0]), np.array([1.0, 4.0])),
+    best_x, best_f = ga_maximize(batched(lambda x: 3.5),
+                                 (np.array([-1.0, 2.0]), np.array([1.0, 4.0])),
                                  rng=np.random.default_rng(1))
     assert best_f == 3.5
     assert -1.0 <= best_x[0] <= 1.0 and 2.0 <= best_x[1] <= 4.0
 
 
 def test_sphere_two_dim_within_small_budget():
-    # 200 evaluations: 20 individuals, 10 generations at elitism 0 + init
-    params = GAParams(population_size=20, generations=10, elitism=0)
-    best_x, best_f = ga_maximize(lambda x: -np.sum((x - 0.5) ** 2),
+    # 182 evaluations: 20 individuals, then 9 generations of 18 children
+    params = GAParams(population_size=20, generations=10)
+    best_x, best_f = ga_maximize(batched(lambda x: -np.sum((x - 0.5) ** 2)),
                                  (np.zeros(2), np.ones(2)),
                                  params=params, rng=np.random.default_rng(2))
     assert best_f >= -1e-3
 
 
-def test_budget_accounting_with_elitism_reuse():
-    params = GAParams(population_size=12, generations=7, elitism=3)
-    calls = {"n": 0}
+def test_one_call_per_generation():
+    params = GAParams(population_size=12, generations=7)
+    sizes = []
 
-    def f(x):
-        calls["n"] += 1
-        return -np.sum(x ** 2)
+    def f(X):
+        sizes.append(X.shape)
+        return -np.sum(X ** 2, axis=1)
 
     ga_maximize(f, (np.zeros(3), np.ones(3)), params=params, rng=np.random.default_rng(3))
-    expected = params.population_size * params.generations \
-        - params.elitism * (params.generations - 1)
-    assert calls["n"] == expected
+    assert len(sizes) == params.generations
+    assert sizes == [(12, 3)] + [(12 - ELITISM, 3)] * (params.generations - 1)
 
 
 def test_returned_best_matches_archive_maximum_and_is_deterministic():
@@ -49,16 +54,18 @@ def test_returned_best_matches_archive_maximum_and_is_deterministic():
         seen.append(val)
         return val
 
-    best_x1, best_f1 = ga_maximize(f, (np.zeros(2), np.ones(2)), rng=np.random.default_rng(9))
+    best_x1, best_f1 = ga_maximize(batched(f), (np.zeros(2), np.ones(2)),
+                                   rng=np.random.default_rng(9))
     assert best_f1 == max(seen)
-    best_x2, best_f2 = ga_maximize(f, (np.zeros(2), np.ones(2)), rng=np.random.default_rng(9))
+    best_x2, best_f2 = ga_maximize(batched(f), (np.zeros(2), np.ones(2)),
+                                   rng=np.random.default_rng(9))
     assert np.array_equal(best_x1, best_x2) and best_f1 == best_f2
 
 
 def test_repair_applied_before_every_evaluation():
-    def repair(x):
-        out = x.copy()
-        out[0] = 0.5
+    def repair(X):
+        out = X.copy()
+        out[:, 0] = 0.5
         return out
 
     evaluated = []
@@ -67,7 +74,7 @@ def test_repair_applied_before_every_evaluation():
         evaluated.append(x.copy())
         return -abs(x[1] - 0.2)
 
-    best_x, _ = ga_maximize(f, (np.zeros(2), np.ones(2)), repair=repair,
+    best_x, _ = ga_maximize(batched(f), (np.zeros(2), np.ones(2)), repair=repair,
                             rng=np.random.default_rng(4))
     assert all(pt[0] == 0.5 for pt in evaluated)
     assert best_x[0] == 0.5
@@ -78,7 +85,7 @@ def test_non_finite_candidates_discarded_with_warning():
         return np.inf if x[0] > 0.5 else float(x[0])
 
     with pytest.warns(UserWarning):
-        best_x, best_f = ga_maximize(f, (np.zeros(1), np.ones(1)),
+        best_x, best_f = ga_maximize(batched(f), (np.zeros(1), np.ones(1)),
                                      rng=np.random.default_rng(5))
     assert np.isfinite(best_f)
     assert best_x[0] <= 0.5
@@ -86,16 +93,23 @@ def test_non_finite_candidates_discarded_with_warning():
 
 def test_all_non_finite_is_a_failure():
     with pytest.raises(RuntimeError):
-        ga_maximize(lambda x: np.nan, (np.zeros(1), np.ones(1)),
+        ga_maximize(batched(lambda x: np.nan), (np.zeros(1), np.ones(1)),
                     rng=np.random.default_rng(6))
+
+
+@pytest.mark.parametrize("f", [lambda X: np.zeros(len(X) + 1), lambda X: 0.0,
+                               lambda X: np.zeros((len(X), 1))])
+def test_wrong_shape_objective_rejected(f):
+    with pytest.raises(ValueError, match="shape"):
+        ga_maximize(f, (np.zeros(2), np.ones(2)), rng=np.random.default_rng(7))
 
 
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         GAParams(population_size=1).validate()
     with pytest.raises(ValueError):
-        GAParams(elitism=50, population_size=10).validate()
+        GAParams(population_size=ELITISM).validate()
     with pytest.raises(ValueError):
-        GAParams(crossover_rate=1.5).validate()
+        GAParams(generations=0).validate()
     with pytest.raises(ValueError):
-        ga_maximize(lambda x: 0.0, (np.array([0.0, np.inf]), np.ones(2)))
+        ga_maximize(batched(lambda x: 0.0), (np.array([0.0, np.inf]), np.ones(2)))

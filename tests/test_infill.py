@@ -130,6 +130,10 @@ class TestRepairSmoothing:
         x = bounds.scale_from_unit(rng.uniform(0.5 - reach, 0.5 + reach, size=2 * m))
         once = repair_smoothing(x, 1.0 / 3.0, 5.0, bounds)
         assert np.array_equal(repair_smoothing(once, 1.0 / 3.0, 5.0, bounds), once)
+        # a batch repairs each row as that row alone is repaired
+        batch = bounds.scale_from_unit(rng.uniform(0.5 - reach, 0.5 + reach, size=(5, 2 * m)))
+        rows = np.array([repair_smoothing(row, 1.0 / 3.0, 5.0, bounds) for row in batch])
+        assert np.array_equal(repair_smoothing(batch, 1.0 / 3.0, 5.0, bounds), rows)
 
 
 def ridge_model(n=14, seed=0, lam=0.05):

@@ -156,6 +156,21 @@ class TestPredict:
         assert pa.mean == pytest.approx(pb.mean, rel=1e-10)
         assert pa.variance == pytest.approx(pb.variance, rel=1e-8, abs=1e-12)
 
+    @pytest.mark.parametrize("n,d", [(15, 2), (21, 8), (40, 16), (60, 16)])
+    def test_batch_equals_single_point_calls_bit_for_bit(self, n, d):
+        # the GA scores a whole generation per call; fixed-seed runs stay
+        # reproducible only if that batch predicts what lone points predict
+        rng = np.random.default_rng(n + d)
+        pts = rng.uniform(size=(n, d))
+        samples = [(x, float(np.sin(3.0 * x[0]) + np.sum(x ** 2))) for x in pts]
+        model = fit_fixed(samples, Bounds(np.zeros(d), np.ones(d)),
+                          theta=10.0 ** rng.uniform(-1.0, 1.0, size=d), lam=0.01)
+        queries = rng.uniform(size=(50, d))
+        batch = predict(model, queries)
+        singles = [predict(model, q) for q in queries]
+        for field in ("mean", "variance", "ri_variance"):
+            assert np.array_equal(getattr(batch, field), [getattr(p, field) for p in singles])
+
     def test_ri_variance_never_exceeds_variance(self):
         samples, _, _ = make_samples(15, seed=8)
         model = fit_fixed(samples, UNIT2, theta=np.array([4.0, 2.0]), lam=0.2)

@@ -140,8 +140,7 @@ class TestSpecValidation:
 
 @pytest.fixture(scope="module")
 def small_run():
-    spec = make_desk_spec(budget=25, replications=1,
-                          fit_ga=FAST_GA, infill_ga=FAST_GA)
+    spec = make_desk_spec(budget=25, replications=1, ga=FAST_GA)
     return optimize(spec, method="rk", seed=2)
 
 
