@@ -94,10 +94,6 @@ def ga_maximize(
     pop = prepare(lower + rng.uniform(size=(pop_size, d)) * width)
     fitness = evaluate(pop)
 
-    best_idx = int(np.argmax(fitness))
-    best_x = pop[best_idx].copy()
-    best_f = fitness[best_idx]
-
     def tournament() -> int:
         contenders = rng.integers(0, pop_size, size=TOURNAMENT_SIZE)
         return int(contenders[np.argmax(fitness[contenders])])
@@ -123,13 +119,12 @@ def ga_maximize(
         elite = np.argsort(-fitness, kind="stable")[:ELITISM]
         pop = np.concatenate([pop[elite], children])
         fitness = np.concatenate([fitness[elite], evaluate(children)])
-        gen_best = int(np.argmax(fitness))
-        if fitness[gen_best] > best_f:
-            best_f = fitness[gen_best]
-            best_x = pop[gen_best].copy()
 
-    if not np.isfinite(best_f):
+    # the stable elite sort keeps the first-found best at index 0, so the
+    # final generation's argmax is the best point ever scored
+    best = int(np.argmax(fitness))
+    if not np.isfinite(fitness[best]):
         raise RuntimeError("GA failed: every evaluated candidate was non-finite")
     if saw_nonfinite:
         warnings.warn("GA discarded candidates with non-finite objective values")
-    return best_x, float(best_f)
+    return pop[best], float(fitness[best])

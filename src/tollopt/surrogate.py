@@ -247,19 +247,16 @@ def fit(
     y_std, _, _ = _standardize(y)
 
     lam_fixed = lambda_bounds[0] == lambda_bounds[1]
-    log_theta_lo, log_theta_hi = np.log10(THETA_BOUNDS[0]), np.log10(THETA_BOUNDS[1])
-    genes = d if lam_fixed else d + 1
-    lower = np.full(genes, log_theta_lo)
-    upper = np.full(genes, log_theta_hi)
-    if not lam_fixed:
-        lower[d] = np.log10(lambda_bounds[0])
-        upper[d] = np.log10(lambda_bounds[1])
+    gene_bounds = [THETA_BOUNDS] * d + ([] if lam_fixed else [lambda_bounds])
+    lower, upper = np.log10(np.array(gene_bounds, dtype=float)).T
+
+    def decode(z: np.ndarray) -> tuple[np.ndarray, float]:
+        """One gene row -> (theta, lambda); a pinned lambda has no gene."""
+        return 10.0 ** z[:d], float(lambda_bounds[0] if lam_fixed else 10.0 ** z[d])
 
     def loglik(z: np.ndarray) -> float:
-        theta = 10.0 ** z[:d]
-        lam = lambda_bounds[0] if lam_fixed else 10.0 ** z[d]
         try:
-            return log_likelihood(design, y_std, theta, lam)
+            return log_likelihood(design, y_std, *decode(z))
         except NumericalError:
             return -np.inf
 
@@ -271,9 +268,7 @@ def fit(
         # singular Psi at extreme theta is expected during the search
         warnings.simplefilter("ignore")
         best_z, _ = ga_maximize(objective, (lower, upper), params=ga_params, rng=rng)
-    theta = 10.0 ** best_z[:d]
-    lam = lambda_bounds[0] if lam_fixed else 10.0 ** best_z[d]
-    return _assemble(design, y, theta, float(lam))
+    return _assemble(design, y, *decode(best_z))
 
 
 def fit_fixed(samples: Sequence[tuple], bounds: Bounds, theta, lam: float) -> RKModel:
