@@ -244,12 +244,12 @@ def cmd_optimize(args) -> int:
         v, w = best.toll.rates_for_interval(h)
         print(f"{h + 1:>8} {v:>21.4f} {w:>17.4f}")
     if spec.delta_max is None:
-        zero = [r for r in run.samples if np.allclose(r.toll.as_array(), spec.bounds.lower)]
-        if zero:
+        lowest = [r for r in run.samples if np.allclose(r.toll.as_array(), spec.bounds.lower)]
+        if lowest:
             # bracketing guidance for a follow-up constrained run: pick the
             # heterogeneity limit between these two observed values
-            print(f"heterogeneity guidance: zero-toll constraint {zero[0].constraint:.3f}, "
-                  f"optimum constraint {best.constraint:.3f}; "
+            print(f"heterogeneity guidance: lowest-toll (tau_min) constraint "
+                  f"{lowest[0].constraint:.3f}, optimum constraint {best.constraint:.3f}; "
                   f"choose --delta-max between them")
     print(f"artifacts: {outdir}")
     return 0

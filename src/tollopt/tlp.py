@@ -9,6 +9,7 @@ expected-improvement infill or by DIRECT with a quadratic penalty.
 from __future__ import annotations
 
 import csv
+import glob
 import json
 import math
 import os
@@ -311,10 +312,15 @@ def convergence_history(run: OptimizationRun, window: int = 4) -> tuple[np.ndarr
 def write_run_dir(run: OptimizationRun, outdir) -> None:
     """Write the run artifact files: samples, convergence, best point, and the
     per-evaluation interval tables.  Everything except timestamps is a pure
-    function of (config, flags, master seed)."""
-    os.makedirs(outdir, exist_ok=True)
+    function of (config, flags, master seed).  Files an earlier run left in
+    ``outdir`` under these names are removed first, so a reused directory
+    holds this run only."""
     evals_dir = os.path.join(outdir, "evals")
     os.makedirs(evals_dir, exist_ok=True)
+    for stale in [os.path.join(outdir, "convergence.csv"),
+                  *glob.glob(os.path.join(evals_dir, "eval_*.csv"))]:
+        if os.path.exists(stale):
+            os.remove(stale)
     spec = run.spec
     m = spec.m
     reps = spec.replications

@@ -192,6 +192,18 @@ def test_optimize_reports_plan_size_only_for_rk(tmp_path, capsys, method, plan_l
     assert ("initial plan 21" in first) == plan_line
 
 
+def test_guidance_names_the_lowest_toll_not_zero_toll(tmp_path, capsys):
+    doc = config_to_dict(desk_preset())
+    doc["problem"] = {"tau_min": [0.1, 0.0]}
+    path = tmp_path / "floor.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli(["optimize", str(path), "--budget", "22", "--replications", "1",
+                    "--out", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+    assert "heterogeneity guidance: lowest-toll (tau_min) constraint" in out
+    assert "zero-toll" not in out
+
+
 def write_tiny_run_dir(run_dir, samples=((0.0, 30.0, 5.0), (0.5, 12.0, 7.0)), **problem_extra):
     """A run directory on the desk scenario with one replication per sample:
     each sample is a (uniform toll level, objective, constraint) triple."""
