@@ -56,13 +56,22 @@ def ga_maximize(
 
     ``f`` scores a whole generation: it maps a ``(P, d)`` array of points to
     ``(P,)`` values and is called exactly ``params.generations`` times, first
-    on the initial population, then on each generation's children (the
-    ``ELITISM`` best are carried over without re-scoring).  ``repair`` (if
-    given) maps ``(P, d)`` box points onto the feasible set and is applied
-    before every call of ``f``, so only feasible points are ever scored or
-    returned.  Non-finite values are discarded with a warning; if every
-    candidate is non-finite the search fails.  Deterministic under a fixed
-    generator state.
+    on the initial population, then on each generation's ``P - ELITISM``
+    children (the ``ELITISM`` best are carried over without re-scoring).
+    ``repair`` (if given) maps ``(P, d)`` box points onto the feasible set
+    and is applied before every call of ``f``, so only feasible points are
+    ever scored or returned.  Non-finite values are discarded with a
+    warning; if every candidate is non-finite the search fails.
+
+    Deterministic under a fixed generator state, which is drawn once for the
+    initial population, a ``(P, d)`` uniform, and then once per operator for
+    each generation's ``C = P - ELITISM`` children, in this order: the
+    tournaments, ``integers`` of shape ``(2, C, TOURNAMENT_SIZE)`` (the two
+    parents of every child); the crossover tests, a ``(C,)`` uniform; the
+    BLX-alpha blends, a ``(C, d)`` uniform; the mutation mask, a ``(C, d)``
+    uniform at rate ``1/d``; the mutation steps, a ``(C, d)`` normal.  The
+    returned point is the final generation's best, which the stably sorted
+    elites make the first-found best of the whole search.
     """
     params = params or GAParams()
     params.validate()
@@ -94,28 +103,20 @@ def ga_maximize(
     pop = prepare(lower + rng.uniform(size=(pop_size, d)) * width)
     fitness = evaluate(pop)
 
-    def tournament() -> int:
-        contenders = rng.integers(0, pop_size, size=TOURNAMENT_SIZE)
-        return int(contenders[np.argmax(fitness[contenders])])
-
+    n_children = pop_size - ELITISM
     for _ in range(params.generations - 1):
-        # children select from the current generation only, so all are bred
-        # before any is scored
-        children = np.empty((pop_size - ELITISM, d))
-        for child in children:
-            pa = pop[tournament()]
-            pb = pop[tournament()]
-            if rng.uniform() < CROSSOVER_RATE:
-                lo = np.minimum(pa, pb)
-                hi = np.maximum(pa, pb)
-                spread = BLEND_ALPHA * (hi - lo)
-                child[:] = rng.uniform(lo - spread, hi + spread)
-            else:
-                child[:] = pa
-            mask = rng.uniform(size=d) < 1.0 / d
-            if np.any(mask):
-                child[mask] += rng.normal(size=int(mask.sum())) * MUTATION_SCALE * width[mask]
-        children = prepare(children)
+        # children select from the current generation only: breed them all,
+        # drawing each operator once for the whole generation
+        picks = rng.integers(0, pop_size, size=(2, n_children, TOURNAMENT_SIZE))
+        won = np.take_along_axis(picks, np.argmax(fitness[picks], axis=-1)[..., None], axis=-1)
+        pa, pb = pop[won[..., 0]]
+        cross = rng.uniform(size=n_children) < CROSSOVER_RATE
+        lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
+        spread = BLEND_ALPHA * (hi - lo)
+        children = np.where(cross[:, None], rng.uniform(lo - spread, hi + spread), pa)
+        mutate = rng.uniform(size=(n_children, d)) < 1.0 / d
+        step = rng.normal(size=(n_children, d)) * MUTATION_SCALE * width
+        children = prepare(np.where(mutate, children + step, children))
         elite = np.argsort(-fitness, kind="stable")[:ELITISM]
         pop = np.concatenate([pop[elite], children])
         fitness = np.concatenate([fitness[elite], evaluate(children)])

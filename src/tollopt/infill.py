@@ -118,34 +118,32 @@ def propose_infill(
 ) -> tuple[TollVector, float]:
     """GA-maximize the acquisition over the smoothing-feasible toll box.
 
-    Each GA generation is repaired by sequential clipping and then scored by
-    one :func:`acquisition_value` call, so the returned toll satisfies the
-    box and smoothing limits exactly.  If the acquisition surface has
-    collapsed to a flat zero plateau, the tie is broken by maximizing the
-    distance to the nearest existing sample, which keeps late iterations
-    space-filling.
+    The GA searches the toll box itself: each generation is repaired by
+    sequential clipping (:func:`repair_smoothing`) and then scored by one
+    :func:`acquisition_value` call on its unit-cube image, so the returned
+    toll satisfies the box and smoothing limits exactly.  If the acquisition
+    surface has collapsed to a flat zero plateau, the tie is broken by
+    maximizing the unit-cube distance to the nearest existing sample, which
+    keeps late iterations space-filling.
     """
     rng = rng or np.random.default_rng()
     bounds = ctx.bounds
     alpha, beta = ctx.smoothing
-    d = bounds.d
-    unit_box = (np.zeros(d), np.ones(d))
+    box = (bounds.lower, bounds.upper)
 
-    def repair(u: np.ndarray) -> np.ndarray:
-        tolls = bounds.scale_from_unit(np.clip(u, 0.0, 1.0))
-        return bounds.to_unit(repair_smoothing(tolls, alpha, beta, bounds))
+    def repair(x: np.ndarray) -> np.ndarray:
+        return repair_smoothing(x, alpha, beta, bounds)
 
-    best_u, best_val = ga_maximize(lambda u: acquisition_value(ctx, u), unit_box,
+    best_x, best_val = ga_maximize(lambda x: acquisition_value(ctx, bounds.to_unit(x)), box,
                                    params=ga_params, rng=rng, repair=repair)
 
     if best_val <= ACQUISITION_TIE_EPS:
         design = ctx.obj_model.design
 
-        def spread(u: np.ndarray) -> np.ndarray:
-            return np.min(np.linalg.norm(design - u[:, None, :], axis=2), axis=1)
+        def spread(x: np.ndarray) -> np.ndarray:
+            return np.min(np.linalg.norm(design - bounds.to_unit(x)[:, None, :], axis=2), axis=1)
 
-        best_u, _ = ga_maximize(spread, unit_box, params=ga_params, rng=rng, repair=repair)
-        best_val = acquisition_value(ctx, best_u)
+        best_x, _ = ga_maximize(spread, box, params=ga_params, rng=rng, repair=repair)
+        best_val = acquisition_value(ctx, bounds.to_unit(best_x))
 
-    tolls = repair_smoothing(bounds.scale_from_unit(best_u), alpha, beta, bounds)
-    return TollVector.from_array(tolls), float(best_val)
+    return TollVector.from_array(best_x), float(best_val)

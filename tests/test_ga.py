@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.stats import binom
 
-from tollopt.ga import ELITISM, GAParams, ga_maximize
+from tollopt.ga import CROSSOVER_RATE, ELITISM, GAParams, ga_maximize
 
 
 def batched(f):
@@ -44,6 +47,36 @@ def test_one_call_per_generation():
     ga_maximize(f, (np.zeros(3), np.ones(3)), params=params, rng=np.random.default_rng(3))
     assert len(sizes) == params.generations
     assert sizes == [(12, 3)] + [(12 - ELITISM, 3)] * (params.generations - 1)
+
+
+def test_operator_rates_match_the_constants():
+    # A constant objective makes every tournament a uniform draw.  A child of
+    # the first generation keeps its first parent's genes when it is not
+    # crossed, or is crossed with that same row (a zero-width blend), and then
+    # each gene survives mutation with probability 1 - 1/d.
+    pop, d = 20000, 4
+    calls = []
+
+    def f(X):
+        calls.append(X.copy())
+        return np.zeros(len(X))
+
+    ga_maximize(f, (np.zeros(d), np.ones(d)), params=GAParams(pop, 2),
+                rng=np.random.default_rng(8))
+    initial, children = calls
+    row_of = [dict(zip(initial[:, j], range(pop))) for j in range(d)]
+
+    def genes_kept(child):
+        rows = [row_of[j][v] for j, v in enumerate(child) if v in row_of[j]]
+        return max(Counter(rows).values(), default=0)
+
+    kept = np.array([genes_kept(child) for child in children])
+    uncrossed = (1.0 - CROSSOVER_RATE) + CROSSOVER_RATE / pop
+    n = len(children)
+    for genes, p in ((d, uncrossed * (1 - 1 / d) ** d),               # an exact copy
+                     (d - 1, uncrossed * (1 - 1 / d) ** (d - 1))):    # one gene mutated
+        lo, hi = binom.interval(1 - 1e-6, n, p)
+        assert lo <= np.sum(kept == genes) <= hi
 
 
 def test_returned_best_matches_archive_maximum_and_is_deterministic():
