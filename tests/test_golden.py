@@ -15,15 +15,15 @@ DESK = ["desk", "--budget", "22", "--replications", "1", "--seed", "5"]
 
 GOLDEN = [
     ([*DESK, "--method", "rk"],
-     "3a6feaaa9663670d1b277b1678f47badcab7e5b2008ffff7a43e6e2dec8ba6d7"),
+     "e608c7190566ebe337fb22ae76f30f8b05d1461904e11f1fd5585ef1a12b0769"),
     ([*DESK, "--method", "rk", "--delta-max", "7.0"],
-     "8130125e3a84386917bd164e733dea5cdd2307cf762dc875b58ece5b95abd76a"),
+     "91e9d4294b90360e1c89c68fc6783f3fdf1c76190dbdb7a01d2a799fb1b88af4"),
     ([*DESK, "--method", "direct"],
      "f761da5db44da31c6ba3a8db492bb243427154d0541863b9c9b6b8ffe15a1fc9"),
     # paper scale: m = 8, so eight 15-minute interval boundaries are pinned
     (["paper", "--method", "rk", "--delta-max", "7.0", "--budget", "38",
       "--replications", "1", "--seed", "5"],
-     "f80a15b6652239b381149ced613a64f799a251f18d2aeb3571dda6e2c66c6839"),
+     "6cc2a83fcf5fd11e4c4578b73cc2b3aa3bde5316a17eea8a4c21e0c0d2bf92db"),
     # DIRECT with the heterogeneity penalty on top of the smoothing penalties
     ([*DESK, "--method", "direct", "--delta-max", "7.0"],
      "73b308d56354cb3502e7fdbeedea0f93ee741c1a155ba0d67f88d7165f5d90b4"),
