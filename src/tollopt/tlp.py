@@ -9,7 +9,6 @@ expected-improvement infill or by DIRECT with a quadratic penalty.
 from __future__ import annotations
 
 import csv
-import glob
 import json
 import math
 import os
@@ -317,8 +316,9 @@ def write_run_dir(run: OptimizationRun, outdir) -> None:
     holds this run only."""
     evals_dir = os.path.join(outdir, "evals")
     os.makedirs(evals_dir, exist_ok=True)
-    for stale in [os.path.join(outdir, "convergence.csv"),
-                  *glob.glob(os.path.join(evals_dir, "eval_*.csv"))]:
+    owned = [os.path.join(evals_dir, name) for name in os.listdir(evals_dir)
+             if name.startswith("eval_") and name.endswith(".csv")]
+    for stale in [*owned, os.path.join(outdir, "convergence.csv")]:
         if os.path.exists(stale):
             os.remove(stale)
     spec = run.spec

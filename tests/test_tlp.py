@@ -189,13 +189,14 @@ class TestOptimizeSmallBudget:
 
 
     def test_reused_out_dir_holds_only_the_new_run(self, small_run, tmp_path):
-        write_run_dir(small_run, tmp_path)
+        out = tmp_path / "run[1]"    # glob metacharacters in the directory name
+        write_run_dir(small_run, out)
         shorter = OptimizationRun(spec=small_run.spec, method="direct", master_seed=2,
                                   rep_seeds=small_run.rep_seeds, samples=small_run.samples[:22],
                                   acquisition_history=[], best_index=0)
-        write_run_dir(shorter, tmp_path)
-        assert not (tmp_path / "convergence.csv").exists()
-        assert sorted(p.name for p in (tmp_path / "evals").iterdir()) == [
+        write_run_dir(shorter, out)
+        assert not (out / "convergence.csv").exists()
+        assert sorted(p.name for p in (out / "evals").iterdir()) == [
             f"eval_{i:04d}.csv" for i in range(22)]
 
 
