@@ -128,11 +128,10 @@ def propose_infill(
     """
     rng = rng or np.random.default_rng()
     bounds = ctx.bounds
-    alpha, beta = ctx.smoothing
     box = (bounds.lower, bounds.upper)
 
     def repair(x: np.ndarray) -> np.ndarray:
-        return repair_smoothing(x, alpha, beta, bounds)
+        return repair_smoothing(x, *ctx.smoothing, bounds)
 
     best_x, best_val = ga_maximize(lambda x: acquisition_value(ctx, bounds.to_unit(x)), box,
                                    params=ga_params, rng=rng, repair=repair)
