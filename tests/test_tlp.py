@@ -187,9 +187,8 @@ class TestOptimizeSmallBudget:
             assert a.constraint == b.constraint
             assert a.origin == b.origin
 
-
     def test_reused_out_dir_holds_only_the_new_run(self, small_run, tmp_path):
-        out = tmp_path / "run[1]"    # glob metacharacters in the directory name
+        out = tmp_path / "run[1]"    # a name that a glob pattern would misread
         write_run_dir(small_run, out)
         shorter = OptimizationRun(spec=small_run.spec, method="direct", master_seed=2,
                                   rep_seeds=small_run.rep_seeds, samples=small_run.samples[:22],
