@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from .ga import GAParams, ga_maximize
 from .toll import Bounds, TollVector
@@ -64,6 +64,23 @@ def _cholesky_with_jitter(a: np.ndarray, strict: bool = False) -> tuple[np.ndarr
                 raise NumericalError("correlation matrix not positive definite", JITTER_MAX)
 
 
+def _cholesky_stack(r: np.ndarray, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a ``(P, n, n)`` stack and the ``(P,)`` mask of
+    members that factored: one stacked pass, or member by member through
+    :func:`_cholesky_with_jitter` when that fails (a failed member's factor is I)."""
+    ok = np.ones(len(r), dtype=bool)
+    try:
+        return np.linalg.cholesky(r), ok
+    except np.linalg.LinAlgError:
+        chol = np.broadcast_to(np.eye(r.shape[-1]), r.shape).copy()
+        for k, a in enumerate(r):
+            try:
+                chol[k], _ = _cholesky_with_jitter(a, strict)
+            except NumericalError:
+                ok[k] = False
+        return chol, ok
+
+
 def corr_matrix(design: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Correlation matrix of a design (unit diagonal, no regularization)."""
     diff = design[:, None, :] - design[None, :, :]
@@ -76,44 +93,63 @@ def corr_vector(design: np.ndarray, theta: np.ndarray, x: np.ndarray) -> np.ndar
     return np.exp(-np.einsum("kjl,l->kj", diff * diff, theta))
 
 
-def _gls_profile(chol: np.ndarray, y: np.ndarray, floor: float) -> tuple[float, np.ndarray, float]:
-    """Generalized-least-squares mean and process variance of ``y`` given the
-    lower Cholesky factor of its correlation matrix R.
+def _gls_profile(chol: np.ndarray, y: np.ndarray, floor: float, weights: bool = True):
+    """Generalized-least-squares mean and process variance of ``y`` (``(n,)`` or
+    ``(..., n)``) given lower Cholesky factors L (``(..., n, n)``) of R.
 
-    Returns ``(mu, weights, sigma2)`` with ``weights = R^-1 (y - mu)`` and
-    ``sigma2`` clamped below at ``floor``.
+    One forward solve of ``[y, 1]`` gives ``mu`` from the 2 x 2 form
+    ``[y, 1]^T R^-1 [y, 1]`` and ``sigma2 = |L^-1 (y - mu)|^2 / n``, clamped
+    below at ``floor``; one backward solve gives ``weights = R^-1 (y - mu)``
+    (None when ``weights`` is False).  Returns ``(mu, weights, sigma2)``.
     """
-    n = y.shape[0]
-    ones = np.ones(n)
-    rinv_y = cho_solve((chol, True), y)
-    rinv_1 = cho_solve((chol, True), ones)
-    mu = float(ones @ rinv_y) / float(ones @ rinv_1)
-    resid = y - mu
-    weights = cho_solve((chol, True), resid)
-    return mu, weights, max(float(resid @ weights) / n, floor)
+    n = chol.shape[-1]
+    rhs = np.stack(np.broadcast_arrays(y, np.ones(n)), axis=-1)
+    z = solve_triangular(chol, rhs, lower=True, check_finite=False)
+    zy, z1 = z[..., 0], z[..., 1]
+    mu = np.vecdot(z1, zy) / np.vecdot(z1, z1)
+    resid = zy - mu[..., None] * z1
+    sigma2 = np.maximum(np.vecdot(resid, resid) / n, floor)
+    w = solve_triangular(chol, resid[..., None], lower=True, trans=1,
+                         check_finite=False)[..., 0] if weights else None
+    return mu, w, sigma2
 
 
-def log_likelihood(design: np.ndarray, y: np.ndarray, theta, lam: float) -> float:
+def log_likelihood(design: np.ndarray, y: np.ndarray, theta, lam):
     """Concentrated Gaussian-process log-likelihood with mean and variance profiled out.
 
     Equals the multivariate-normal log-density of ``y`` with mean ``mu_hat``
     and covariance ``sigma2_hat * (Psi + lambda I)`` where both estimates are
     the closed-form maximizers; no constant terms are dropped.
+
+    A ``(P, d)`` theta stack with ``(P,)`` lambdas gives ``(P,)`` values from one
+    correlation stack, one stacked Cholesky and one batched forward solve; a
+    member that will not factor even through the strict jitter ladder scores
+    ``-inf``.  A ``(d,)`` theta with a scalar lambda is a stack of one that
+    gives a float and raises :class:`NumericalError` instead.
     """
-    design = np.asarray(design, dtype=float)
-    y = np.asarray(y, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    n = design.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 sample points")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    r = corr_matrix(design, theta)
-    r[np.diag_indices_from(r)] = 1.0 + lam
-    chol, _ = _cholesky_with_jitter(r, strict=True)
-    _, _, sigma2 = _gls_profile(chol, y, 1e-300)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (n * math.log(2.0 * math.pi) + n * math.log(sigma2) + n + log_det)
+    design, y, theta, lam = (np.asarray(a, dtype=float) for a in (design, y, theta, lam))
+    n, d = design.shape
+    if n < 2 or y.shape != (n,) or not np.all(np.isfinite(y)):
+        raise ValueError(f"need at least 2 sample points and one finite y per point, not {y.shape}")
+    if theta.ndim not in (1, 2) or theta.shape[-1] != d or not np.all((theta >= 0) & (theta < np.inf)):
+        raise ValueError(f"theta must be finite, nonnegative and ({d},) or (P, {d}), not {theta.shape}")
+    if lam.shape != theta.shape[:-1] or not np.all((lam >= 0) & (lam < np.inf)):
+        raise ValueError(f"lam must be finite, nonnegative and {theta.shape[:-1]}, not {lam.shape}")
+    thetas, lams = np.atleast_2d(theta), np.atleast_1d(lam)
+    # np.linalg.cholesky reads only the lower triangle, so only it is built
+    rows, cols = np.nonzero(np.tri(n, k=-1, dtype=bool))
+    diff = design[rows] - design[cols]
+    r = np.zeros((len(thetas), n, n))
+    r[:, rows, cols] = np.exp(-(thetas @ (diff * diff).T))
+    r[:, np.arange(n), np.arange(n)] = 1.0 + lams[:, None]
+    chol, ok = _cholesky_stack(r, strict=True)
+    if theta.ndim == 1 and not ok[0]:
+        raise NumericalError("correlation matrix not positive definite", JITTER_MAX)
+    _, _, sigma2 = _gls_profile(chol, y, 1e-300, weights=False)
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    value = np.where(ok, -0.5 * (n * math.log(2.0 * math.pi) + n * np.log(sigma2) + n + log_det),
+                     -np.inf)
+    return float(value[0]) if theta.ndim == 1 else value
 
 
 @dataclass
@@ -234,9 +270,10 @@ def fit(
     and ``lambda`` are searched in log10 space inside ``THETA_BOUNDS`` and
     ``lambda_bounds``; passing
     equal lambda bounds pins ``lambda`` (``(0, 0)`` gives an interpolating
-    ordinary-kriging fit).  Each GA generation is scored by one
-    :func:`log_likelihood` call per candidate; a candidate whose correlation
-    matrix will not factor scores ``-inf``.
+    ordinary-kriging fit).  Each GA generation, ``(P, d)`` or ``(P, d + 1)``
+    genes, is scored by one :func:`log_likelihood` call on its ``(P, d)``
+    theta stack and ``(P,)`` lambdas; a candidate whose correlation matrix
+    will not factor scores ``-inf``.
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 sample points")
@@ -250,25 +287,18 @@ def fit(
     gene_bounds = [THETA_BOUNDS] * d + ([] if lam_fixed else [lambda_bounds])
     lower, upper = np.log10(np.array(gene_bounds, dtype=float)).T
 
-    def decode(z: np.ndarray) -> tuple[np.ndarray, float]:
-        """One gene row -> (theta, lambda); a pinned lambda has no gene."""
-        return 10.0 ** z[:d], float(lambda_bounds[0] if lam_fixed else 10.0 ** z[d])
-
-    def loglik(z: np.ndarray) -> float:
-        try:
-            return log_likelihood(design, y_std, *decode(z))
-        except NumericalError:
-            return -np.inf
-
-    def objective(zs: np.ndarray) -> np.ndarray:
-        return np.array([loglik(z) for z in zs])
+    def decode(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gene rows -> (P, d) thetas and (P,) lambdas; a pinned lambda has no gene."""
+        return 10.0 ** zs[:, :d], np.full(len(zs), lambda_bounds[0]) if lam_fixed else 10.0 ** zs[:, d]
 
     rng = rng or np.random.default_rng()
     with warnings.catch_warnings():
         # singular Psi at extreme theta is expected during the search
         warnings.simplefilter("ignore")
-        best_z, _ = ga_maximize(objective, (lower, upper), params=ga_params, rng=rng)
-    return _assemble(design, y, *decode(best_z))
+        best_z, _ = ga_maximize(lambda zs: log_likelihood(design, y_std, *decode(zs)),
+                                (lower, upper), params=ga_params, rng=rng)
+    theta, lam = decode(best_z[None])
+    return _assemble(design, y, theta[0], float(lam[0]))
 
 
 def fit_fixed(samples: Sequence[tuple], bounds: Bounds, theta, lam: float) -> RKModel:
@@ -318,28 +348,19 @@ def loo_cv(model: RKModel) -> list[CVRecord]:
         raise ValueError("need at least 3 sample points for cross-validation")
     psi_full = corr_matrix(model.design, model.theta)
     y_std = (model.y - model.y_shift) / model.y_scale
-    records = []
-    for i in range(n):
-        keep = np.arange(n) != i
-        psi_red = psi_full[np.ix_(keep, keep)]
-        r_red = psi_red.copy()
-        r_red[np.diag_indices_from(r_red)] = 1.0 + model.lam
-        try:
-            chol, _ = _cholesky_with_jitter(r_red)
-        except NumericalError:
-            records.append(CVRecord(i, float(model.y[i]), math.nan, math.nan, math.nan, True))
-            continue
-        mu, w, sigma2 = _gls_profile(chol, y_std[keep], 0.0)
-        psi_i = psi_full[keep, i]
-        mean_std = mu + psi_i @ w
-        var_std = sigma2 * (1.0 + model.lam - float(psi_i @ cho_solve((chol, True), psi_i)))
-        predicted = model.y_shift + model.y_scale * mean_std
-        std_err = model.y_scale * math.sqrt(max(var_std, 0.0))
-        observed = float(model.y[i])
-        if std_err <= 1e-300:
-            records.append(CVRecord(i, observed, predicted, std_err, math.nan, True))
-        else:
-            records.append(CVRecord(i, observed, predicted, std_err,
-                                    (observed - predicted) / std_err, False))
-    return records
-
+    # fold i keeps every row but i: column j of its index row is j, or j + 1 from i on
+    keep = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    r = psi_full[keep[:, :, None], keep[:, None, :]]
+    r[:, np.arange(n - 1), np.arange(n - 1)] = 1.0 + model.lam
+    chol, ok = _cholesky_stack(r, strict=False)
+    mu, w, sigma2 = _gls_profile(chol, y_std[keep], 0.0)
+    psi_i = psi_full[keep, np.arange(n)[:, None]]          # (n, n - 1)
+    q = solve_triangular(chol, psi_i[..., None], lower=True, check_finite=False)[..., 0]
+    mean_std = mu + np.vecdot(psi_i, w)
+    var_std = sigma2 * (1.0 + model.lam - np.vecdot(q, q))
+    predicted = np.where(ok, model.y_shift + model.y_scale * mean_std, math.nan)
+    std_err = np.where(ok, model.y_scale * np.sqrt(np.maximum(var_std, 0.0)), math.nan)
+    degenerate = ~ok | (std_err <= 1e-300)
+    resid = np.divide(model.y - predicted, std_err, out=np.full(n, math.nan), where=~degenerate)
+    return [CVRecord(i, float(model.y[i]), float(predicted[i]), float(std_err[i]),
+                     float(resid[i]), bool(degenerate[i])) for i in range(n)]

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
+from tollopt import surrogate
 from tollopt.doe import lhs
-from tollopt.ga import GAParams
+from tollopt.ga import ELITISM, GAParams
 from tollopt.surrogate import (NumericalError, corr_matrix, corr_vector, fit,
                                fit_fixed, log_likelihood, loo_cv, predict)
 from tollopt.toll import Bounds
@@ -80,16 +81,56 @@ class TestLogLikelihood:
             n = int(rng.integers(3, 21))
             design = rng.uniform(size=(n, 3))
             y = rng.normal(size=n)
-            theta = 10.0 ** rng.uniform(-2, 1.5, size=3)
-            lam = 10.0 ** rng.uniform(-6, 0)
-            ours = log_likelihood(design, y, theta, lam)
-            r = corr_matrix(design, theta) + lam * np.eye(n)
-            rinv = np.linalg.inv(r)
-            ones = np.ones(n)
-            mu = (ones @ rinv @ y) / (ones @ rinv @ ones)
-            sigma2 = (y - mu) @ rinv @ (y - mu) / n
-            oracle = multivariate_normal.logpdf(y, mean=mu * ones, cov=sigma2 * r)
-            assert ours == pytest.approx(oracle, rel=1e-8)
+            thetas = 10.0 ** rng.uniform(-2, 1.5, size=(4, 3))
+            lams = 10.0 ** rng.uniform(-6, 0, size=4)
+            stacked = log_likelihood(design, y, thetas, lams)
+            assert stacked.shape == (4,)
+            for theta, lam, row in zip(thetas, lams, stacked):
+                ours = log_likelihood(design, y, theta, lam)
+                assert isinstance(ours, float)
+                r = corr_matrix(design, theta) + lam * np.eye(n)
+                rinv = np.linalg.inv(r)
+                ones = np.ones(n)
+                mu = (ones @ rinv @ y) / (ones @ rinv @ ones)
+                sigma2 = (y - mu) @ rinv @ (y - mu) / n
+                oracle = multivariate_normal.logpdf(y, mean=mu * ones, cov=sigma2 * r)
+                assert ours == pytest.approx(oracle, rel=1e-8)
+                assert row == pytest.approx(ours, rel=1e-10)
+
+    def test_member_that_will_not_factor_scores_minus_inf_alone(self):
+        # the duplicate rows make R singular at lambda = 0 only
+        rng = np.random.default_rng(5)
+        design = np.vstack([rng.uniform(size=(6, 2)), np.full((2, 2), 0.4)])
+        y = rng.normal(size=8)
+        thetas = 10.0 ** rng.uniform(-1, 1, size=(5, 2))
+        lams = np.array([0.1, 0.02, 0.0, 0.3, 0.05])
+        stacked = log_likelihood(design, y, thetas, lams)
+        assert stacked[2] == -np.inf
+        with pytest.raises(NumericalError):
+            log_likelihood(design, y, thetas[2], 0.0)
+        for k in (0, 1, 3, 4):
+            assert np.isfinite(stacked[k])
+            assert stacked[k] == pytest.approx(log_likelihood(design, y, thetas[k], lams[k]),
+                                               rel=1e-10)
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_bad_hyperparameters_raise_value_error_naming_them(self, stack):
+        design = np.random.default_rng(0).uniform(size=(5, 2))
+        y = np.arange(5.0)
+
+        def call(theta, lam):
+            if stack:
+                theta, lam = np.tile(theta, (3, 1)), np.array([0.1, lam, 0.2])
+            return log_likelihood(design, y, np.asarray(theta), lam)
+
+        for theta in ([1.0, -0.5], [1.0, np.nan], [np.inf, 1.0], [1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError, match=r"\btheta\b"):
+                call(theta, 0.1)
+        for lam in (np.nan, -1e-3, np.inf):
+            with pytest.raises(ValueError, match=r"\blam\b"):
+                call([1.0, 1.0], lam)
+        with pytest.raises(ValueError, match=r"\blam\b"):
+            log_likelihood(design, y, np.ones((3, 2)), np.full(2, 0.1))
 
 
 class TestFit:
@@ -113,6 +154,22 @@ class TestFit:
         assert model.sigma2_hat >= 0.0
         pred = predict(model, np.array([0.5, 0.5]))
         assert pred.mean == pytest.approx(1.5, abs=1e-9)
+
+    def test_one_likelihood_stack_per_generation(self, monkeypatch):
+        params = GAParams(population_size=12, generations=5)
+        shapes = []
+        real = surrogate.log_likelihood
+
+        def spy(design, y, theta, lam):
+            shapes.append((np.shape(theta), np.shape(lam)))
+            return real(design, y, theta, lam)
+
+        monkeypatch.setattr(surrogate, "log_likelihood", spy)
+        samples, _, _ = make_samples(10, seed=3)
+        fit(samples, UNIT2, ga_params=params, rng=np.random.default_rng(0))
+        children = params.population_size - ELITISM
+        assert shapes == ([((params.population_size, 2), (params.population_size,))]
+                          + [((children, 2), (children,))] * (params.generations - 1))
 
     def test_fewer_than_two_distinct_points_rejected(self):
         with pytest.raises(ValueError):
@@ -197,6 +254,24 @@ class TestCrossValidation:
         model = fit_fixed(samples, UNIT2, theta=np.array([1.0, 1.0]), lam=0.0)
         for rec in loo_cv(model):
             assert rec.degenerate or rec.standardized_residual == pytest.approx(0.0, abs=1e-6)
+
+    def test_folds_match_dense_refits(self):
+        samples, pts, ys = make_samples(14, seed=15, noise=0.05)
+        model = fit_fixed(samples, UNIT2, theta=np.array([2.0, 1.5]), lam=0.02)
+        y_std = (ys - model.y_shift) / model.y_scale
+        psi = corr_matrix(pts, model.theta)
+        for i, rec in enumerate(loo_cv(model)):
+            keep = np.arange(14) != i
+            rinv = np.linalg.inv(psi[np.ix_(keep, keep)] + model.lam * np.eye(13))
+            ones = np.ones(13)
+            mu = (ones @ rinv @ y_std[keep]) / (ones @ rinv @ ones)
+            resid = y_std[keep] - mu
+            sigma2 = resid @ rinv @ resid / 13
+            mean = model.y_shift + model.y_scale * (mu + psi[keep, i] @ rinv @ resid)
+            var = sigma2 * (1.0 + model.lam - psi[keep, i] @ rinv @ psi[keep, i])
+            assert rec.index == i and not rec.degenerate
+            assert rec.predicted == pytest.approx(mean, rel=1e-10)
+            assert rec.std_error == pytest.approx(model.y_scale * math.sqrt(var), rel=1e-9)
 
     def test_requires_three_points(self):
         samples, _, _ = make_samples(2, seed=13)
