@@ -95,6 +95,9 @@ class TestLogLikelihood:
                 sigma2 = (y - mu) @ rinv @ (y - mu) / n
                 oracle = multivariate_normal.logpdf(y, mean=mu * ones, cov=sigma2 * r)
                 assert ours == pytest.approx(oracle, rel=1e-8)
+                assert row == pytest.approx(oracle, rel=1e-8)
+                # the stack's correlation product sums in another order; the
+                # factor scales that rounding by the matrix's condition number
                 assert row == pytest.approx(ours, rel=1e-10)
 
     def test_member_that_will_not_factor_scores_minus_inf_alone(self):
