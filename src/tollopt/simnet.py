@@ -11,7 +11,9 @@ heterogeneity metrics.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -376,6 +378,14 @@ class BatchResult:
 # per-step series that only simulate keeps, in the order the step loop records them
 _HISTORY = ("flow", "speed", "queue", "demand", "pz_demand", "arrivals", "entered",
             "exited", "k_cells")
+# what the step body carries from one step to the next, one value (or cell
+# row) per lane; every other lane array is a (T, lanes, ...) per-step series
+_STATE = ("veh", "gate_queue", "bypass_veh", "bypass_inflow", "k_ema", "perceived_tt",
+          "veh_h_pz", "veh_km_pz", "veh_h_queue", "veh_h_byp", "veh_km_byp", "revenue")
+
+# the untolled prefixes of the current optimization run: (config, {seed: lane})
+_RUN_PREFIXES: ContextVar[tuple[NetworkConfig, dict] | None] = ContextVar(
+    "run_prefixes", default=None)
 
 
 def _step_intervals(config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -390,11 +400,37 @@ def _step_intervals(config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
     return step_h, step_interval
 
 
+def _free_flow(config: NetworkConfig) -> tuple[np.ndarray, float, float, float]:
+    """Cell lane-km, their total, the lane-km-weighted free-flow speed and the
+    through-zone trip time (min) at that speed."""
+    lane_km = _cell_weights(config.cell_lengths, config.cell_lanes)
+    total_lane_km = float(np.sum(lane_km))
+    mean_free_speed = float(np.sum(config.free_flow_speed * lane_km) / total_lane_km)
+    return lane_km, total_lane_km, mean_free_speed, 60.0 * config.pz_path_length / mean_free_speed
+
+
+@contextlib.contextmanager
+def shared_prefixes(config: NetworkConfig):
+    """Simulate each seed's untolled prefix once for the whole block.
+
+    Inside the block, :func:`simulate_batch` calls under this same ``config``
+    object keep the state each seed reaches at the first tolled step and
+    reuse it; the prefixes are dropped when the block ends.
+    :func:`tlp.optimize` runs inside one, so a run's common-random-number
+    seeds are simulated up to the tolling window once per run.
+    """
+    token = _RUN_PREFIXES.set((config, {}))
+    try:
+        yield
+    finally:
+        _RUN_PREFIXES.reset(token)
+
+
 def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationResult:
     """Run one seeded replication of the reservoir model under a toll pattern.
 
     The step loop of :func:`simulate_batch` with one lane, keeping every
-    per-step series.
+    per-step series; it always simulates its own untolled prefix.
     """
     batch, history = _run(config, [toll], [seed], keep_history=True)
     k, gamma = batch.network_density[0], batch.gamma[0]
@@ -416,23 +452,25 @@ def simulate_batch(config: NetworkConfig, tolls: Sequence[TollVector],
 
     Lane ``b`` is bit-for-bit the replication ``simulate(config, tolls[b],
     seeds[b])``; replications of one point, or several points, share every
-    step's numpy calls.
+    step's numpy calls.  The steps before the tolling window do not depend
+    on the toll, so they run once per distinct seed and the lanes start
+    from their seed's state at the first tolled step; inside
+    :func:`shared_prefixes` that state is reused across calls.
     """
     return _run(config, tolls, seeds, keep_history=False)[0]
 
 
 def _run(config: NetworkConfig, tolls: Sequence[TollVector], seeds: Sequence[int],
          keep_history: bool) -> tuple[BatchResult, dict | None]:
-    """The step loop over B lanes of (toll, seed).
+    """The step loop over B lanes of (toll, seed), split at the first tolled step.
 
-    Each step's time, demand (with its lognormal noise) and tolling interval
-    are scheduled once up front.  Each step then splits demand between zone
-    and bypass with the current generalized costs, loads the zone cells by
-    their inflow shares subject to receiving capacity (excess queues at the
-    gate), drains each cell through its fundamental diagram (scaled by the
-    drain multipliers while the network is unloading), and records the
-    aggregate state.  Toll rates apply only inside the tolling window.
-    ``keep_history`` also returns every per-step series of every lane.
+    The untolled prefix runs over the distinct seeds only
+    (:func:`_untolled_prefix`), or is taken from the run's
+    :func:`shared_prefixes`; each lane then starts from its seed's state,
+    with its seed's prefix rows of K, gamma and, with ``keep_history``, every
+    per-step series.  The tolled steps, through the end of the horizon, run
+    over all B lanes.  ``keep_history`` also returns every per-step series of
+    every lane; such calls never share prefixes.
     """
     config.validate()
     m = config.m
@@ -444,63 +482,137 @@ def _run(config: NetworkConfig, tolls: Sequence[TollVector], seeds: Sequence[int
         if toll.m != m:
             raise ValueError(f"toll has {toll.m} intervals, config defines {m}")
     B = len(tolls)
+    step_interval = _step_intervals(config)[1]
+    n_prefix = int(np.argmax(step_interval >= 0))
 
-    dt_h = config.step_seconds / 3600.0
-    C = config.n_cells
-    lane_km = _cell_weights(config.cell_lengths, config.cell_lanes)
-    total_lane_km = float(np.sum(lane_km))
-    u_f, k_c, k_j = config.free_flow_speed, config.critical_density, config.jam_density
-    crawl = config.crawl_speed
-    cap_flow = u_f * k_c * config.cell_lanes          # veh/h per cell
-    wave = u_f * k_c / (k_j - k_c)
-    mean_free_speed = float(np.sum(u_f * lane_km) / total_lane_km)
-    pz_free_min = 60.0 * config.pz_path_length / mean_free_speed
-    bypass_free_h = config.bypass_length / config.bypass_free_speed
-    base_shares = config.heterogeneity_bias
-    rebalanced_base = (1.0 - config.rebalancing) * base_shares
+    scope = _RUN_PREFIXES.get()
+    prefixes = scope[1] if scope is not None and scope[0] is config and not keep_history else {}
+    distinct, lane_seed = np.unique(seeds, return_inverse=True)
+    distinct = distinct.tolist()
+    missing = [seed for seed in distinct if seed not in prefixes]
+    if missing:
+        fresh = _untolled_prefix(config, missing, n_prefix, keep_history)
+        for u, seed in enumerate(missing):
+            prefixes[seed] = {name: np.take(lane, u, axis=_lane_axis(name))
+                              for name, lane in fresh.items()}
+    lanes = {name: np.take(np.stack([prefixes[seed][name] for seed in distinct],
+                                    axis=_lane_axis(name)), lane_seed, axis=_lane_axis(name))
+             for name in prefixes[distinct[0]]}
 
-    # per-run schedule: step times, demand with each lane's per-step
-    # lognormal (mean-one) noise, and the tolling interval of each step,
-    # which sets both the step's toll and the interval means
-    step_h, step_interval = _step_intervals(config)
-    n_steps = step_h.size
-    knot_h, knot_q = zip(*config.demand_knots)
-    step_demand = np.empty((n_steps, B))
-    step_demand[:] = np.interp(step_h, knot_h, knot_q)[:, None]
-    log_sigma = math.sqrt(math.log(1.0 + config.demand_cv ** 2))
-    if log_sigma > 0:
-        for b, seed in enumerate(seeds):
-            draws = np.random.default_rng(seed).normal(
-                -0.5 * log_sigma ** 2, log_sigma, size=n_steps)
-            # math.exp, not np.exp: the two can differ in the last bit, and
-            # fixed-seed runs are pinned (tests/test_golden.py)
-            step_demand[:, b] *= np.array([math.exp(z) for z in draws])
     # row -1, a step outside the window, is the untolled rate
     rate_v = np.zeros((m + 1, B))
     rate_w = np.zeros((m + 1, B))
     rate_v[:m] = np.array([toll.distance_rates for toll in tolls]).T
     rate_w[:m] = np.array([toll.delay_rates for toll in tolls]).T
+    _advance(config, lanes, range(n_prefix, step_interval.size), rate_v, rate_w)
+    k_steps, gamma_steps = lanes["k"], lanes["gamma"]
 
-    veh = np.zeros((B, C))       # vehicles per cell
-    queue = np.zeros(B)
-    bypass_veh = np.zeros(B)
-    bypass_inflow = np.zeros(B)  # veh/h, previous step, feeds the BPR delay
-    k_ema = np.zeros(B)          # slow network-density trend for the phase flag
-    perceived_tt = np.full(B, pz_free_min)  # travel time drivers react to (smoothed)
+    # interval means per lane; Delta is elementwise in (gamma, K), so it is
+    # computed here, and each lane's steps are summed as one contiguous row
+    interval_density = np.empty((B, m))
+    interval_deviation = np.empty((B, m))
+    for h in range(m):
+        in_h = step_interval == h
+        k_h = np.ascontiguousarray(k_steps[in_h].T)
+        gamma_h = np.ascontiguousarray(gamma_steps[in_h].T)
+        interval_density[:, h] = np.mean(k_h, axis=-1)
+        interval_deviation[:, h] = np.mean(
+            deviation_from_spread(gamma_h, k_h, config.envelope), axis=-1)
+
+    veh_h_pz, veh_km_pz = lanes["veh_h_pz"], lanes["veh_km_pz"]
+    pz_att = np.divide(60.0 * veh_h_pz, veh_km_pz, out=np.zeros(B), where=veh_km_pz > 0)
+    net_hours = veh_h_pz + lanes["veh_h_queue"] + lanes["veh_h_byp"]
+    net_km = veh_km_pz + lanes["veh_km_byp"]
+    net_att = np.divide(60.0 * net_hours, net_km, out=np.zeros(B), where=net_km > 0)
+
+    batch = BatchResult(
+        network_density=k_steps.T, gamma=gamma_steps.T,
+        interval_density=interval_density, interval_deviation=interval_deviation,
+        pz_avg_travel_time=pz_att, net_avg_travel_time=net_att, toll_revenue=lanes["revenue"],
+    )
+    return batch, {name: lanes[name] for name in _HISTORY} if keep_history else None
+
+
+def _lane_axis(name: str) -> int:
+    return 0 if name in _STATE else 1
+
+
+def _untolled_prefix(config: NetworkConfig, seeds: Sequence[int], n_prefix: int,
+                     keep_history: bool) -> dict:
+    """One lane per seed, run from the empty network through the ``n_prefix``
+    steps before the tolling window.
+
+    Builds each seed's demand row (the knot profile times its per-step
+    lognormal, mean-one noise) and runs the step body at the untolled rate.
+    Returns the lanes: the carried state, and the per-step series whose
+    first ``n_prefix`` rows are filled; the K series still holds the
+    demand of the later steps (see :func:`_advance`).
+    """
+    U = len(seeds)
+    step_h, _ = _step_intervals(config)
+    n_steps = step_h.size
+    knot_h, knot_q = zip(*config.demand_knots)
+    demand = np.empty((n_steps, U))
+    demand[:] = np.interp(step_h, knot_h, knot_q)[:, None]
+    log_sigma = math.sqrt(math.log(1.0 + config.demand_cv ** 2))
+    if log_sigma > 0:
+        for u, seed in enumerate(seeds):
+            draws = np.random.default_rng(seed).normal(
+                -0.5 * log_sigma ** 2, log_sigma, size=n_steps)
+            # math.exp, not np.exp: the two can differ in the last bit, and
+            # fixed-seed runs are pinned (tests/test_golden.py)
+            demand[:, u] *= np.array([math.exp(z) for z in draws])
+
+    lanes = {name: np.zeros(U) for name in _STATE}
+    lanes["veh"] = np.zeros((U, config.n_cells))
+    lanes["perceived_tt"] = np.full(U, _free_flow(config)[3])
+    lanes["k"], lanes["gamma"] = demand, np.zeros((n_steps, U))
+    if keep_history:
+        lanes.update({name: np.zeros((n_steps, U, config.n_cells) if name == "k_cells"
+                                     else (n_steps, U)) for name in _HISTORY})
+    untolled = np.zeros((1, U))
+    _advance(config, lanes, range(n_prefix), untolled, untolled)
+    return lanes
+
+
+def _advance(config: NetworkConfig, lanes: dict, steps: range,
+             rate_v: np.ndarray, rate_w: np.ndarray) -> None:
+    """The step body: run ``steps`` over every lane of ``lanes``, in place.
+
+    Each step splits demand between zone and bypass with the current
+    generalized costs, loads the zone cells by their inflow shares subject
+    to receiving capacity (excess queues at the gate), drains each cell
+    through its fundamental diagram (scaled by the drain multipliers while
+    the network is unloading), and records the aggregate state.  A step's
+    toll is row ``h`` of ``rate_v``/``rate_w``, its tolling interval, and
+    row -1 outside the window.  The per-step series are recorded when
+    ``lanes`` holds them.
+    """
+    dt_h = config.step_seconds / 3600.0
+    lane_km, total_lane_km, mean_free_speed, pz_free_min = _free_flow(config)
+    u_f, k_c, k_j = config.free_flow_speed, config.critical_density, config.jam_density
+    crawl = config.crawl_speed
+    cap_flow = u_f * k_c * config.cell_lanes          # veh/h per cell
+    wave = u_f * k_c / (k_j - k_c)
+    bypass_free_h = config.bypass_length / config.bypass_free_speed
+    base_shares = config.heterogeneity_bias
+    rebalanced_base = (1.0 - config.rebalancing) * base_shares
     tau_s = config.perception_tau_minutes * 60.0
     alpha_p = 1.0 if tau_s <= 0 else min(1.0, config.step_seconds / tau_s)
     ema_rate = config.step_seconds / 300.0
+    step_interval = _step_intervals(config)[1].tolist()
 
+    (veh, queue, bypass_veh, bypass_inflow, k_ema, perceived_tt,
+     veh_h_pz, veh_km_pz, veh_h_queue, veh_h_byp, veh_km_byp, revenue) = (
+        lanes[name] for name in _STATE)
+    B = queue.size
     # a step reads its demand row once, so that row then keeps the step's K
-    # and the loop holds two (T, B) arrays, not three
-    k_steps = step_demand
-    gamma_steps = np.zeros((n_steps, B))
-    if keep_history:
-        history = {name: np.zeros((n_steps, B, C) if name == "k_cells" else (n_steps, B))
-                   for name in _HISTORY}
-    veh_h_pz, veh_km_pz, veh_h_queue, veh_h_byp, veh_km_byp, revenue = np.zeros((6, B))
+    # and the lanes hold two (T, B) arrays, not three
+    k_steps, gamma_steps = lanes["k"], lanes["gamma"]
+    history = [lanes[name] for name in _HISTORY] if _HISTORY[0] in lanes else None
 
-    for s, (demand, h) in enumerate(zip(step_demand, step_interval.tolist())):
+    for s in steps:
+        demand, h = k_steps[s], step_interval[s]
         # current performance of both routes
         k = veh / lane_km
         cell_flow = _triangular_flow(k, u_f, k_j, wave, crawl)   # veh/h per lane
@@ -574,36 +686,14 @@ def _run(config: NetworkConfig, tolls: Sequence[TollVector], seeds: Sequence[int
         veh_h_byp += bypass_veh * dt_h
         veh_km_byp += (bypass_veh / bypass_tt_h) * config.bypass_length * dt_h
 
-        if keep_history:
-            for name, value in zip(_HISTORY, (production / total_lane_km, speed, queue, demand,
-                                              pz_rate, arrivals, entered, exited, k)):
-                history[name][s] = value
+        if history is not None:
+            for series, value in zip(history, (production / total_lane_km, speed, queue, demand,
+                                               pz_rate, arrivals, entered, exited, k)):
+                series[s] = value
         k_steps[s] = K   # after the last read of this step's demand
         gamma_steps[s] = gamma
 
-    # interval means per lane; Delta is elementwise in (gamma, K), so it is
-    # computed here, and each lane's steps are summed as one contiguous row
-    interval_density = np.empty((B, m))
-    interval_deviation = np.empty((B, m))
-    for h in range(m):
-        in_h = step_interval == h
-        k_h = np.ascontiguousarray(k_steps[in_h].T)
-        gamma_h = np.ascontiguousarray(gamma_steps[in_h].T)
-        interval_density[:, h] = np.mean(k_h, axis=-1)
-        interval_deviation[:, h] = np.mean(
-            deviation_from_spread(gamma_h, k_h, config.envelope), axis=-1)
-
-    pz_att = np.divide(60.0 * veh_h_pz, veh_km_pz, out=np.zeros(B), where=veh_km_pz > 0)
-    net_hours = veh_h_pz + veh_h_queue + veh_h_byp
-    net_km = veh_km_pz + veh_km_byp
-    net_att = np.divide(60.0 * net_hours, net_km, out=np.zeros(B), where=net_km > 0)
-
-    batch = BatchResult(
-        network_density=k_steps.T, gamma=gamma_steps.T,
-        interval_density=interval_density, interval_deviation=interval_deviation,
-        pz_avg_travel_time=pz_att, net_avg_travel_time=net_att, toll_revenue=revenue,
-    )
-    return batch, history if keep_history else None
+    lanes.update(veh=veh, gate_queue=queue, bypass_veh=bypass_veh, bypass_inflow=bypass_inflow)
 
 
 # ---------------------------------------------------------------------------

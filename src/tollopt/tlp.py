@@ -23,7 +23,8 @@ from .ga import GAParams
 from .infill import AcquisitionContext, propose_infill, repair_smoothing
 # simulate is unused here but kept as tlp.simulate, the lookup point that
 # outside tracers wrap (perfbench/spans.py)
-from .simnet import NetworkConfig, SimulationResult, simulate, simulate_batch  # noqa: F401
+from .simnet import (NetworkConfig, SimulationResult, shared_prefixes, simulate,  # noqa: F401
+                     simulate_batch)
 from .surrogate import fit
 from .toll import Bounds, TollVector
 
@@ -213,14 +214,20 @@ def optimize(spec: ProblemSpec, method: str = "rk", seed: int = 0) -> Optimizati
     a quadratic penalty; each DIRECT iteration's points are simulated in one
     batch, in DIRECT's sampling order, and the final iteration may overshoot
     the budget.
+
+    The run shares each replication seed's untolled prefix, the steps
+    before the tolling window, across all its simulator calls
+    (:func:`simnet.shared_prefixes`); the prefixes are dropped when the
+    call returns, so the next call simulates its own.
     """
     if method not in ("rk", "direct"):
         raise ValueError(f"unknown method {method!r}")
     rep_seeds = replication_seeds(seed, spec.replications)
-    if method == "rk":
-        samples, acquisition_history = _optimize_rk(spec, seed, rep_seeds)
-    else:
-        samples, acquisition_history = _optimize_direct(spec, rep_seeds), []
+    with shared_prefixes(spec.config):
+        if method == "rk":
+            samples, acquisition_history = _optimize_rk(spec, seed, rep_seeds)
+        else:
+            samples, acquisition_history = _optimize_direct(spec, rep_seeds), []
     return OptimizationRun(
         spec=spec, method=method, master_seed=int(seed), rep_seeds=rep_seeds,
         samples=samples, acquisition_history=acquisition_history,

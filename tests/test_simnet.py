@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from scipy.special import expit
 
+from tollopt import simnet
 from tollopt.simnet import (ConfigError, config_from_dict, config_to_dict, desk_preset,
                             deviation_from_spread, envelope_gamma, fit_lower_envelope,
-                            paper_preset, simulate, simulate_batch, spatial_spread,
-                            zone_choice)
+                            paper_preset, shared_prefixes, simulate, simulate_batch,
+                            spatial_spread, zone_choice)
 from tollopt.toll import TollVector
 
 
@@ -260,6 +261,65 @@ class TestSimulateBatch:
         config = desk_preset()
         with pytest.raises(ValueError, match="seeds"):
             simulate_batch(config, [TollVector.zero(config.m)] * 2, [0, 1, 2])
+
+
+
+def _assert_batches_equal(a, b):
+    for field in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+class TestUntolledPrefix:
+    @given(window=st.sampled_from([(0.0, 2.0), (1.0, 3.0), (0.5, 2.5)]),
+           lanes=st.lists(LANE, min_size=1, max_size=5))
+    @example(window=(0.0, 2.0), lanes=[(2, None), (0, [0.5] * 16), (2, [1.0] * 16), (0, None)])
+    @settings(max_examples=6, deadline=None)
+    def test_each_lane_is_its_own_simulate_for_any_window(self, window, lanes):
+        # a window from 0 h leaves no prefix; one ending before the horizon
+        # leaves untolled steps after it
+        config = dataclasses.replace(desk_preset(), tolling_window=window)
+        tolls = [_lane_toll(config.m, fractions) for _, fractions in lanes]
+        seeds = [seed for seed, _ in lanes]
+        batch = simulate_batch(config, tolls, seeds)
+        for b, (toll, seed) in enumerate(zip(tolls, seeds)):
+            one = simulate(config, toll, seed)
+            assert np.array_equal(batch.interval_density[b], one.interval_density)
+            assert np.array_equal(batch.interval_deviation[b], one.interval_deviation)
+            assert batch.pz_avg_travel_time[b] == one.pz_avg_travel_time
+            assert batch.net_avg_travel_time[b] == one.net_avg_travel_time
+            assert batch.toll_revenue[b] == one.toll_revenue
+            assert np.array_equal(batch.network_density[b], one.network_density)
+            assert np.array_equal(batch.gamma[b], one.gamma)
+
+    def test_warm_call_equals_cold_call(self, monkeypatch):
+        config = desk_preset()
+        prefixed = []
+        original = simnet._untolled_prefix
+
+        def counting(config, seeds, *args):
+            prefixed.extend(seeds)
+            return original(config, seeds, *args)
+
+        monkeypatch.setattr(simnet, "_untolled_prefix", counting)
+        tolls = [TollVector.constant(config.m, 0.3, 4.0), TollVector.zero(config.m),
+                 TollVector.constant(config.m, 0.8, 12.0)]
+        seeds = [7, 3, 7]
+        cold = simulate_batch(config, tolls, seeds)
+        assert sorted(prefixed) == [3, 7]
+        with shared_prefixes(config):
+            simulate_batch(config, tolls[:2], [3, 7])
+            prefixed.clear()
+            warm = simulate_batch(config, tolls, seeds)
+            assert prefixed == []
+            # a new seed is simulated alone; an equal but distinct config
+            # object does not share this run's prefixes
+            simulate_batch(config, tolls[:2], [7, 9])
+            simulate_batch(desk_preset(), tolls[:1], [3])
+            assert prefixed == [9, 3]
+        _assert_batches_equal(warm, cold)
+        prefixed.clear()
+        _assert_batches_equal(simulate_batch(config, tolls, seeds), cold)
+        assert sorted(prefixed) == [3, 7]
 
 
 class TestConfigIO:

@@ -214,3 +214,36 @@ def test_direct_simulates_one_batch_per_iteration(monkeypatch):
     # the center with the box's trisection, then one more iteration
     assert len(lanes) == 2
     assert sum(lanes) == run.evaluations == len(run.samples)
+
+
+
+@pytest.fixture
+def prefixed(monkeypatch):
+    """The seeds of every untolled prefix the simulator runs, in order."""
+    import tollopt.simnet as simnet
+
+    seeds = []
+    original = simnet._untolled_prefix
+
+    def counting(config, lane_seeds, *args):
+        seeds.extend(lane_seeds)
+        return original(config, lane_seeds, *args)
+
+    monkeypatch.setattr(simnet, "_untolled_prefix", counting)
+    return seeds
+
+
+@pytest.mark.parametrize("method", ["rk", "direct"])
+def test_each_rep_seed_prefix_is_simulated_once_per_run(prefixed, method):
+    spec = make_desk_spec(budget=22, replications=2, ga=FAST_GA)
+    run = optimize(spec, method=method, seed=4)
+    assert sorted(prefixed) == sorted(run.rep_seeds) == [4000, 4001]
+
+
+def test_a_second_run_simulates_its_own_prefixes(prefixed):
+    spec = make_desk_spec(budget=22, replications=2)
+    first = optimize(spec, method="direct", seed=4)
+    prefixed.clear()
+    second = optimize(spec, method="direct", seed=4)
+    assert sorted(prefixed) == [4000, 4001]
+    assert [rec.objective for rec in second.samples] == [rec.objective for rec in first.samples]
