@@ -289,9 +289,11 @@ def cmd_compare(args) -> int:
     outdir = out_dir(args, "compare")
     os.makedirs(outdir, exist_ok=True)
     curves: list[tuple[str, OptimizationRun]] = []
-    for seed in args.seeds:
-        curves.append((f"rk-seed{seed}", optimize(spec, method="rk", seed=seed)))
-    curves.append((f"direct-seed{args.seeds[0]}", optimize(spec, method="direct", seed=args.seeds[0])))
+    # DIRECT's rectangles do not depend on the seed, but each seed has its
+    # own common-random-number replications
+    for method in ("rk", "direct"):
+        for seed in args.seeds:
+            curves.append((f"{method}-seed{seed}", optimize(spec, method=method, seed=seed)))
 
     with open(os.path.join(outdir, "comparison.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -158,6 +158,20 @@ def test_compare_plots_best_feasible_objective_per_evaluation(tmp_path):
         assert all(b <= a for a, b in zip(best, best[1:]))
 
 
+def test_compare_runs_direct_for_every_seed(tmp_path):
+    out = tmp_path / "cmp"
+    assert run_cli(["compare", "desk", "--budget", "22", "--replications", "1",
+                    "--seeds", "0", "1", "--out", str(out)]) == 0
+    with open(out / "comparison.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["run"] for r in rows} == {"rk-seed0", "rk-seed1", "direct-seed0", "direct-seed1"}
+    assert {r["method"] for r in rows if r["run"].startswith("direct")} == {"direct"}
+    # same rectangles, but each seed's own replications
+    curves = [[r["best_objective_vpkmpl"] for r in rows if r["run"] == f"direct-seed{seed}"]
+              for seed in (0, 1)]
+    assert curves[0] != curves[1]
+
+
 def test_doe_export_shape_and_header(tmp_path):
     path = tmp_path / "plan.csv"
     assert run_cli(["doe", "desk", "--seed", "1", "--out", str(path)]) == 0
