@@ -30,7 +30,12 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration
 
-@dataclass
+# the per-cell arrays; the first five must be positive
+_CELL_ARRAYS = ("cell_lengths", "cell_lanes", "free_flow_speed", "critical_density",
+                "jam_density", "heterogeneity_bias", "drain_multipliers")
+
+
+@dataclass(frozen=True)
 class NetworkConfig:
     """Everything that defines one synthetic network scenario.
 
@@ -39,6 +44,10 @@ class NetworkConfig:
     fixes how entering traffic spreads over cells while loading;
     ``drain_multipliers`` scale each cell's discharge while the network is
     unloading, which is what opens the hysteresis loop.
+
+    A config is immutable, so it is validated once, on construction, and a
+    cache can key on the object: the cell arrays are read-only copies (one
+    value is broadcast to every cell) and the demand knots a tuple.
     """
 
     cell_lengths: np.ndarray        # km per cell
@@ -58,7 +67,7 @@ class NetworkConfig:
     perception_tau_minutes: float   # smoothing of the travel time drivers react to
     k_cr: float                     # vpkmpl, control target
     envelope: tuple[float, float, float]   # (a, b, c) of the spread envelope
-    demand_knots: list[tuple[float, float]]  # (hour, veh/h) piecewise linear
+    demand_knots: tuple[tuple[float, float], ...]  # (hour, veh/h) piecewise linear
     demand_cv: float                # replication noise coefficient of variation
     crawl_speed: float              # km/h floor on congested movement; keeps jams drainable
     step_seconds: float
@@ -67,10 +76,16 @@ class NetworkConfig:
     interval_minutes: float
 
     def __post_init__(self):
-        for name in ("cell_lengths", "cell_lanes", "free_flow_speed",
-                     "critical_density", "jam_density", "heterogeneity_bias",
-                     "drain_multipliers"):
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
+        c = np.size(self.cell_lengths)
+        for name in _CELL_ARRAYS:
+            arr = np.atleast_1d(np.array(getattr(self, name), dtype=float))
+            if arr.size == 1 and c > 1:
+                arr = np.full(c, arr[0])
+            elif arr.size != c:
+                raise ConfigError(f"{name}: expected {c} values, got {arr.size}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "demand_knots", tuple(tuple(k) for k in self.demand_knots))
         self.validate()
 
     @property
@@ -84,16 +99,7 @@ class NetworkConfig:
         return int(round((end - start) * 60.0 / self.interval_minutes))
 
     def validate(self) -> None:
-        c = self.cell_lengths.size
-        for name in ("cell_lanes", "free_flow_speed", "critical_density",
-                     "jam_density", "heterogeneity_bias", "drain_multipliers"):
-            arr = getattr(self, name)
-            if arr.size == 1 and c > 1:
-                object.__setattr__(self, name, np.full(c, float(arr[0])))
-            elif arr.size != c:
-                raise ConfigError(f"{name}: expected {c} values, got {arr.size}")
-        for name in ("cell_lengths", "cell_lanes", "free_flow_speed",
-                     "critical_density", "jam_density"):
+        for name in _CELL_ARRAYS[:5]:
             if np.any(getattr(self, name) <= 0):
                 raise ConfigError(f"{name}: all values must be positive")
         if np.any(self.critical_density >= self.jam_density):
@@ -208,10 +214,10 @@ def config_to_dict(config: NetworkConfig) -> dict:
     net: dict = {}
     for (section, key), fieldname in _SCHEMA.items():
         value = getattr(config, fieldname)
-        if isinstance(value, (np.ndarray, tuple)):
-            value = [float(v) for v in value]
-        elif fieldname == "demand_knots":
+        if fieldname == "demand_knots":
             value = [[float(h), float(q)] for h, q in value]
+        elif isinstance(value, (np.ndarray, tuple)):
+            value = [float(v) for v in value]
         else:
             value = float(value)
         net.setdefault(section, {})[key] = value
@@ -333,7 +339,6 @@ class SimulationResult:
     demand: np.ndarray           # (T,) total veh/h
     pz_demand: np.ndarray        # (T,) veh/h routed to the zone
     arrivals: np.ndarray         # (T,) veh added to queue+cells this step
-    entered: np.ndarray          # (T,) veh moved from queue into cells
     exited: np.ndarray           # (T,) veh completing zone trips
     interval_density: np.ndarray    # (m,) mean K per tolling interval
     interval_deviation: np.ndarray  # (m,) mean Delta per tolling interval
@@ -376,14 +381,14 @@ class BatchResult:
 
 
 # per-step series that only simulate keeps, in the order the step loop records them
-_HISTORY = ("flow", "speed", "queue", "demand", "pz_demand", "arrivals", "entered",
-            "exited", "k_cells")
+_HISTORY = ("flow", "speed", "queue", "pz_demand", "arrivals", "exited", "k_cells")
 # what the step body carries from one step to the next, one value (or cell
-# row) per lane; every other lane array is a (T, lanes, ...) per-step series
+# row) per lane; every other lane array is a (lanes, T, ...) per-step series:
+# demand, K, gamma and, for simulate, the history
 _STATE = ("veh", "gate_queue", "bypass_veh", "bypass_inflow", "k_ema", "perceived_tt",
           "veh_h_pz", "veh_km_pz", "veh_h_queue", "veh_h_byp", "veh_km_byp", "revenue")
 
-# the untolled prefixes of the current optimization run: (config, {seed: lane})
+# the current optimization run's untolled prefixes: (config, {seed: {name: row}})
 _RUN_PREFIXES: ContextVar[tuple[NetworkConfig, dict] | None] = ContextVar(
     "run_prefixes", default=None)
 
@@ -437,7 +442,7 @@ def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationRe
     return SimulationResult(
         t=_step_intervals(config)[0] * 3600.0, network_density=k, gamma=gamma,
         deviation=deviation_from_spread(gamma, k, config.envelope),
-        **{name: series[:, 0] for name, series in history.items()},
+        **{name: history[name][0] for name in (*_HISTORY, "demand")},
         interval_density=batch.interval_density[0],
         interval_deviation=batch.interval_deviation[0],
         pz_avg_travel_time=float(batch.pz_avg_travel_time[0]),
@@ -466,13 +471,12 @@ def _run(config: NetworkConfig, tolls: Sequence[TollVector], seeds: Sequence[int
 
     The untolled prefix runs over the distinct seeds only
     (:func:`_untolled_prefix`), or is taken from the run's
-    :func:`shared_prefixes`; each lane then starts from its seed's state,
-    with its seed's prefix rows of K, gamma and, with ``keep_history``, every
-    per-step series.  The tolled steps, through the end of the horizon, run
-    over all B lanes.  ``keep_history`` also returns every per-step series of
-    every lane; such calls never share prefixes.
+    :func:`shared_prefixes`; row ``b`` of every lane array (the carried
+    state and the per-step series) then starts as its seed's prefix.  The
+    tolled steps, through the end of the horizon, run over all B lanes.
+    ``keep_history`` also returns every lane array, the history series
+    included; such calls never share prefixes.
     """
-    config.validate()
     m = config.m
     if len(tolls) != len(seeds):
         raise ValueError(f"got {len(tolls)} tolls for {len(seeds)} seeds")
@@ -487,34 +491,29 @@ def _run(config: NetworkConfig, tolls: Sequence[TollVector], seeds: Sequence[int
 
     scope = _RUN_PREFIXES.get()
     prefixes = scope[1] if scope is not None and scope[0] is config and not keep_history else {}
-    distinct, lane_seed = np.unique(seeds, return_inverse=True)
-    distinct = distinct.tolist()
-    missing = [seed for seed in distinct if seed not in prefixes]
+    missing = list(dict.fromkeys(seed for seed in seeds if seed not in prefixes))
     if missing:
         fresh = _untolled_prefix(config, missing, n_prefix, keep_history)
         for u, seed in enumerate(missing):
-            prefixes[seed] = {name: np.take(lane, u, axis=_lane_axis(name))
-                              for name, lane in fresh.items()}
-    lanes = {name: np.take(np.stack([prefixes[seed][name] for seed in distinct],
-                                    axis=_lane_axis(name)), lane_seed, axis=_lane_axis(name))
-             for name in prefixes[distinct[0]]}
+            prefixes[seed] = {name: lane[u] for name, lane in fresh.items()}
+    lanes = {name: np.stack([prefixes[seed][name] for seed in seeds])
+             for name in prefixes[seeds[0]]}
 
     # row -1, a step outside the window, is the untolled rate
-    rate_v = np.zeros((m + 1, B))
-    rate_w = np.zeros((m + 1, B))
+    rate_v, rate_w = np.zeros((2, m + 1, B))
     rate_v[:m] = np.array([toll.distance_rates for toll in tolls]).T
     rate_w[:m] = np.array([toll.delay_rates for toll in tolls]).T
     _advance(config, lanes, range(n_prefix, step_interval.size), rate_v, rate_w)
     k_steps, gamma_steps = lanes["k"], lanes["gamma"]
 
-    # interval means per lane; Delta is elementwise in (gamma, K), so it is
-    # computed here, and each lane's steps are summed as one contiguous row
+    # interval means per lane; Delta is elementwise in (gamma, K), so it is computed
+    # here, and each lane's steps are summed as one contiguous row
     interval_density = np.empty((B, m))
     interval_deviation = np.empty((B, m))
     for h in range(m):
         in_h = step_interval == h
-        k_h = np.ascontiguousarray(k_steps[in_h].T)
-        gamma_h = np.ascontiguousarray(gamma_steps[in_h].T)
+        k_h = np.ascontiguousarray(k_steps[:, in_h])
+        gamma_h = np.ascontiguousarray(gamma_steps[:, in_h])
         interval_density[:, h] = np.mean(k_h, axis=-1)
         interval_deviation[:, h] = np.mean(
             deviation_from_spread(gamma_h, k_h, config.envelope), axis=-1)
@@ -526,15 +525,11 @@ def _run(config: NetworkConfig, tolls: Sequence[TollVector], seeds: Sequence[int
     net_att = np.divide(60.0 * net_hours, net_km, out=np.zeros(B), where=net_km > 0)
 
     batch = BatchResult(
-        network_density=k_steps.T, gamma=gamma_steps.T,
+        network_density=k_steps, gamma=gamma_steps,
         interval_density=interval_density, interval_deviation=interval_deviation,
         pz_avg_travel_time=pz_att, net_avg_travel_time=net_att, toll_revenue=lanes["revenue"],
     )
-    return batch, {name: lanes[name] for name in _HISTORY} if keep_history else None
-
-
-def _lane_axis(name: str) -> int:
-    return 0 if name in _STATE else 1
+    return batch, lanes if keep_history else None
 
 
 def _untolled_prefix(config: NetworkConfig, seeds: Sequence[int], n_prefix: int,
@@ -542,18 +537,16 @@ def _untolled_prefix(config: NetworkConfig, seeds: Sequence[int], n_prefix: int,
     """One lane per seed, run from the empty network through the ``n_prefix``
     steps before the tolling window.
 
-    Builds each seed's demand row (the knot profile times its per-step
+    Builds each seed's demand series (the knot profile times its per-step
     lognormal, mean-one noise) and runs the step body at the untolled rate.
-    Returns the lanes: the carried state, and the per-step series whose
-    first ``n_prefix`` rows are filled; the K series still holds the
-    demand of the later steps (see :func:`_advance`).
+    Returns the lanes: the carried state, the demand series, and the other
+    per-step series with their first ``n_prefix`` steps filled.
     """
     U = len(seeds)
     step_h, _ = _step_intervals(config)
     n_steps = step_h.size
     knot_h, knot_q = zip(*config.demand_knots)
-    demand = np.empty((n_steps, U))
-    demand[:] = np.interp(step_h, knot_h, knot_q)[:, None]
+    demand = np.tile(np.interp(step_h, knot_h, knot_q), (U, 1))
     log_sigma = math.sqrt(math.log(1.0 + config.demand_cv ** 2))
     if log_sigma > 0:
         for u, seed in enumerate(seeds):
@@ -561,15 +554,15 @@ def _untolled_prefix(config: NetworkConfig, seeds: Sequence[int], n_prefix: int,
                 -0.5 * log_sigma ** 2, log_sigma, size=n_steps)
             # math.exp, not np.exp: the two can differ in the last bit, and
             # fixed-seed runs are pinned (tests/test_golden.py)
-            demand[:, u] *= np.array([math.exp(z) for z in draws])
+            demand[u] *= np.array([math.exp(z) for z in draws])
 
     lanes = {name: np.zeros(U) for name in _STATE}
     lanes["veh"] = np.zeros((U, config.n_cells))
     lanes["perceived_tt"] = np.full(U, _free_flow(config)[3])
-    lanes["k"], lanes["gamma"] = demand, np.zeros((n_steps, U))
+    lanes.update(demand=demand, k=np.zeros((U, n_steps)), gamma=np.zeros((U, n_steps)))
     if keep_history:
-        lanes.update({name: np.zeros((n_steps, U, config.n_cells) if name == "k_cells"
-                                     else (n_steps, U)) for name in _HISTORY})
+        lanes.update({name: np.zeros((U, n_steps, config.n_cells) if name == "k_cells"
+                                     else (U, n_steps)) for name in _HISTORY})
     untolled = np.zeros((1, U))
     _advance(config, lanes, range(n_prefix), untolled, untolled)
     return lanes
@@ -606,13 +599,11 @@ def _advance(config: NetworkConfig, lanes: dict, steps: range,
      veh_h_pz, veh_km_pz, veh_h_queue, veh_h_byp, veh_km_byp, revenue) = (
         lanes[name] for name in _STATE)
     B = queue.size
-    # a step reads its demand row once, so that row then keeps the step's K
-    # and the lanes hold two (T, B) arrays, not three
-    k_steps, gamma_steps = lanes["k"], lanes["gamma"]
+    demand_steps, k_steps, gamma_steps = lanes["demand"], lanes["k"], lanes["gamma"]
     history = [lanes[name] for name in _HISTORY] if _HISTORY[0] in lanes else None
 
     for s in steps:
-        demand, h = k_steps[s], step_interval[s]
+        demand, h = demand_steps[:, s], step_interval[s]
         # current performance of both routes
         k = veh / lane_km
         cell_flow = _triangular_flow(k, u_f, k_j, wave, crawl)   # veh/h per lane
@@ -687,11 +678,11 @@ def _advance(config: NetworkConfig, lanes: dict, steps: range,
         veh_km_byp += (bypass_veh / bypass_tt_h) * config.bypass_length * dt_h
 
         if history is not None:
-            for series, value in zip(history, (production / total_lane_km, speed, queue, demand,
-                                               pz_rate, arrivals, entered, exited, k)):
-                series[s] = value
-        k_steps[s] = K   # after the last read of this step's demand
-        gamma_steps[s] = gamma
+            for series, value in zip(history, (production / total_lane_km, speed, queue,
+                                               pz_rate, arrivals, exited, k)):
+                series[:, s] = value
+        k_steps[:, s] = K
+        gamma_steps[:, s] = gamma
 
     lanes.update(veh=veh, gate_queue=queue, bypass_veh=bypass_veh, bypass_inflow=bypass_inflow)
 

@@ -213,6 +213,15 @@ class TestSimulate:
         assert free.toll_revenue == 0.0
         assert tolled.toll_revenue > 0.0
 
+    def test_series_are_one_value_per_step(self):
+        config = desk_preset()
+        res = simulate(config, TollVector.zero(config.m), seed=2)
+        steps = int(round(config.horizon_hours * 3600.0 / config.step_seconds))
+        for name in ("t", "network_density", "gamma", "deviation", "flow", "speed", "queue",
+                     "demand", "pz_demand", "arrivals", "exited"):
+            assert getattr(res, name).shape == (steps,), name
+        assert res.k_cells.shape == (steps, config.n_cells)
+
     def test_presets_define_expected_interval_counts(self):
         assert desk_preset().m == 4
         assert paper_preset().m == 8
@@ -251,6 +260,14 @@ class TestSimulateBatch:
             assert batch.toll_revenue[b] == one.toll_revenue
             assert np.array_equal(batch.network_density[b], one.network_density)
             assert np.array_equal(batch.gamma[b], one.gamma)
+
+    def test_per_step_series_are_contiguous_lane_rows(self):
+        config = desk_preset()
+        batch = simulate_batch(config, [TollVector.zero(config.m)] * 3, [0, 1, 0])
+        steps = int(round(config.horizon_hours * 3600.0 / config.step_seconds))
+        for series in (batch.network_density, batch.gamma):
+            assert series.shape == (3, steps)
+            assert series.flags.c_contiguous
 
     def test_toll_with_wrong_interval_count_rejected(self):
         config = desk_preset()
@@ -320,6 +337,28 @@ class TestUntolledPrefix:
         prefixed.clear()
         _assert_batches_equal(simulate_batch(config, tolls, seeds), cold)
         assert sorted(prefixed) == [3, 7]
+
+
+class TestFrozenConfig:
+    def test_fields_cannot_be_assigned(self):
+        config = desk_preset()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.k_cr = 30.0
+
+    def test_cell_arrays_are_read_only_copies(self):
+        lengths = np.full(8, 0.625)
+        config = dataclasses.replace(desk_preset(), cell_lengths=lengths, jam_density=[110.0])
+        with pytest.raises(ValueError):
+            config.cell_lengths[0] = 1.0
+        lengths[0] = 1.0
+        assert config.cell_lengths[0] == 0.625
+        # a single value is broadcast to every cell, read-only too
+        assert np.array_equal(config.jam_density, np.full(8, 110.0))
+        assert not config.jam_density.flags.writeable
+
+    def test_demand_knots_are_a_tuple(self):
+        config = dataclasses.replace(desk_preset(), demand_knots=[[0.0, 900.0], [4.0, 600.0]])
+        assert config.demand_knots == ((0.0, 900.0), (4.0, 600.0))
 
 
 class TestConfigIO:
