@@ -81,14 +81,9 @@ def _cholesky_stack(r: np.ndarray, strict: bool) -> tuple[np.ndarray, np.ndarray
         return chol, ok
 
 
-def corr_matrix(design: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Correlation matrix of a design (unit diagonal, no regularization)."""
-    diff = design[:, None, :] - design[None, :, :]
-    return np.exp(-np.einsum("ijl,l->ij", diff * diff, theta))
-
-
 def corr_vector(design: np.ndarray, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Correlations between query points ``x`` (k, d) and the design rows: (k, n)."""
+    """Correlations between query points ``x`` (k, d) and the design rows: (k, n);
+    ``x = design`` gives the design's correlation matrix (no regularization)."""
     diff = x[:, None, :] - design[None, :, :]
     return np.exp(-np.einsum("kjl,l->kj", diff * diff, theta))
 
@@ -219,7 +214,7 @@ def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
 def _assemble(design: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) -> RKModel:
     n = design.shape[0]
     y_std, shift, scale = _standardize(y)
-    psi = corr_matrix(design, theta)
+    psi = corr_vector(design, theta, design)
     r = psi.copy()
     r[np.diag_indices_from(r)] = 1.0 + lam
     chol_r, _ = _cholesky_with_jitter(r)
@@ -247,8 +242,7 @@ def _assemble(design: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) 
 
 def _design_rows(samples: Sequence[tuple], bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
     """Unit-cube design rows and responses from ``(toll_or_vector, response)`` pairs."""
-    rows = []
-    ys = []
+    rows, ys = [], []
     for x, val in samples:
         arr = x.as_array() if isinstance(x, TollVector) else np.asarray(x, dtype=float)
         rows.append(bounds.to_unit(arr))
@@ -268,9 +262,8 @@ def fit(
     ``samples`` is a sequence of ``(toll_or_vector, response)`` pairs; inputs
     are normalized to the unit cube with ``bounds`` before fitting.  ``theta``
     and ``lambda`` are searched in log10 space inside ``THETA_BOUNDS`` and
-    ``lambda_bounds``; passing
-    equal lambda bounds pins ``lambda`` (``(0, 0)`` gives an interpolating
-    ordinary-kriging fit).  Each GA generation, ``(P, d)`` or ``(P, d + 1)``
+    ``lambda_bounds``; passing equal lambda bounds pins ``lambda`` (``(0, 0)``
+    gives an interpolating ordinary-kriging fit).  Each GA generation, ``(P, d)`` or ``(P, d + 1)``
     genes, is scored by one :func:`log_likelihood` call on its ``(P, d)``
     theta stack and ``(P,)`` lambdas; a candidate whose correlation matrix
     will not factor scores ``-inf``.
@@ -346,7 +339,7 @@ def loo_cv(model: RKModel) -> list[CVRecord]:
     n = model.n
     if n < 3:
         raise ValueError("need at least 3 sample points for cross-validation")
-    psi_full = corr_matrix(model.design, model.theta)
+    psi_full = corr_vector(model.design, model.theta, model.design)
     y_std = (model.y - model.y_shift) / model.y_scale
     # fold i keeps every row but i: column j of its index row is j, or j + 1 from i on
     keep = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])

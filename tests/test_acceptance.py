@@ -21,7 +21,7 @@ from tollopt.infill import constrained_ei, expected_improvement, prob_feasible
 from tollopt.simnet import (config_to_dict, desk_preset, envelope_gamma,
                             fit_lower_envelope, simulate, simulate_batch,
                             spatial_spread)
-from tollopt.surrogate import (corr_matrix, fit, fit_fixed, log_likelihood,
+from tollopt.surrogate import (corr_vector, fit, fit_fixed, log_likelihood,
                                loo_cv, predict)
 from tollopt.tlp import (ProblemSpec, check_smoothing, convergence_history,
                          optimize, replication_seeds)
@@ -87,7 +87,7 @@ def test_criterion_02_likelihood_matches_dense_normal_oracle():
         theta = 10.0 ** rng.uniform(-2, 1.5, size=d)
         lam = 10.0 ** rng.uniform(-6, 0)
         ours = log_likelihood(design, y, theta, lam)
-        r = corr_matrix(design, theta) + lam * np.eye(n)
+        r = corr_vector(design, theta, design) + lam * np.eye(n)
         rinv = np.linalg.inv(r)
         ones = np.ones(n)
         mu = (ones @ rinv @ y) / (ones @ rinv @ ones)

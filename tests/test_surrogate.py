@@ -9,8 +9,8 @@ from scipy.stats import multivariate_normal
 from tollopt import surrogate
 from tollopt.doe import lhs
 from tollopt.ga import ELITISM, GAParams
-from tollopt.surrogate import (NumericalError, corr_matrix, corr_vector, fit,
-                               fit_fixed, log_likelihood, loo_cv, predict)
+from tollopt.surrogate import (NumericalError, corr_vector, fit, fit_fixed,
+                               log_likelihood, loo_cv, predict)
 from tollopt.toll import Bounds
 
 UNIT2 = Bounds(np.zeros(2), np.ones(2))
@@ -35,17 +35,18 @@ class TestCorrelation:
     def test_identical_points_correlate_fully(self):
         design = np.array([[0.2, 0.9, 0.4], [0.7, 0.1, 0.5]])
         theta = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(np.diag(corr_matrix(design, theta)), [1.0, 1.0])
+        assert np.array_equal(np.diag(corr_vector(design, theta, design)), [1.0, 1.0])
         assert np.array_equal(corr_vector(design, theta, design[:1])[:, 0], [1.0])
 
     def test_zero_theta_degenerates_to_one(self):
         design = np.array([np.zeros(3), np.ones(3)])
-        assert np.array_equal(corr_matrix(design, np.zeros(3)), np.ones((2, 2)))
+        assert np.array_equal(corr_vector(design, np.zeros(3), design), np.ones((2, 2)))
         assert np.array_equal(corr_vector(design, np.zeros(3), np.full((1, 3), 0.5)),
                               np.ones((1, 2)))
 
     def test_unit_distance_unit_theta(self):
-        val = corr_matrix(np.array([[0.0], [1.0]]), np.array([1.0]))[0, 1]
+        pair = np.array([[0.0], [1.0]])
+        val = corr_vector(pair, np.array([1.0]), pair)[0, 1]
         assert val == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert val == pytest.approx(0.367879, abs=1e-6)
         assert corr_vector(np.array([[1.0]]), np.array([1.0]), np.array([[0.0]]))[0, 0] == val
@@ -57,7 +58,8 @@ class TestCorrelation:
         design = np.array([[d0, 0.1], [d0 + bump, 0.1]])
         near, far = corr_vector(design, theta, np.zeros((1, 2)))[0]
         assert far < near
-        corr = corr_matrix(np.array([[0.0, 0.0], *design]), theta)
+        points = np.array([[0.0, 0.0], *design])
+        corr = corr_vector(points, theta, points)
         assert (corr[0, 1], corr[0, 2]) == (near, far)
 
 
@@ -88,7 +90,7 @@ class TestLogLikelihood:
             for theta, lam, row in zip(thetas, lams, stacked):
                 ours = log_likelihood(design, y, theta, lam)
                 assert isinstance(ours, float)
-                r = corr_matrix(design, theta) + lam * np.eye(n)
+                r = corr_vector(design, theta, design) + lam * np.eye(n)
                 rinv = np.linalg.inv(r)
                 ones = np.ones(n)
                 mu = (ones @ rinv @ y) / (ones @ rinv @ ones)
@@ -262,7 +264,7 @@ class TestCrossValidation:
         samples, pts, ys = make_samples(14, seed=15, noise=0.05)
         model = fit_fixed(samples, UNIT2, theta=np.array([2.0, 1.5]), lam=0.02)
         y_std = (ys - model.y_shift) / model.y_scale
-        psi = corr_matrix(pts, model.theta)
+        psi = corr_vector(pts, model.theta, pts)
         for i, rec in enumerate(loo_cv(model)):
             keep = np.arange(14) != i
             rinv = np.linalg.inv(psi[np.ix_(keep, keep)] + model.lam * np.eye(13))
@@ -289,5 +291,5 @@ def test_regularized_matrix_diagonal_is_one_plus_lambda():
     model = fit_fixed(samples, UNIT2, theta=np.array([1.5, 0.8]), lam=lam)
     reconstructed = model._chol_r @ model._chol_r.T
     assert np.allclose(np.diag(reconstructed), 1.0 + lam, atol=1e-12)
-    psi = corr_matrix(pts, np.array([1.5, 0.8]))
+    psi = corr_vector(pts, np.array([1.5, 0.8]), pts)
     assert np.all(np.diag(psi) == 1.0)
