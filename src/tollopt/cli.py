@@ -138,10 +138,27 @@ def config_digest(doc: dict) -> str:
 
 
 def out_dir(args, default_name: str) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    root = os.environ.get("TOLLOPT_OUT", "runs")
-    return os.path.join(root, default_name)
+    """Create and return the command's output directory: ``--out``, or
+    ``default_name`` under ``$TOLLOPT_OUT``.  Commands call it before they
+    simulate, so an unusable ``--out`` fails before any work is done."""
+    path = args.out or os.path.join(os.environ.get("TOLLOPT_OUT", "runs"), default_name)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {path}: cannot create the output directory ({exc})") from exc
+    return path
+
+
+def check_seeds(args) -> None:
+    """Seeds seed numpy generators, which take no negative value, and a repeated
+    ``--seeds`` entry would only rerun a comparison under the same label."""
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+    seeds = getattr(args, "seeds", [])
+    if any(seed < 0 for seed in seeds):
+        raise UsageError(f"--seeds must be nonnegative, got {min(seeds)}")
+    if len(set(seeds)) < len(seeds):
+        raise UsageError(f"--seeds must not repeat a seed, got {' '.join(map(str, seeds))}")
 
 
 def parse_toll(arg: str, m: int) -> TollVector:
@@ -179,9 +196,8 @@ def cmd_simulate(args) -> int:
     config, problem = resolve_scenario(args)
     m = config.m
     toll = TollVector.zero(m) if args.toll is None else parse_toll(args.toll, m)
-    result = simulate(config, toll, args.seed)
     outdir = out_dir(args, f"simulate-seed{args.seed}")
-    os.makedirs(outdir, exist_ok=True)
+    result = simulate(config, toll, args.seed)
 
     with open(os.path.join(outdir, "timeseries.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -220,8 +236,8 @@ def cmd_simulate(args) -> int:
 def cmd_optimize(args) -> int:
     config, problem = resolve_scenario(args)
     spec = build_spec(config, problem)
-    run = optimize(spec, method=args.method, seed=args.seed)
     outdir = out_dir(args, f"optimize-{args.method}-seed{args.seed}")
+    run = optimize(spec, method=args.method, seed=args.seed)
     write_run_dir(run, outdir)
     doc = scenario_doc(config, problem)
     with open(os.path.join(outdir, "config.yaml"), "w") as fh:
@@ -287,7 +303,6 @@ def cmd_compare(args) -> int:
     config, problem = resolve_scenario(args)
     spec = build_spec(config, problem)
     outdir = out_dir(args, "compare")
-    os.makedirs(outdir, exist_ok=True)
     curves: list[tuple[str, OptimizationRun]] = []
     # DIRECT's rectangles do not depend on the seed, but each seed has its
     # own common-random-number replications
@@ -317,13 +332,12 @@ def cmd_envelope(args) -> int:
     config, problem = resolve_scenario(args)
     if args.runs < 1:
         raise UsageError(f"--runs must be at least 1, got {args.runs}")
+    outdir = out_dir(args, "envelope")
     batch = simulate_batch(config, [TollVector.zero(config.m)] * args.runs,
                            [args.seed + i for i in range(args.runs)])
     pairs = [pair for k, gamma in zip(batch.network_density, batch.gamma)
              for pair in zip(k, gamma)]
     a, b, c = fit_lower_envelope(pairs)
-    outdir = out_dir(args, "envelope")
-    os.makedirs(outdir, exist_ok=True)
     fragment = {"network": {"control": {"envelope_abc": [a, b, c]}}}
     with open(os.path.join(outdir, "envelope.yaml"), "w") as fh:
         yaml.safe_dump(fragment, fh, sort_keys=False)
@@ -404,6 +418,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_seeds(args)
         if getattr(args, "print_config", False):
             yaml.safe_dump(scenario_doc(*resolve_scenario(args)), sys.stdout, sort_keys=False)
             sys.stdout.flush()

@@ -100,6 +100,53 @@ def test_envelope_without_runs_exits_2_naming_the_flag(capsys):
     assert "--runs" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail the test if a command reaches the simulator or the optimizer."""
+    import tollopt.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail("the command simulated before rejecting its flags")
+
+    for entry in ("simulate", "simulate_batch", "optimize"):
+        monkeypatch.setattr(cli, entry, must_not_run)
+
+
+@pytest.mark.parametrize("command", [
+    ["optimize", "desk", "--method", "direct", "--budget", "22", "--replications", "1"],
+    ["simulate", "desk"],
+    ["envelope", "desk", "--runs", "1"],
+    ["compare", "desk", "--budget", "22", "--replications", "1", "--seeds", "0"],
+], ids=["optimize", "simulate", "envelope", "compare"])
+@pytest.mark.parametrize("where", ["file", "under_file"])
+def test_unusable_out_exits_2_before_simulating(tmp_path, capsys, no_simulation, command, where):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if where == "file" else taken / "run"
+    assert run_cli([*command, "--out", str(out)]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate", "desk"], ["optimize", "desk"],
+                                     ["compare", "desk"], ["envelope", "desk"],
+                                     ["doe", "desk"], ["validate", "/no/such/run"]])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys, no_simulation,
+                                              command):
+    monkeypatch.setenv("TOLLOPT_OUT", str(tmp_path / "out"))
+    assert run_cli([*command, "--seed", "-1"]) == 2
+    assert "--seed must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seeds,reason", [(["1", "1"], "repeat"), (["0", "-2"], "nonnegative")])
+def test_bad_compare_seeds_exit_2_naming_the_flag(tmp_path, capsys, no_simulation, seeds, reason):
+    out = tmp_path / "cmp"
+    assert run_cli(["compare", "desk", "--seeds", *seeds, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--seeds" in err and reason in err
+    assert not out.exists()
+
+
 def test_print_config_dumps_resolved_scenario(capsys):
     assert run_cli(["simulate", "desk", "--print-config"]) == 0
     doc = yaml.safe_load(capsys.readouterr().out)
