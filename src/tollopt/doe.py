@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .toll import Bounds, TollVector
 
@@ -43,11 +43,15 @@ def maximin_lhs(n: int, d: int, n_candidates: int, rng: np.random.Generator) -> 
     """
     if n_candidates < 1:
         raise ValueError(f"need n_candidates >= 1, got {n_candidates}")
+    rows, cols = np.triu_indices(n, k=1)
     best_plan = None
     best_dist = -np.inf
     for _ in range(n_candidates):
         plan = lhs(n, d, rng)
-        min_dist = float(np.min(pdist(plan))) if n > 1 else np.inf
+        # squared pair distances summed coordinate by coordinate, as scipy's
+        # pdist sums them; sqrt is monotone, so one sqrt gives the minimum
+        diff = plan.T[:, rows] - plan.T[:, cols]
+        min_dist = math.sqrt(np.min(sum(coord * coord for coord in diff), initial=np.inf))
         if min_dist > best_dist:
             best_dist = min_dist
             best_plan = plan

@@ -35,7 +35,7 @@ _CELL_ARRAYS = ("cell_lengths", "cell_lanes", "free_flow_speed", "critical_densi
                 "jam_density", "heterogeneity_bias", "drain_multipliers")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkConfig:
     """Everything that defines one synthetic network scenario.
 
@@ -46,8 +46,9 @@ class NetworkConfig:
     unloading, which is what opens the hysteresis loop.
 
     A config is immutable, so it is validated once, on construction, and a
-    cache can key on the object: the cell arrays are read-only copies (one
-    value is broadcast to every cell) and the demand knots a tuple.
+    cache can key on the object, which compares and hashes by identity (values
+    compare through :func:`config_to_dict`): the cell arrays are read-only
+    copies (one value is broadcast to every cell) and the demand knots a tuple.
     """
 
     cell_lengths: np.ndarray        # km per cell
@@ -352,14 +353,14 @@ class SimulationResult:
         return self.interval_density.size
 
 
-def _triangular_flow(k, u_f, k_j, wave, crawl):
+def _triangular_flow(k, gap, u_f, wave, crawl):
     """Per-lane triangular fundamental diagram flow (veh/h/lane).
 
-    ``wave`` is the congested-branch wave speed u_f k_c / (k_j - k_c).  The
-    ``crawl`` speed floors the congested branch so a jammed cell keeps a
-    trickle of movement and gridlock never becomes an absorbing state.
+    ``gap`` is k_j - k and ``wave`` the congested-branch wave speed u_f k_c /
+    (k_j - k_c).  The ``crawl`` speed floors the congested branch so a jammed
+    cell keeps a trickle of movement and gridlock never becomes absorbing.
     """
-    tri = np.maximum(np.minimum(u_f * k, wave * (k_j - k)), 0.0)
+    tri = np.maximum(np.minimum(u_f * k, wave * gap), 0.0)
     return np.maximum(tri, crawl * k)
 
 
@@ -385,8 +386,9 @@ _HISTORY = ("flow", "speed", "queue", "pz_demand", "arrivals", "exited", "k_cell
 # what the step body carries from one step to the next, one value (or cell
 # row) per lane; every other lane array is a (lanes, T, ...) per-step series:
 # demand, K, gamma and, for simulate, the history
+_TOTALS = ("veh_h_pz", "veh_km_pz", "veh_h_queue", "veh_h_byp", "veh_km_byp")
 _STATE = ("veh", "gate_queue", "bypass_veh", "bypass_inflow", "k_ema", "perceived_tt",
-          "veh_h_pz", "veh_km_pz", "veh_h_queue", "veh_h_byp", "veh_km_byp", "revenue")
+          *_TOTALS, "revenue")
 
 # the current optimization run's untolled prefixes: (config, {seed: {name: row}})
 _RUN_PREFIXES: ContextVar[tuple[NetworkConfig, dict] | None] = ContextVar(
@@ -579,41 +581,49 @@ def _advance(config: NetworkConfig, lanes: dict, steps: range,
     the network is unloading), and records the aggregate state.  A step's
     toll is row ``h`` of ``rate_v``/``rate_w``, its tolling interval, and
     row -1 outside the window.  The per-step series are recorded when
-    ``lanes`` holds them.
+    ``lanes`` holds them.  A step costs its numpy calls, not their arithmetic,
+    so the calls are few, but each operation is the plain formula's, in order.
     """
     dt_h = config.step_seconds / 3600.0
     lane_km, total_lane_km, mean_free_speed, pz_free_min = _free_flow(config)
     u_f, k_c, k_j = config.free_flow_speed, config.critical_density, config.jam_density
-    crawl = config.crawl_speed
-    cap_flow = u_f * k_c * config.cell_lanes          # veh/h per cell
+    crawl, cell_lanes, drain = config.crawl_speed, config.cell_lanes, config.drain_multipliers
+    cap_flow = u_f * k_c * cell_lanes          # veh/h per cell
     wave = u_f * k_c / (k_j - k_c)
-    bypass_free_h = config.bypass_length / config.bypass_free_speed
-    base_shares = config.heterogeneity_bias
-    rebalanced_base = (1.0 - config.rebalancing) * base_shares
+    pz_len, bypass_length = config.pz_path_length, config.bypass_length
+    bypass_free_h = bypass_length / config.bypass_free_speed
+    base_shares, rebalancing = config.heterogeneity_bias, config.rebalancing
+    rebalanced_base = (1.0 - rebalancing) * base_shares
     tau_s = config.perception_tau_minutes * 60.0
     alpha_p = 1.0 if tau_s <= 0 else min(1.0, config.step_seconds / tau_s)
     ema_rate = config.step_seconds / 300.0
     step_interval = _step_intervals(config)[1].tolist()
 
-    (veh, queue, bypass_veh, bypass_inflow, k_ema, perceived_tt,
-     veh_h_pz, veh_km_pz, veh_h_queue, veh_h_byp, veh_km_byp, revenue) = (
-        lanes[name] for name in _STATE)
-    B = queue.size
+    bypass_inflow, k_ema, perceived_tt, revenue = (
+        lanes[name] for name in ("bypass_inflow", "k_ema", "perceived_tt", "revenue"))
     demand_steps, k_steps, gamma_steps = lanes["demand"], lanes["k"], lanes["gamma"]
     history = [lanes[name] for name in _HISTORY] if _HISTORY[0] in lanes else None
+    # one multiply-add adds the step's terms to the five totals; the gate queue
+    # and the bypass vehicles carry over in their rows.  One reduction sums
+    # each cell pair: veh and its lane-km flow, inflow and spare supply
+    totals, terms = np.stack([lanes[name] for name in _TOTALS]), np.empty((5, len(revenue)))
+    accumulation, production, queue, bypass_veh, bypass_km = terms
+    queue[:], bypass_veh[:] = lanes["gate_queue"], lanes["bypass_veh"]
+    (veh, flow_km), (inflow, spare) = cells, loads = np.empty((2, 2, *lanes["veh"].shape))
+    veh[:] = lanes["veh"]
+    k, gap, speed = veh / lane_km, np.empty_like(veh), np.empty_like(queue)
 
     for s in steps:
         demand, h = demand_steps[:, s], step_interval[s]
         # current performance of both routes
-        k = veh / lane_km
-        cell_flow = _triangular_flow(k, u_f, k_j, wave, crawl)   # veh/h per lane
-        production = np.add.reduce(cell_flow * lane_km, axis=-1)  # veh km/h
-        accumulation = np.add.reduce(veh, axis=-1)
-        speed = np.divide(production, accumulation, out=np.full(B, mean_free_speed),
-                          where=accumulation > 1e-9)
-        speed = np.maximum(speed, 1e-3)
-        pz_tt_min = 60.0 * config.pz_path_length / speed
-        perceived_tt += alpha_p * (pz_tt_min - perceived_tt)
+        np.subtract(k_j, k, out=gap)
+        cell_flow = _triangular_flow(k, gap, u_f, wave, crawl)   # veh/h per lane
+        np.multiply(cell_flow, lane_km, out=flow_km)
+        np.add.reduce(cells, axis=-1, out=terms[:2])   # accumulation; production, veh km/h
+        speed.fill(mean_free_speed)
+        np.divide(production, accumulation, out=speed, where=accumulation > 1e-9)
+        np.maximum(speed, 1e-3, out=speed)
+        perceived_tt += alpha_p * (60.0 * pz_len / speed - perceived_tt)
         # float_power is libm pow, as Python's float ** 2 is; an array's ** 2
         # squares, which differs from pow in the last bit on some inputs
         bypass_tt_h = bypass_free_h * (
@@ -629,62 +639,59 @@ def _advance(config: NetworkConfig, lanes: dict, steps: range,
         # zone approaches gridlock), anything left queues at the gate
         arrivals = pz_rate * dt_h
         avail = queue + arrivals
-        jam_gap = np.maximum(k_j - k, 0.0)
+        jam_gap = np.maximum(gap, 0.0, out=gap)
         headroom = jam_gap * lane_km
         hr_total = np.add.reduce(headroom, axis=-1)
         shares = base_shares
-        if config.rebalancing > 0:
+        if rebalancing > 0:
             has_room = hr_total > 0
-            rebalanced = rebalanced_base + config.rebalancing * headroom \
+            rebalanced = rebalanced_base + rebalancing * headroom \
                 / np.where(has_room, hr_total, 1.0)[:, None]
             shares = np.where(has_room[:, None], rebalanced, base_shares)
-        supply = np.minimum(cap_flow, wave * jam_gap * config.cell_lanes) * dt_h
-        wanted = avail[:, None] * shares
-        inflow = np.minimum(wanted, supply)
-        spare = supply - inflow
-        surplus = avail - np.add.reduce(inflow, axis=-1)
-        spare_total = np.add.reduce(spare, axis=-1)
-        top_up = (surplus > 1e-12) & (spare_total > 1e-12)
-        if top_up.any():
-            fill = np.minimum(surplus, spare_total) / np.where(top_up, spare_total, 1.0)
-            inflow = np.where(top_up[:, None], inflow + spare * fill[:, None], inflow)
-        entered = np.add.reduce(inflow, axis=-1)
-        queue = np.maximum(avail - entered, 0.0)
+        supply = np.minimum(cap_flow, wave * jam_gap * cell_lanes) * dt_h
+        np.minimum(avail[:, None] * shares, supply, out=inflow)
+        np.subtract(supply, inflow, out=spare)
+        entered, spare_total = np.add.reduce(loads, axis=-1)
+        top_up = (avail - entered > 1e-12) & (spare_total > 1e-12)
+        if np.count_nonzero(top_up):
+            fill = np.minimum(avail - entered, spare_total) / np.where(top_up, spare_total, 1.0)
+            np.copyto(inflow, inflow + spare * fill[:, None], where=top_up[:, None])
+            entered = np.add.reduce(inflow, axis=-1)
+        np.maximum(avail - entered, 0.0, out=queue)
 
         # drain: per-cell completion via the fundamental diagram, slowed by
         # the drain multipliers while the network trend is falling; the
         # deadband keeps demand noise from flapping the phase flag
         unloading = (accumulation > 0) & ((accumulation / total_lane_km) < k_ema - 0.5)
-        mult = np.where(unloading[:, None], config.drain_multipliers, 1.0)
-        out_rate = mult * cell_flow * lane_km / config.pz_path_length
-        outflow = np.minimum(out_rate * dt_h, veh + inflow)
-        exited = np.add.reduce(outflow, axis=-1)
-        veh = veh + inflow - outflow
+        out_km = flow_km    # (1.0 * cell_flow) * lane_km
+        if np.count_nonzero(unloading):
+            out_km = np.where(unloading[:, None], drain * cell_flow, cell_flow) * lane_km
+        veh_in = veh + inflow
+        outflow = np.minimum(out_km / pz_len * dt_h, veh_in)
+        np.subtract(veh_in, outflow, out=veh)
 
         # bypass as a first-order delay reservoir with a BPR-style travel time
         bypass_out = np.minimum(bypass_veh, bypass_veh * dt_h / bypass_tt_h)
-        bypass_veh = bypass_veh + bypass_rate * dt_h - bypass_out
+        np.subtract(bypass_veh + bypass_rate * dt_h, bypass_out, out=bypass_veh)
         bypass_inflow = bypass_rate
 
-        k = veh / lane_km
+        np.divide(veh, lane_km, out=k)
         gamma, K = _weighted_spread(k, lane_km, total_lane_km)
         k_ema += ema_rate * (K - k_ema)
 
         revenue += entered * trip_toll
-        veh_h_pz += accumulation * dt_h
-        veh_km_pz += production * dt_h
-        veh_h_queue += queue * dt_h
-        veh_h_byp += bypass_veh * dt_h
-        veh_km_byp += (bypass_veh / bypass_tt_h) * config.bypass_length * dt_h
+        np.multiply(bypass_veh / bypass_tt_h, bypass_length, out=bypass_km)
+        totals += terms * dt_h
 
         if history is not None:
-            for series, value in zip(history, (production / total_lane_km, speed, queue,
-                                               pz_rate, arrivals, exited, k)):
+            for series, value in zip(history, (production / total_lane_km, speed, queue, pz_rate,
+                                               arrivals, np.add.reduce(outflow, axis=-1), k)):
                 series[:, s] = value
         k_steps[:, s] = K
         gamma_steps[:, s] = gamma
 
-    lanes.update(veh=veh, gate_queue=queue, bypass_veh=bypass_veh, bypass_inflow=bypass_inflow)
+    lanes.update(zip(_TOTALS, totals), veh=veh, gate_queue=queue, bypass_veh=bypass_veh,
+                 bypass_inflow=bypass_inflow)
 
 
 # ---------------------------------------------------------------------------

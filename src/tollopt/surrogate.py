@@ -64,20 +64,35 @@ def _cholesky_with_jitter(a: np.ndarray, strict: bool = False) -> tuple[np.ndarr
                 raise NumericalError("correlation matrix not positive definite", JITTER_MAX)
 
 
-def _cholesky_stack(r: np.ndarray, strict: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factors of a ``(P, n, n)`` stack and the ``(P,)`` mask of
-    members that factored: one stacked pass, or member by member through
-    :func:`_cholesky_with_jitter` when that fails (a failed member's factor is I)."""
-    ok = np.ones(len(r), dtype=bool)
+def _bordered_cholesky(a: np.ndarray, borders: Sequence, lams: np.ndarray, strict: bool):
+    """Lower factors of ``(P, n + k, n + k)`` stacked ``[[R, B^T], [B, cI]]``, whose
+    last k rows start with ``(L^-1 B^T)^T`` (L the factor of R), and the mask
+    of members that factored.  ``a`` holds Psi's lower triangle; this fills in
+    R = Psi + lambda I, the k rows of B and c = 2|B|^2 / lambda + 1, which keeps
+    the last k x k block positive definite as R's eigenvalues are at least
+    lambda (a pinned lambda = 0 takes machine epsilon's bound).  A stack that
+    will not factor falls back to R alone, member by member through
+    :func:`_cholesky_with_jitter`, and a solve; a failed member's factor is I.
+    """
+    k = len(borders)
+    n = a.shape[-1] - k
+    a[:, np.arange(n), np.arange(n)] = 1.0 + lams[:, None]
+    for j, row in enumerate(borders):
+        a[:, n + j, :n] = row
+    c = 2.0 * np.sum(a[:, n:, :n] ** 2, axis=(1, 2)) / np.maximum(lams, np.finfo(float).eps)
+    a[:, np.arange(n, n + k), np.arange(n, n + k)] = c[:, None] + 1.0
+    ok = np.ones(len(a), dtype=bool)
     try:
-        return np.linalg.cholesky(r), ok
+        return np.linalg.cholesky(a), ok
     except np.linalg.LinAlgError:
-        chol = np.broadcast_to(np.eye(r.shape[-1]), r.shape).copy()
-        for k, a in enumerate(r):
+        chol = np.broadcast_to(np.eye(n + k), a.shape).copy()
+        for p, member in enumerate(a):
             try:
-                chol[k], _ = _cholesky_with_jitter(a, strict)
+                chol[p, :n, :n], _ = _cholesky_with_jitter(member[:n, :n], strict)
             except NumericalError:
-                ok[k] = False
+                ok[p] = False
+        chol[:, n:, :n] = solve_triangular(chol[:, :n, :n], a[:, n:, :n].mT, lower=True,
+                                           check_finite=False).mT
         return chol, ok
 
 
@@ -88,25 +103,15 @@ def corr_vector(design: np.ndarray, theta: np.ndarray, x: np.ndarray) -> np.ndar
     return np.exp(-np.einsum("kjl,l->kj", diff * diff, theta))
 
 
-def _gls_profile(chol: np.ndarray, y: np.ndarray, floor: float, weights: bool = True):
-    """Generalized-least-squares mean and process variance of ``y`` (``(n,)`` or
-    ``(..., n)``) given lower Cholesky factors L (``(..., n, n)``) of R.
-
-    One forward solve of ``[y, 1]`` gives ``mu`` from the 2 x 2 form
-    ``[y, 1]^T R^-1 [y, 1]`` and ``sigma2 = |L^-1 (y - mu)|^2 / n``, clamped
-    below at ``floor``; one backward solve gives ``weights = R^-1 (y - mu)``
-    (None when ``weights`` is False).  Returns ``(mu, weights, sigma2)``.
-    """
-    n = chol.shape[-1]
-    rhs = np.stack(np.broadcast_arrays(y, np.ones(n)), axis=-1)
-    z = solve_triangular(chol, rhs, lower=True, check_finite=False)
-    zy, z1 = z[..., 0], z[..., 1]
+def _gls_profile(zy: np.ndarray, z1: np.ndarray, floor: float):
+    """Generalized-least-squares ``(mu, L^-1 (y - mu), sigma2)`` from ``L^-1 y``
+    and ``L^-1 1`` rows, L the lower Cholesky factor of R: ``mu`` from the
+    2 x 2 form ``[y, 1]^T R^-1 [y, 1]``, ``sigma2 = |L^-1 (y - mu)|^2 / n``
+    clamped below at ``floor``."""
     mu = np.vecdot(z1, zy) / np.vecdot(z1, z1)
     resid = zy - mu[..., None] * z1
-    sigma2 = np.maximum(np.vecdot(resid, resid) / n, floor)
-    w = solve_triangular(chol, resid[..., None], lower=True, trans=1,
-                         check_finite=False)[..., 0] if weights else None
-    return mu, w, sigma2
+    sigma2 = np.maximum(np.vecdot(resid, resid) / zy.shape[-1], floor)
+    return mu, resid, sigma2
 
 
 def log_likelihood(design: np.ndarray, y: np.ndarray, theta, lam):
@@ -117,10 +122,11 @@ def log_likelihood(design: np.ndarray, y: np.ndarray, theta, lam):
     the closed-form maximizers; no constant terms are dropped.
 
     A ``(P, d)`` theta stack with ``(P,)`` lambdas gives ``(P,)`` values from one
-    correlation stack, one stacked Cholesky and one batched forward solve; a
-    member that will not factor even through the strict jitter ladder scores
-    ``-inf``.  A ``(d,)`` theta with a scalar lambda is a stack of one that
-    gives a float and raises :class:`NumericalError` instead.
+    correlation stack and one stacked Cholesky of R bordered by ``[y, 1]``,
+    which carries ``L^-1 [y, 1]`` (:func:`_bordered_cholesky`); a member that
+    will not factor even through the strict jitter ladder scores ``-inf``.  A
+    ``(d,)`` theta with a scalar lambda is a stack of one that gives a float
+    and raises :class:`NumericalError` instead.
     """
     design, y, theta, lam = (np.asarray(a, dtype=float) for a in (design, y, theta, lam))
     n, d = design.shape
@@ -134,14 +140,13 @@ def log_likelihood(design: np.ndarray, y: np.ndarray, theta, lam):
     # np.linalg.cholesky reads only the lower triangle, so only it is built
     rows, cols = np.nonzero(np.tri(n, k=-1, dtype=bool))
     diff = design[rows] - design[cols]
-    r = np.zeros((len(thetas), n, n))
-    r[:, rows, cols] = np.exp(-(thetas @ (diff * diff).T))
-    r[:, np.arange(n), np.arange(n)] = 1.0 + lams[:, None]
-    chol, ok = _cholesky_stack(r, strict=True)
+    a = np.zeros((len(thetas), n + 2, n + 2))
+    a[:, rows, cols] = np.exp(-(thetas @ (diff * diff).T))
+    chol, ok = _bordered_cholesky(a, (y, 1.0), lams, strict=True)
     if theta.ndim == 1 and not ok[0]:
         raise NumericalError("correlation matrix not positive definite", JITTER_MAX)
-    _, _, sigma2 = _gls_profile(chol, y, 1e-300, weights=False)
-    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    _, _, sigma2 = _gls_profile(chol[:, n, :n], chol[:, n + 1, :n], 1e-300)
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)[:, :n]), axis=1)
     value = np.where(ok, -0.5 * (n * math.log(2.0 * math.pi) + n * np.log(sigma2) + n + log_det),
                      -np.inf)
     return float(value[0]) if theta.ndim == 1 else value
@@ -215,11 +220,15 @@ def _assemble(design: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) 
     n = design.shape[0]
     y_std, shift, scale = _standardize(y)
     psi = corr_vector(design, theta, design)
-    r = psi.copy()
-    r[np.diag_indices_from(r)] = 1.0 + lam
-    chol_r, _ = _cholesky_with_jitter(r)
+    a = np.zeros((1, n + 2, n + 2))
+    a[0, :n, :n] = psi
+    chol, ok = _bordered_cholesky(a, (y_std, 1.0), np.array([lam]), strict=False)
+    if not ok[0]:
+        raise NumericalError("correlation matrix not positive definite", JITTER_MAX)
+    chol_r = chol[0, :n, :n]
     chol_psi, _ = _cholesky_with_jitter(psi)
-    mu_std, weights, sigma2_std = _gls_profile(chol_r, y_std, 0.0)
+    mu_std, resid, sigma2_std = _gls_profile(chol[0, n, :n], chol[0, n + 1, :n], 0.0)
+    weights = solve_triangular(chol_r, resid, lower=True, trans=1, check_finite=False)
     sigma2_ri_std = max(float(weights @ psi @ weights) / n, 0.0)
     return RKModel(
         design=design,
@@ -343,13 +352,15 @@ def loo_cv(model: RKModel) -> list[CVRecord]:
     y_std = (model.y - model.y_shift) / model.y_scale
     # fold i keeps every row but i: column j of its index row is j, or j + 1 from i on
     keep = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
-    r = psi_full[keep[:, :, None], keep[:, None, :]]
-    r[:, np.arange(n - 1), np.arange(n - 1)] = 1.0 + model.lam
-    chol, ok = _cholesky_stack(r, strict=False)
-    mu, w, sigma2 = _gls_profile(chol, y_std[keep], 0.0)
-    psi_i = psi_full[keep, np.arange(n)[:, None]]          # (n, n - 1)
-    q = solve_triangular(chol, psi_i[..., None], lower=True, check_finite=False)[..., 0]
-    mean_std = mu + np.vecdot(psi_i, w)
+    # its R is bordered by y, 1 and the held-out point's correlations psi_i
+    a = np.zeros((n, n + 2, n + 2))
+    a[:, :n - 1, :n - 1] = psi_full[keep[:, :, None], keep[:, None, :]]
+    chol, ok = _bordered_cholesky(a, (y_std[keep], 1.0, psi_full[keep, np.arange(n)[:, None]]),
+                                  np.full(n, model.lam), strict=False)
+    zy, z1, q = (chol[:, j, :n - 1] for j in range(n - 1, n + 2))
+    mu, resid, sigma2 = _gls_profile(zy, z1, 0.0)
+    # psi_i^T R^-1 (y - mu) = (L^-1 psi_i) . (L^-1 (y - mu))
+    mean_std = mu + np.vecdot(q, resid)
     var_std = sigma2 * (1.0 + model.lam - np.vecdot(q, q))
     predicted = np.where(ok, model.y_shift + model.y_scale * mean_std, math.nan)
     std_err = np.where(ok, model.y_scale * np.sqrt(np.maximum(var_std, 0.0)), math.nan)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -14,6 +15,15 @@ from tollopt.simnet import config_to_dict, desk_preset
 
 def run_cli(args):
     return main(args)
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial alone once cost about 74 ms of every command's start-up
+    src = os.path.dirname(os.path.dirname(sys.modules["tollopt"].__file__))
+    code = "import sys, tollopt.cli; print('scipy.spatial' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_simulate_is_byte_reproducible(tmp_path, capsys):

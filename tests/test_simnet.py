@@ -339,6 +339,133 @@ class TestUntolledPrefix:
         assert sorted(prefixed) == [3, 7]
 
 
+def _reference_advance(config, lanes, steps, rate_v, rate_w):
+    """The simulator's step body written plainly, one numpy call per operation,
+    as the oracle for ``simnet._advance``: same signature, same floating-point
+    operations in the same order."""
+    dt_h = config.step_seconds / 3600.0
+    lane_km, total_lane_km, mean_free_speed, pz_free_min = simnet._free_flow(config)
+    u_f, k_c, k_j = config.free_flow_speed, config.critical_density, config.jam_density
+    crawl = config.crawl_speed
+    cap_flow = u_f * k_c * config.cell_lanes          # veh/h per cell
+    wave = u_f * k_c / (k_j - k_c)
+    bypass_free_h = config.bypass_length / config.bypass_free_speed
+    base_shares = config.heterogeneity_bias
+    rebalanced_base = (1.0 - config.rebalancing) * base_shares
+    tau_s = config.perception_tau_minutes * 60.0
+    alpha_p = 1.0 if tau_s <= 0 else min(1.0, config.step_seconds / tau_s)
+    ema_rate = config.step_seconds / 300.0
+    step_interval = simnet._step_intervals(config)[1].tolist()
+
+    (veh, queue, bypass_veh, bypass_inflow, k_ema, perceived_tt,
+     veh_h_pz, veh_km_pz, veh_h_queue, veh_h_byp, veh_km_byp, revenue) = (
+        lanes[name] for name in simnet._STATE)
+    B = queue.size
+    demand_steps, k_steps, gamma_steps = lanes["demand"], lanes["k"], lanes["gamma"]
+    history = [lanes[name] for name in simnet._HISTORY] if simnet._HISTORY[0] in lanes else None
+
+    for s in steps:
+        demand, h = demand_steps[:, s], step_interval[s]
+        k = veh / lane_km
+        tri = np.maximum(np.minimum(u_f * k, wave * (k_j - k)), 0.0)
+        cell_flow = np.maximum(tri, crawl * k)
+        production = np.add.reduce(cell_flow * lane_km, axis=-1)
+        accumulation = np.add.reduce(veh, axis=-1)
+        speed = np.divide(production, accumulation, out=np.full(B, mean_free_speed),
+                          where=accumulation > 1e-9)
+        speed = np.maximum(speed, 1e-3)
+        pz_tt_min = 60.0 * config.pz_path_length / speed
+        perceived_tt += alpha_p * (pz_tt_min - perceived_tt)
+        bypass_tt_h = bypass_free_h * (
+            1.0 + 0.15 * np.float_power(bypass_inflow / config.bypass_capacity, 2.0))
+        p_pz, trip_toll = simnet.zone_choice((rate_v[h], rate_w[h]), perceived_tt, pz_free_min,
+                                             bypass_tt_h * 60.0, config)
+        pz_rate = p_pz * demand
+        bypass_rate = demand - pz_rate
+
+        arrivals = pz_rate * dt_h
+        avail = queue + arrivals
+        jam_gap = np.maximum(k_j - k, 0.0)
+        headroom = jam_gap * lane_km
+        hr_total = np.add.reduce(headroom, axis=-1)
+        shares = base_shares
+        if config.rebalancing > 0:
+            has_room = hr_total > 0
+            rebalanced = rebalanced_base + config.rebalancing * headroom \
+                / np.where(has_room, hr_total, 1.0)[:, None]
+            shares = np.where(has_room[:, None], rebalanced, base_shares)
+        supply = np.minimum(cap_flow, wave * jam_gap * config.cell_lanes) * dt_h
+        wanted = avail[:, None] * shares
+        inflow = np.minimum(wanted, supply)
+        spare = supply - inflow
+        surplus = avail - np.add.reduce(inflow, axis=-1)
+        spare_total = np.add.reduce(spare, axis=-1)
+        top_up = (surplus > 1e-12) & (spare_total > 1e-12)
+        if top_up.any():
+            fill = np.minimum(surplus, spare_total) / np.where(top_up, spare_total, 1.0)
+            inflow = np.where(top_up[:, None], inflow + spare * fill[:, None], inflow)
+        entered = np.add.reduce(inflow, axis=-1)
+        queue = np.maximum(avail - entered, 0.0)
+
+        unloading = (accumulation > 0) & ((accumulation / total_lane_km) < k_ema - 0.5)
+        mult = np.where(unloading[:, None], config.drain_multipliers, 1.0)
+        out_rate = mult * cell_flow * lane_km / config.pz_path_length
+        outflow = np.minimum(out_rate * dt_h, veh + inflow)
+        exited = np.add.reduce(outflow, axis=-1)
+        veh = veh + inflow - outflow
+
+        bypass_out = np.minimum(bypass_veh, bypass_veh * dt_h / bypass_tt_h)
+        bypass_veh = bypass_veh + bypass_rate * dt_h - bypass_out
+        bypass_inflow = bypass_rate
+
+        k = veh / lane_km
+        gamma, K = simnet._weighted_spread(k, lane_km, total_lane_km)
+        k_ema += ema_rate * (K - k_ema)
+
+        revenue += entered * trip_toll
+        veh_h_pz += accumulation * dt_h
+        veh_km_pz += production * dt_h
+        veh_h_queue += queue * dt_h
+        veh_h_byp += bypass_veh * dt_h
+        veh_km_byp += (bypass_veh / bypass_tt_h) * config.bypass_length * dt_h
+
+        if history is not None:
+            for series, value in zip(history, (production / total_lane_km, speed, queue,
+                                               pz_rate, arrivals, exited, k)):
+                series[:, s] = value
+        k_steps[:, s] = K
+        gamma_steps[:, s] = gamma
+
+    lanes.update(veh=veh, gate_queue=queue, bypass_veh=bypass_veh, bypass_inflow=bypass_inflow)
+
+
+class TestStepBody:
+    @given(window=st.sampled_from([(2.0, 4.0), (1.0, 3.0)]),
+           rebalancing=st.sampled_from([0.0, 0.3]),
+           tau=st.sampled_from([0.0, 25.0]),
+           lanes=st.lists(LANE, min_size=1, max_size=6))
+    @example(window=(1.0, 3.0), rebalancing=0.0, tau=0.0,
+             lanes=[(2, [1.0] * 16), (0, None), (2, [0.3] * 16), (1, [0.9] * 16)])
+    @settings(max_examples=8, deadline=None)
+    def test_matches_the_reference_step_body(self, window, rebalancing, tau, lanes):
+        # the presets never reach rebalancing 0 or tau 0, so the golden
+        # digests cannot vouch for those branches
+        config = dataclasses.replace(desk_preset(), tolling_window=window,
+                                     rebalancing=rebalancing, perception_tau_minutes=tau)
+        tolls = [_lane_toll(config.m, fractions) for _, fractions in lanes]
+        seeds = [seed for seed, _ in lanes]
+        batch = simulate_batch(config, tolls, seeds)
+        one = simulate(config, tolls[0], seeds[0])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simnet, "_advance", _reference_advance)
+            ref_batch = simulate_batch(config, tolls, seeds)
+            ref_one = simulate(config, tolls[0], seeds[0])
+        _assert_batches_equal(batch, ref_batch)
+        for field in dataclasses.fields(one):
+            assert np.array_equal(getattr(one, field.name), getattr(ref_one, field.name)), \
+                field.name
+
+
 class TestFrozenConfig:
     def test_fields_cannot_be_assigned(self):
         config = desk_preset()
@@ -355,6 +482,15 @@ class TestFrozenConfig:
         # a single value is broadcast to every cell, read-only too
         assert np.array_equal(config.jam_density, np.full(8, 110.0))
         assert not config.jam_density.flags.writeable
+
+    def test_configs_compare_and_hash_by_identity(self):
+        config, other = desk_preset(), desk_preset()
+        assert (config == other) is False
+        assert config == config
+        assert hash(config) == hash(config)
+        assert len({config, other, config}) == 2
+        # values compare through the config's dict form
+        assert config_to_dict(config) == config_to_dict(other)
 
     def test_demand_knots_are_a_tuple(self):
         config = dataclasses.replace(desk_preset(), demand_knots=[[0.0, 900.0], [4.0, 600.0]])

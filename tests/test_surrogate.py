@@ -118,6 +118,61 @@ class TestLogLikelihood:
             assert stacked[k] == pytest.approx(log_likelihood(design, y, thetas[k], lams[k]),
                                                rel=1e-10)
 
+    def test_pinned_zero_lambda_stack_matches_dense_oracle(self):
+        # lambda = 0 has no eigenvalue bound for the border's c, so this
+        # checks the bound that stands in for it, at criterion 2's tolerance
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            n = int(rng.integers(3, 13))
+            design = rng.uniform(size=(n, 3))
+            y = rng.normal(size=n)
+            thetas = 10.0 ** rng.uniform(0.5, 1.5, size=(4, 3))
+            stacked = log_likelihood(design, y, thetas, np.zeros(4))
+            for theta, row in zip(thetas, stacked):
+                r = corr_vector(design, theta, design)
+                rinv = np.linalg.inv(r)
+                ones = np.ones(n)
+                mu = (ones @ rinv @ y) / (ones @ rinv @ ones)
+                sigma2 = (y - mu) @ rinv @ (y - mu) / n
+                oracle = multivariate_normal.logpdf(y, mean=mu * ones, cov=sigma2 * r)
+                assert row == pytest.approx(oracle, rel=1e-8)
+
+    def test_a_stack_that_factors_makes_no_triangular_solve(self, monkeypatch):
+        samples, pts, ys = make_samples(12, seed=3, noise=0.05)
+        model = fit_fixed(samples, UNIT2, theta=np.array([2.0, 1.5]), lam=0.02)
+        before = log_likelihood(pts, ys, np.array([[2.0, 1.5], [0.5, 4.0]]), np.array([0.02, 0.1]))
+        folds = loo_cv(model)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_triangular called")
+
+        monkeypatch.setattr(surrogate, "solve_triangular", no_solve)
+        after = log_likelihood(pts, ys, np.array([[2.0, 1.5], [0.5, 4.0]]), np.array([0.02, 0.1]))
+        assert np.array_equal(after, before)
+        assert loo_cv(model) == folds
+
+    def test_border_that_will_not_factor_falls_back_to_r_alone(self, monkeypatch):
+        # every bordered matrix is refused, so each member is factored on R
+        # alone through the strict jitter ladder, with a triangular solve
+        rng = np.random.default_rng(5)
+        design = np.vstack([rng.uniform(size=(6, 2)), np.full((2, 2), 0.4)])
+        y = rng.normal(size=8)
+        thetas = 10.0 ** rng.uniform(-1, 1, size=(5, 2))
+        lams = np.array([0.1, 0.02, 0.0, 0.3, 0.05])
+        good = [0, 1, 3, 4]
+        bordered = log_likelihood(design, y, thetas[good], lams[good])
+        cholesky = np.linalg.cholesky
+
+        def refuse_border(a):
+            if a.shape[-1] == len(design) + 2:
+                raise np.linalg.LinAlgError("bordered matrix refused")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse_border)
+        alone = log_likelihood(design, y, thetas, lams)
+        assert alone[2] == -np.inf
+        assert alone[good] == pytest.approx(bordered, rel=1e-10)
+
     @pytest.mark.parametrize("stack", [False, True])
     def test_bad_hyperparameters_raise_value_error_naming_them(self, stack):
         design = np.random.default_rng(0).uniform(size=(5, 2))
