@@ -13,7 +13,7 @@ from .surrogate import (CVRecord, NumericalError, Prediction, RKModel, fit,
 from .infill import (AcquisitionContext, acquisition_value, constrained_ei,
                      expected_improvement, prob_feasible, propose_infill,
                      repair_smoothing)
-from .direct import HyperRect, direct_minimize, potentially_optimal, quadratic_penalty
+from .direct import direct_minimize, potentially_optimal, quadratic_penalty
 from .simnet import (BatchResult, ConfigError, NetworkConfig, SimulationResult,
                      desk_preset, deviation_from_spread, envelope_gamma,
                      fit_lower_envelope, paper_preset, simulate, simulate_batch,

@@ -353,7 +353,10 @@ def cmd_doe(args) -> int:
     spec = build_spec(config, problem)
     plan = repaired_initial_plan(spec, np.random.default_rng(args.seed))
     path = args.out or "plan.csv"
-    save_plan_csv(plan, path)
+    try:
+        save_plan_csv(plan, path)
+    except OSError as exc:
+        raise UsageError(f"--out {path}: cannot write the plan CSV ({exc})") from exc
     print(f"{len(plan)} design points ({len(plan) - ANCHORS} space-filling + {ANCHORS} anchors)"
           f" -> {path}")
     return 0
@@ -368,10 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, out_help="output directory (default $TOLLOPT_OUT/<name>)"):
         p.add_argument("config", help="scenario YAML path or preset name (desk, paper)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="output directory (default $TOLLOPT_OUT/<name>)")
+        p.add_argument("--out", help=out_help)
         p.add_argument("--print-config", action="store_true",
                        help="dump the resolved scenario YAML and exit")
 
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("doe", help="export an initial design plan as CSV")
-    add_common(p)
+    add_common(p, out_help="output CSV file (default ./plan.csv)")
     p.set_defaults(func=cmd_doe)
     return parser
 

@@ -12,51 +12,31 @@ through ``quadratic_penalty``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 EPSILON = 1e-4   # Jones et al.'s minimum relative improvement
 
 
-@dataclass
-class HyperRect:
-    """One cell of the partition; ``levels[i]`` counts trisections along dimension i."""
+def potentially_optimal(levels: np.ndarray, fvals: np.ndarray, f_min: float,
+                        epsilon: float) -> list[int]:
+    """Positions, ascending, of the rectangles for which some K > 0 satisfies
+    both Jones conditions.
 
-    center: np.ndarray
-    levels: np.ndarray          # int per dimension; side_i = 3**(-levels[i])
-    f_center: float
-    index: int
-
-    @property
-    def side_lengths(self) -> np.ndarray:
-        return 3.0 ** (-self.levels.astype(float))
-
-    @property
-    def diameter(self) -> float:
-        # half the Euclidean norm of the sides; sorted so equal level multisets
-        # produce bit-identical diameters and group exactly
-        sides = np.sort(self.side_lengths)
-        return 0.5 * float(np.linalg.norm(sides))
-
-
-def potentially_optimal(rects: Sequence[HyperRect], f_min: float,
-                        epsilon: float) -> list[HyperRect]:
-    """Rectangles for which some K > 0 satisfies both Jones conditions.
-
+    Row i of ``levels`` counts rectangle i's trisections per dimension (its
+    sides are ``3**-levels[i]``) and ``fvals[i]`` is its center's value.
     A rectangle j qualifies when ``f_j - K d_j <= f_i - K d_i`` for every
     rectangle i and ``f_j - K d_j <= f_min - epsilon |f_min|``.
     """
-    diams = np.array([r.diameter for r in rects])
-    fvals = np.array([r.f_center for r in rects])
+    # half the Euclidean norm of the sides; sorted so equal level multisets
+    # produce bit-identical diameters and group exactly
+    diams = np.array([0.5 * float(np.linalg.norm(np.sort(3.0 ** -row))) for row in levels])
     chosen = []
-    for j, rect in enumerate(rects):
-        dj, fj = diams[j], fvals[j]
+    for j, (dj, fj) in enumerate(zip(diams, fvals)):
         if not np.isfinite(fj):
             continue
-        same = (diams == dj)
-        if np.any(fvals[same] < fj):
+        if np.any(fvals[diams == dj] < fj):
             continue
         k_lo = (fj - f_min + epsilon * abs(f_min)) / dj
         smaller = diams < dj
@@ -65,22 +45,20 @@ def potentially_optimal(rects: Sequence[HyperRect], f_min: float,
         larger = diams > dj
         k_hi = float(np.min((fvals[larger] - fj) / (diams[larger] - dj))) if np.any(larger) else math.inf
         if k_hi > 0.0 and k_lo <= k_hi:
-            chosen.append(rect)
+            chosen.append(j)
     return chosen
 
 
-def _trisection(rect: HyperRect) -> tuple[np.ndarray, list[np.ndarray]]:
+def _trisection(center: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The dimensions a rectangle splits along (its longest sides, ascending) and
     the new centers, per dimension ``+`` then ``-`` a third of that side."""
-    lmin = int(np.min(rect.levels))
-    split_dims = np.flatnonzero(rect.levels == lmin)
+    lmin = int(np.min(levels))
+    split_dims = np.flatnonzero(levels == lmin)
     delta = 3.0 ** (-(lmin + 1))
-    points = []
-    for dim in split_dims:
-        for sign in (+1, -1):
-            pt = rect.center.copy()
-            pt[dim] += sign * delta
-            points.append(pt)
+    points = np.tile(center, (2 * split_dims.size, 1))
+    pair = 2 * np.arange(split_dims.size)
+    points[pair, split_dims] += delta
+    points[pair + 1, split_dims] -= delta
     return split_dims, points
 
 
@@ -93,10 +71,12 @@ def direct_minimize(
 
     ``f`` maps an ``(n, d)`` array of points (original coordinates) to ``n``
     values.  It is called once per iteration with every point that iteration
-    samples: the selected rectangles by index, each one's split dimensions
-    ascending, ``+`` before ``-``.  The whole box is always divided first, so
-    when ``max_evals > 1`` the first call holds the center followed by the
-    root's trisection (and a non-finite center does not end the search).
+    samples: the selected rectangles in creation order, each one's split
+    dimensions ascending, ``+`` before ``-``.  The whole box is always divided
+    first, so when ``max_evals > 1`` the first call holds the center followed
+    by the root's trisection (and a non-finite center does not end the search).
+    A dimension whose bounds are equal is held at its bound and the search
+    runs over the others, so no point is sampled twice.
     Runs whole iterations until the evaluation count reaches ``max_evals``,
     so the final count may overshoot by one iteration's worth of samples.
     Non-finite objective values are treated as +inf.  Returns the incumbent
@@ -107,67 +87,68 @@ def direct_minimize(
         raise ValueError("max_evals must be at least 1")
     lower = np.atleast_1d(np.asarray(box[0], dtype=float))
     upper = np.atleast_1d(np.asarray(box[1], dtype=float))
-    if lower.shape != upper.shape or np.any(lower >= upper):
+    if lower.shape != upper.shape or np.any(lower > upper):
         raise ValueError("invalid box")
-    d = lower.size
-    span = upper - lower
+    free = lower < upper
+    span = (upper - lower)[free]
+    d = span.size
 
-    evals = 0
+    def to_box(us: np.ndarray) -> np.ndarray:
+        x = np.tile(lower, (len(us), 1))
+        x[:, free] += us * span
+        return x
 
-    def sample(us: list[np.ndarray]) -> list[float]:
-        nonlocal evals
-        evals += len(us)
-        vals = np.asarray(f(lower + np.array(us) * span), dtype=float)
-        if vals.shape != (len(us),):
-            raise ValueError(f"f returned shape {vals.shape} for {len(us)} points")
-        return [float(v) if np.isfinite(v) else math.inf for v in vals]
-
-    center = np.full(d, 0.5)
-    root = HyperRect(center, np.zeros(d, dtype=int), math.inf, 0)
-    rects = [root]
-    next_index = 1
-    best_u, best_f = center, math.inf
-    history: list[tuple[int, float]] = []
-    selected = [root] if max_evals > 1 else []
+    # the partition, one row per rectangle in creation order: a divided
+    # rectangle is removed and re-appended, shrunk, after its children
+    centers = np.full((1, d), 0.5)
+    levels = np.zeros((1, d), dtype=int)     # side_i = 3**(-levels[i])
+    fvals = np.full(1, math.inf)
+    best_u, best_f = centers[0], math.inf
+    evals, history = 0, []
+    selected = [0] if max_evals > 1 and d else []
 
     while True:
-        splits = [_trisection(rect) for rect in selected]
-        points = [pt for _, pts in splits for pt in pts]
-        values = sample(points if history else [center, *points])
+        splits = [_trisection(centers[i], levels[i]) for i in selected]
+        batch = [pts for _, pts in splits]
         if not history:
-            root.f_center = best_f = values.pop(0)
-            history.append((1, best_f))
-            if not selected:        # max_evals == 1: the center alone
+            batch.insert(0, centers)
+        points = np.concatenate(batch)
+        values = np.asarray(f(to_box(points)), dtype=float)
+        if values.shape != (len(points),):
+            raise ValueError(f"f returned shape {values.shape} for {len(points)} points")
+        values = np.where(np.isfinite(values), values, math.inf)
+        evals += len(points)
+        j = int(np.argmin(values))
+        if values[j] < best_f:
+            best_f, best_u = float(values[j]), points[j]
+        if not history:
+            fvals[0], values = values[0], values[1:]
+            history.append((1, float(fvals[0])))
+            if not selected:        # max_evals == 1 or a single-point box: the center alone
                 break
-        selected_ids = {r.index for r in selected}
-        survivors = [r for r in rects if r.index not in selected_ids]
+        keep = np.ones(len(fvals), dtype=bool)
+        keep[selected] = False
+        parts = [(centers[keep], levels[keep], fvals[keep])]
         pos = 0
-        for rect, (split_dims, pts) in zip(selected, splits):
+        for i, (split_dims, pts) in zip(selected, splits):
             vals = values[pos:pos + len(pts)]
             pos += len(pts)
-            for pt, val in zip(pts, vals):
-                if val < best_f:
-                    best_f, best_u = val, pt
-            w = np.minimum(vals[0::2], vals[1::2])
             # best dimension first: it gets the largest child rectangles;
             # stable sort breaks w ties by increasing dimension index
-            parent_levels = rect.levels.copy()
-            for k in np.argsort(w, kind="stable"):
-                parent_levels[split_dims[k]] += 1
-                for j in (2 * k, 2 * k + 1):
-                    survivors.append(HyperRect(pts[j], parent_levels.copy(), vals[j], next_index))
-                    next_index += 1
-            survivors.append(HyperRect(rect.center, parent_levels, rect.f_center, next_index))
-            next_index += 1
-        rects = survivors
+            shrunk = levels[i].copy()
+            for k in np.argsort(np.minimum(vals[0::2], vals[1::2]), kind="stable"):
+                shrunk[split_dims[k]] += 1
+                parts.append((pts[2 * k:2 * k + 2], np.tile(shrunk, (2, 1)), vals[2 * k:2 * k + 2]))
+            parts.append((centers[i:i + 1], shrunk[None], fvals[i:i + 1]))
+        centers, levels, fvals = (np.concatenate(col) for col in zip(*parts))
         history.append((evals, best_f))
         if evals >= max_evals:
             break
-        selected = sorted(potentially_optimal(rects, best_f, EPSILON), key=lambda r: r.index)
+        selected = potentially_optimal(levels, fvals, best_f, EPSILON)
         if not selected:
             break
 
-    return lower + best_u * span, best_f, history
+    return to_box(best_u[None])[0], best_f, history
 
 
 def quadratic_penalty(values, excess, rho: float) -> np.ndarray:

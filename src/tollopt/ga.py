@@ -48,7 +48,8 @@ def ga_maximize(
     f: Callable[[np.ndarray], np.ndarray],
     box,
     params: Optional[GAParams] = None,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
     repair: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> tuple[np.ndarray, float]:
     """Maximize ``f`` over a box with tournament selection, blend crossover,
@@ -75,7 +76,6 @@ def ga_maximize(
     """
     params = params or GAParams()
     params.validate()
-    rng = rng or np.random.default_rng()
     lower, upper = _as_box(box)
     d = lower.size
     width = upper - lower

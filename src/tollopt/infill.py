@@ -114,7 +114,8 @@ def acquisition_value(ctx: AcquisitionContext, x_unit: np.ndarray):
 def propose_infill(
     ctx: AcquisitionContext,
     ga_params: Optional[GAParams] = None,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> tuple[TollVector, float]:
     """GA-maximize the acquisition over the smoothing-feasible toll box.
 
@@ -126,7 +127,6 @@ def propose_infill(
     maximizing the unit-cube distance to the nearest existing sample, which
     keeps late iterations space-filling.
     """
-    rng = rng or np.random.default_rng()
     bounds = ctx.bounds
     box = (bounds.lower, bounds.upper)
 

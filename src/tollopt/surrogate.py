@@ -264,7 +264,8 @@ def fit(
     bounds: Bounds,
     lambda_bounds: tuple[float, float] = DEFAULT_LAMBDA_BOUNDS,
     ga_params: Optional[GAParams] = None,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> RKModel:
     """Fit a regressing-kriging model by GA maximization of the log-likelihood.
 
@@ -293,7 +294,6 @@ def fit(
         """Gene rows -> (P, d) thetas and (P,) lambdas; a pinned lambda has no gene."""
         return 10.0 ** zs[:, :d], np.full(len(zs), lambda_bounds[0]) if lam_fixed else 10.0 ** zs[:, d]
 
-    rng = rng or np.random.default_rng()
     with warnings.catch_warnings():
         # singular Psi at extreme theta is expected during the search
         warnings.simplefilter("ignore")

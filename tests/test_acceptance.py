@@ -29,7 +29,7 @@ from tollopt.toll import Bounds, TollVector
 
 from test_direct import batched, jones_oracle  # reuse the independent selection oracle
 import tollopt.direct as direct_mod
-from tollopt.direct import HyperRect, direct_minimize
+from tollopt.direct import direct_minimize
 
 UNIT2 = Bounds(np.zeros(2), np.ones(2))
 
@@ -182,10 +182,9 @@ def test_criterion_07_direct_correctness(monkeypatch):
     snapshots = []
     original = direct_mod.potentially_optimal
 
-    def recording(rects, f_min, eps):
-        result = original(rects, f_min, eps)
-        snapshots.append(([HyperRect(r.center.copy(), r.levels.copy(), r.f_center, r.index)
-                           for r in rects], f_min, eps, sorted(r.index for r in result)))
+    def recording(levels, fvals, f_min, eps):
+        result = original(levels, fvals, f_min, eps)
+        snapshots.append((levels.copy(), fvals.copy(), f_min, eps, list(result)))
         return result
 
     monkeypatch.setattr(direct_mod, "potentially_optimal", recording)
@@ -198,8 +197,8 @@ def test_criterion_07_direct_correctness(monkeypatch):
     direct_minimize(batched(f2), (np.zeros(2), np.ones(2)), max_evals=50)
     assert np.array_equal(calls[0], [0.5, 0.5])
     assert len(snapshots) >= 3
-    for rects, f_min, eps, selected in snapshots:
-        assert selected == sorted(jones_oracle(rects, f_min, eps))
+    for levels, fvals, f_min, eps, selected in snapshots:
+        assert selected == sorted(jones_oracle(levels, fvals, f_min, eps))
 
     point, value, _ = direct_minimize(batched(lambda x: (x[0] - 0.3) ** 2),
                                       (np.zeros(1), np.ones(1)), max_evals=50)

@@ -237,6 +237,31 @@ def test_doe_export_shape_and_header(tmp_path):
     assert len(lines) - 1 == 21
 
 
+def test_doe_out_is_a_csv_file_and_a_directory_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        run_cli(["doe", "--help"])
+    assert "output CSV file" in capsys.readouterr().out
+    assert run_cli(["doe", "desk", "--out", str(tmp_path)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_zero_width_delay_box_runs_under_both_methods(tmp_path, capsys):
+    doc = config_to_dict(desk_preset())
+    doc["problem"] = {"tau_max": [1.0, 0.0]}        # distance toll only
+    path = tmp_path / "distance_only.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    for method in ("rk", "direct"):
+        out = tmp_path / method
+        assert run_cli(["optimize", str(path), "--method", method, "--budget", "22",
+                        "--replications", "1", "--out", str(out)]) == 0
+        with open(out / "samples.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(float(row[f"w_{h}_per_h"]) == 0.0 for row in rows for h in range(1, 5))
+    tolls = [tuple(row[f"v_{h}_per_km"] for h in range(1, 5)) for row in rows]
+    assert len(set(tolls)) == len(tolls)      # DIRECT never samples a point twice
+
+
 def test_envelope_single_run_and_determinism(tmp_path, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert run_cli(["envelope", "desk", "--runs", "1", "--seed", "5", "--out", str(out_a)]) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tollopt.direct as direct_mod
-from tollopt.direct import HyperRect, direct_minimize, potentially_optimal, quadratic_penalty
+from tollopt.direct import direct_minimize, quadratic_penalty
 
 
 def batched(f):
@@ -12,22 +12,21 @@ def batched(f):
     return lambda X: np.array([f(x) for x in X])
 
 
-def jones_oracle(rects, f_min, eps):
+def jones_oracle(levels, fvals, f_min, eps):
     """Independent potentially-optimal check: for each rectangle, derive the
     feasible interval for the rate constant K from the pairwise inequalities
-    and test whether it intersects (0, inf)."""
+    and test whether it intersects (0, inf).  Returns positions."""
+    diams = [0.5 * float(np.linalg.norm(np.sort(3.0 ** -row))) for row in levels]
     selected = []
-    for j, rj in enumerate(rects):
-        dj, fj = rj.diameter, rj.f_center
+    for j, (dj, fj) in enumerate(zip(diams, fvals)):
         if not np.isfinite(fj):
             continue
         k_lo = (fj - f_min + eps * abs(f_min)) / dj
         k_hi = math.inf
         ok = True
-        for i, ri in enumerate(rects):
+        for i, (di, fi) in enumerate(zip(diams, fvals)):
             if i == j:
                 continue
-            di, fi = ri.diameter, ri.f_center
             if di == dj:
                 if fi < fj:
                     ok = False
@@ -37,7 +36,7 @@ def jones_oracle(rects, f_min, eps):
             else:
                 k_hi = min(k_hi, (fi - fj) / (di - dj))
         if ok and k_hi > 0.0 and k_lo <= k_hi:
-            selected.append(rj.index)
+            selected.append(j)
     return selected
 
 
@@ -111,37 +110,60 @@ def test_selection_matches_jones_oracle_on_every_iteration(monkeypatch):
     snapshots = []
     original = direct_mod.potentially_optimal
 
-    def recording(rects, f_min, eps):
-        result = original(rects, f_min, eps)
-        snapshots.append(([HyperRect(r.center.copy(), r.levels.copy(), r.f_center, r.index)
-                           for r in rects], f_min, eps, sorted(r.index for r in result)))
+    def recording(levels, fvals, f_min, eps):
+        result = original(levels, fvals, f_min, eps)
+        snapshots.append((levels.copy(), fvals.copy(), f_min, eps, list(result)))
         return result
 
     monkeypatch.setattr(direct_mod, "potentially_optimal", recording)
     direct_minimize(batched(lambda x: (x[0] - 0.21) ** 2 + 2.0 * (x[1] - 0.67) ** 2),
                     (np.zeros(2), np.ones(2)), max_evals=50)
     assert len(snapshots) >= 3
-    for rects, f_min, eps, selected in snapshots:
-        assert selected == sorted(jones_oracle(rects, f_min, eps))
+    for levels, fvals, f_min, eps, selected in snapshots:
+        assert selected == sorted(jones_oracle(levels, fvals, f_min, eps))
 
 
 def test_partition_tiles_the_box_with_distinct_centers(monkeypatch):
     snapshots = []
     original = direct_mod.potentially_optimal
 
-    def recording(rects, f_min, eps):
-        snapshots.append([HyperRect(r.center.copy(), r.levels.copy(), r.f_center, r.index)
-                          for r in rects])
-        return original(rects, f_min, eps)
+    def recording(levels, fvals, f_min, eps):
+        snapshots.append(levels.copy())
+        return original(levels, fvals, f_min, eps)
 
     monkeypatch.setattr(direct_mod, "potentially_optimal", recording)
-    direct_minimize(batched(lambda x: float(np.sum((x - 0.3) ** 2))),
-                    (np.zeros(2), np.ones(2)), max_evals=80)
-    rects = snapshots[-1]
-    volumes = [float(np.prod(r.side_lengths)) for r in rects]
-    assert sum(volumes) == pytest.approx(1.0, rel=1e-9)
-    centers = {tuple(np.round(r.center, 12)) for r in rects}
-    assert len(centers) == len(rects)
+    calls = []
+
+    def f(x):
+        calls.append(tuple(np.round(x, 12)))
+        return float(np.sum((x - 0.3) ** 2))
+
+    direct_minimize(batched(f), (np.zeros(2), np.ones(2)), max_evals=80)
+    volumes = np.prod(3.0 ** -snapshots[-1], axis=1)
+    assert float(np.sum(volumes)) == pytest.approx(1.0, rel=1e-9)
+    # each rectangle's center is sampled once, when the rectangle is made
+    assert len(set(calls)) == len(calls)
+
+
+def test_zero_width_dimensions_are_held_at_their_bounds():
+    def record(calls):
+        def f(X):
+            calls.append(X.copy())
+            return np.sum((X[:, [0, -1]] - 0.3) ** 2, axis=1)     # blind to a held middle
+        return f
+
+    full, held = [], []
+    reference = direct_minimize(record(full), (np.zeros(2), np.ones(2)), max_evals=40)
+    point, value, history = direct_minimize(
+        record(held), (np.array([0.0, 2.0, 0.0]), np.array([1.0, 2.0, 1.0])), max_evals=40)
+    # the search over the free dimensions is the 2-D search, point for point
+    assert all(np.array_equal(X[:, [0, 2]], Y) and np.all(X[:, 1] == 2.0)
+               for X, Y in zip(held, full, strict=True))
+    assert np.array_equal(point[[0, 2]], reference[0]) and point[1] == 2.0
+    assert (value, history) == reference[1:]
+    single = []
+    direct_minimize(record(single), (np.full(2, 0.5), np.full(2, 0.5)), max_evals=10)
+    assert [X.tolist() for X in single] == [[[0.5, 0.5]]]
 
 
 def test_non_finite_values_never_become_potentially_optimal():

@@ -145,4 +145,5 @@ def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         GAParams(generations=0).validate()
     with pytest.raises(ValueError):
-        ga_maximize(batched(lambda x: 0.0), (np.array([0.0, np.inf]), np.ones(2)))
+        ga_maximize(batched(lambda x: 0.0), (np.array([0.0, np.inf]), np.ones(2)),
+                    rng=np.random.default_rng(8))

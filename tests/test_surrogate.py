@@ -233,10 +233,10 @@ class TestFit:
 
     def test_fewer_than_two_distinct_points_rejected(self):
         with pytest.raises(ValueError):
-            fit([(np.array([0.1, 0.1]), 1.0)], UNIT2)
+            fit([(np.array([0.1, 0.1]), 1.0)], UNIT2, rng=np.random.default_rng(0))
         dup = [(np.array([0.1, 0.1]), 1.0), (np.array([0.1, 0.1]), 2.0)]
         with pytest.raises(ValueError):
-            fit(dup, UNIT2)
+            fit(dup, UNIT2, rng=np.random.default_rng(0))
 
 
 class TestPredict:
