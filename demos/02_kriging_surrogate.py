@@ -38,9 +38,9 @@ for i in range(5):
 # at a training point the regression error stays positive, but the
 # reinterpolation error vanishes - that is what keeps the infill search
 # from proposing the same point twice
-at_sample = predict(model, pts[0])
-print(f"\nat a training point: variance {at_sample.variance:.2e}, "
-      f"reinterpolation variance {at_sample.ri_variance:.2e}")
+at_sample = predict(model, pts[:1])
+print(f"\nat a training point: variance {at_sample.variance[0]:.2e}, "
+      f"reinterpolation variance {at_sample.ri_variance[0]:.2e}")
 
 records = loo_cv(model)
 inside = sum(1 for r in records if not r.degenerate and abs(r.standardized_residual) <= 3)

@@ -45,6 +45,6 @@ print(f"\nincumbent {np.round(best, 3)} with value {min(y):.4f} "
       f"(true optimum near [0.15, 0.7])")
 
 # expected improvement itself is a one-liner over the predictive distribution
-pred = predict(model, np.array([0.15, 0.7]))
+pred = predict(model, np.array([[0.15, 0.7]]))
 print(f"EI at the true basin under the final model: "
-      f"{expected_improvement(pred.mean, pred.ri_variance, min(y)):.2e}")
+      f"{expected_improvement(pred.mean, pred.ri_variance, min(y))[0]:.2e}")

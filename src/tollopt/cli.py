@@ -68,7 +68,10 @@ def load_scenario(config_arg: str) -> tuple[NetworkConfig, dict]:
     if not os.path.exists(config_arg):
         raise UsageError(f"config file not found: {config_arg}")
     with open(config_arg) as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{config_arg}: not valid YAML ({exc})") from exc
     config = config_from_dict(doc)
     section = doc.get("problem") or {}
     if not isinstance(section, dict):
@@ -280,7 +283,7 @@ def cmd_validate(args) -> int:
     records = load_samples_csv(samples_path)
     if len(records) < 3:
         raise UsageError("insufficient samples: cross-validation needs at least 3")
-    pairs = [(rec.toll, rec.objective) for rec in records]
+    pairs = [(rec.toll.as_array(), rec.objective) for rec in records]
     model = fit(pairs, spec.bounds, rng=np.random.default_rng(args.seed))
     cv = loo_cv(model)
     usable = [r for r in cv if not r.degenerate]

@@ -25,41 +25,37 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 ACQUISITION_TIE_EPS = 1e-16
 
 
-def expected_improvement(mean, variance, y_min):
-    """Closed-form E[max(y_min - Y, 0)] for Y ~ N(mean, variance).
-
-    Zero variance gives exactly zero improvement.  Accepts scalars or arrays.
-    """
-    mean = np.asarray(mean, dtype=float)
+def _standardized_gap(mean, variance, limit):
+    """``(limit - mean) / sqrt(variance)`` (0 where the variance is 0), the gap
+    ``limit - mean`` and ``sqrt(variance)``, elementwise."""
+    gap = limit - np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
     if np.any(variance < 0):
         raise ValueError("variance must be nonnegative")
     s = np.sqrt(variance)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(s > 0, (y_min - mean) / np.where(s > 0, s, 1.0), 0.0)
+        return np.where(s > 0, gap / np.where(s > 0, s, 1.0), 0.0), gap, s
+
+
+def expected_improvement(mean, variance, y_min):
+    """Closed-form E[max(y_min - Y, 0)] for Y ~ N(mean, variance), elementwise.
+
+    Zero variance gives exactly zero improvement.
+    """
+    u, gap, s = _standardized_gap(mean, variance, y_min)
     pdf = np.exp(-0.5 * u * u) / _SQRT_2PI
-    ei = (y_min - mean) * ndtr(u) + s * pdf
-    ei = np.where(s > 0, np.maximum(ei, 0.0), 0.0)
-    return float(ei) if ei.ndim == 0 else ei
+    return np.where(s > 0, np.maximum(gap * ndtr(u) + s * pdf, 0.0), 0.0)
 
 
 def prob_feasible(mean, variance, delta_max):
-    """Gaussian probability that the constraint stays at or below ``delta_max``."""
-    mean = np.asarray(mean, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    if np.any(variance < 0):
-        raise ValueError("variance must be nonnegative")
-    s = np.sqrt(variance)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(s > 0, (delta_max - mean) / np.where(s > 0, s, 1.0), 0.0)
-    p = np.where(s > 0, ndtr(z), (mean <= delta_max).astype(float))
-    return float(p) if p.ndim == 0 else p
+    """Gaussian probability that the constraint stays at or below ``delta_max``, elementwise."""
+    z, gap, s = _standardized_gap(mean, variance, delta_max)
+    return np.where(s > 0, ndtr(z), (gap >= 0).astype(float))
 
 
 def constrained_ei(ei, p_feasible):
     """Product acquisition: improvement only counts where feasibility is likely."""
-    out = np.asarray(ei, dtype=float) * np.asarray(p_feasible, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return np.asarray(ei, dtype=float) * np.asarray(p_feasible, dtype=float)
 
 
 @dataclass
@@ -100,8 +96,9 @@ def repair_smoothing(x: np.ndarray, alpha: float, beta: float, bounds: Bounds) -
     return out
 
 
-def acquisition_value(ctx: AcquisitionContext, x_unit: np.ndarray):
-    """Reinterpolation EI (times feasibility probability when constrained) at unit-cube points."""
+def acquisition_value(ctx: AcquisitionContext, x_unit: np.ndarray) -> np.ndarray:
+    """Reinterpolation EI (times feasibility probability when constrained) at the rows of
+    ``x_unit``, a ``(k, d)`` stack of unit-cube points."""
     pred = predict(ctx.obj_model, x_unit)
     ei = expected_improvement(pred.mean, pred.ri_variance, ctx.y_min)
     if ctx.con_model is None:
@@ -143,6 +140,6 @@ def propose_infill(
             return np.min(np.linalg.norm(design - bounds.to_unit(x)[:, None, :], axis=2), axis=1)
 
         best_x, _ = ga_maximize(spread, box, params=ga_params, rng=rng, repair=repair)
-        best_val = acquisition_value(ctx, bounds.to_unit(best_x))
+        best_val = acquisition_value(ctx, bounds.to_unit(best_x)[None])[0]
 
     return TollVector.from_array(best_x), float(best_val)

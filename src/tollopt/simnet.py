@@ -205,9 +205,14 @@ def config_from_dict(doc: dict) -> NetworkConfig:
     kwargs["demand_knots"] = [(float(h), float(q)) for h, q in kwargs["demand_knots"]]
     try:
         return NetworkConfig(**kwargs)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
+        # NetworkConfig starts each message with the field it rejects: name its file key
+        field, _, reason = str(exc).partition(": ")
+        keys = {name: f"network.{section}.{key}" for (section, key), name in _SCHEMA.items()}
+        if field in keys:
+            raise ConfigError(f"{keys[field]}: {reason}") from exc
+        if isinstance(exc, ConfigError):
+            raise
         raise ConfigError(f"network: {exc}") from exc
 
 

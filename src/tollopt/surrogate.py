@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .ga import GAParams, ga_maximize
-from .toll import Bounds, TollVector
+from .toll import Bounds
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
@@ -36,9 +36,8 @@ DEFAULT_LAMBDA_BOUNDS = (1e-6, 1.0)
 class NumericalError(RuntimeError):
     """Matrix factorization failed even after the maximum diagonal jitter."""
 
-    def __init__(self, message: str, jitter: float):
-        super().__init__(f"{message} (last jitter attempted: {jitter:g})")
-        self.jitter = jitter
+    def __init__(self, message: str):
+        super().__init__(f"{message} (last jitter attempted: {JITTER_MAX:g})")
 
 
 def _cholesky_with_jitter(a: np.ndarray, strict: bool = False) -> tuple[np.ndarray, float]:
@@ -61,7 +60,7 @@ def _cholesky_with_jitter(a: np.ndarray, strict: bool = False) -> tuple[np.ndarr
         except np.linalg.LinAlgError:
             jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
             if jitter > JITTER_MAX * (1.0 + 1e-12):
-                raise NumericalError("correlation matrix not positive definite", JITTER_MAX)
+                raise NumericalError("correlation matrix not positive definite")
 
 
 def _bordered_cholesky(a: np.ndarray, borders: Sequence, lams: np.ndarray, strict: bool):
@@ -114,7 +113,7 @@ def _gls_profile(zy: np.ndarray, z1: np.ndarray, floor: float):
     return mu, resid, sigma2
 
 
-def log_likelihood(design: np.ndarray, y: np.ndarray, theta, lam):
+def log_likelihood(design: np.ndarray, y: np.ndarray, theta, lam) -> np.ndarray:
     """Concentrated Gaussian-process log-likelihood with mean and variance profiled out.
 
     Equals the multivariate-normal log-density of ``y`` with mean ``mu_hat``
@@ -124,32 +123,26 @@ def log_likelihood(design: np.ndarray, y: np.ndarray, theta, lam):
     A ``(P, d)`` theta stack with ``(P,)`` lambdas gives ``(P,)`` values from one
     correlation stack and one stacked Cholesky of R bordered by ``[y, 1]``,
     which carries ``L^-1 [y, 1]`` (:func:`_bordered_cholesky`); a member that
-    will not factor even through the strict jitter ladder scores ``-inf``.  A
-    ``(d,)`` theta with a scalar lambda is a stack of one that gives a float
-    and raises :class:`NumericalError` instead.
+    will not factor even through the strict jitter ladder scores ``-inf``.
     """
     design, y, theta, lam = (np.asarray(a, dtype=float) for a in (design, y, theta, lam))
     n, d = design.shape
     if n < 2 or y.shape != (n,) or not np.all(np.isfinite(y)):
         raise ValueError(f"need at least 2 sample points and one finite y per point, not {y.shape}")
-    if theta.ndim not in (1, 2) or theta.shape[-1] != d or not np.all((theta >= 0) & (theta < np.inf)):
-        raise ValueError(f"theta must be finite, nonnegative and ({d},) or (P, {d}), not {theta.shape}")
-    if lam.shape != theta.shape[:-1] or not np.all((lam >= 0) & (lam < np.inf)):
-        raise ValueError(f"lam must be finite, nonnegative and {theta.shape[:-1]}, not {lam.shape}")
-    thetas, lams = np.atleast_2d(theta), np.atleast_1d(lam)
+    if theta.ndim != 2 or theta.shape[1] != d or not np.all((theta >= 0) & (theta < np.inf)):
+        raise ValueError(f"theta must be a finite, nonnegative (P, {d}) stack, not {theta.shape}")
+    if lam.shape != theta.shape[:1] or not np.all((lam >= 0) & (lam < np.inf)):
+        raise ValueError(f"lam must be finite, nonnegative and {theta.shape[:1]}, not {lam.shape}")
     # np.linalg.cholesky reads only the lower triangle, so only it is built
     rows, cols = np.nonzero(np.tri(n, k=-1, dtype=bool))
     diff = design[rows] - design[cols]
-    a = np.zeros((len(thetas), n + 2, n + 2))
-    a[:, rows, cols] = np.exp(-(thetas @ (diff * diff).T))
-    chol, ok = _bordered_cholesky(a, (y, 1.0), lams, strict=True)
-    if theta.ndim == 1 and not ok[0]:
-        raise NumericalError("correlation matrix not positive definite", JITTER_MAX)
+    a = np.zeros((len(theta), n + 2, n + 2))
+    a[:, rows, cols] = np.exp(-(theta @ (diff * diff).T))
+    chol, ok = _bordered_cholesky(a, (y, 1.0), lam, strict=True)
     _, _, sigma2 = _gls_profile(chol[:, n, :n], chol[:, n + 1, :n], 1e-300)
     log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)[:, :n]), axis=1)
-    value = np.where(ok, -0.5 * (n * math.log(2.0 * math.pi) + n * np.log(sigma2) + n + log_det),
-                     -np.inf)
-    return float(value[0]) if theta.ndim == 1 else value
+    return np.where(ok, -0.5 * (n * math.log(2.0 * math.pi) + n * np.log(sigma2) + n + log_det),
+                    -np.inf)
 
 
 @dataclass
@@ -189,11 +182,11 @@ class RKModel:
 
 @dataclass
 class Prediction:
-    """Predictive mean and error at one or more query points."""
+    """Predictive mean and error at a stack of query points, one entry per point."""
 
-    mean: np.ndarray | float
-    variance: np.ndarray | float
-    ri_variance: np.ndarray | float
+    mean: np.ndarray
+    variance: np.ndarray
+    ri_variance: np.ndarray
 
 
 @dataclass
@@ -224,7 +217,7 @@ def _assemble(design: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) 
     a[0, :n, :n] = psi
     chol, ok = _bordered_cholesky(a, (y_std, 1.0), np.array([lam]), strict=False)
     if not ok[0]:
-        raise NumericalError("correlation matrix not positive definite", JITTER_MAX)
+        raise NumericalError("correlation matrix not positive definite")
     chol_r = chol[0, :n, :n]
     chol_psi, _ = _cholesky_with_jitter(psi)
     mu_std, resid, sigma2_std = _gls_profile(chol[0, n, :n], chol[0, n + 1, :n], 0.0)
@@ -250,13 +243,9 @@ def _assemble(design: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) 
 
 
 def _design_rows(samples: Sequence[tuple], bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-cube design rows and responses from ``(toll_or_vector, response)`` pairs."""
-    rows, ys = [], []
-    for x, val in samples:
-        arr = x.as_array() if isinstance(x, TollVector) else np.asarray(x, dtype=float)
-        rows.append(bounds.to_unit(arr))
-        ys.append(float(val))
-    return np.asarray(rows), np.asarray(ys)
+    """Unit-cube design rows and responses from ``(row, response)`` pairs of floats."""
+    rows, ys = zip(*samples)
+    return bounds.to_unit(np.array(rows, dtype=float)), np.array(ys, dtype=float)
 
 
 def fit(
@@ -269,38 +258,45 @@ def fit(
 ) -> RKModel:
     """Fit a regressing-kriging model by GA maximization of the log-likelihood.
 
-    ``samples`` is a sequence of ``(toll_or_vector, response)`` pairs; inputs
-    are normalized to the unit cube with ``bounds`` before fitting.  ``theta``
-    and ``lambda`` are searched in log10 space inside ``THETA_BOUNDS`` and
-    ``lambda_bounds``; passing equal lambda bounds pins ``lambda`` (``(0, 0)``
-    gives an interpolating ordinary-kriging fit).  Each GA generation, ``(P, d)`` or ``(P, d + 1)``
-    genes, is scored by one :func:`log_likelihood` call on its ``(P, d)``
-    theta stack and ``(P,)`` lambdas; a candidate whose correlation matrix
-    will not factor scores ``-inf``.
+    ``samples`` is a sequence of ``(row, response)`` pairs, each row a flat
+    toll vector; inputs are normalized to the unit cube with ``bounds`` before
+    fitting.  ``theta`` and ``lambda`` are searched in log10 space inside
+    ``THETA_BOUNDS`` and ``lambda_bounds``; passing equal lambda bounds pins
+    ``lambda`` (``(0, 0)`` gives an interpolating ordinary-kriging fit).  Only
+    the k dimensions with ``bounds.span > 0`` get a theta gene: a fixed
+    dimension's column is 0 in every row, so its theta cannot change the
+    likelihood and is reported as 0.  Each GA generation, ``(P, k)`` or
+    ``(P, k + 1)`` genes, is scored by one :func:`log_likelihood` call on its
+    ``(P, k)`` theta stack and ``(P,)`` lambdas; a candidate whose
+    correlation matrix will not factor scores ``-inf``.
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 sample points")
     design, y = _design_rows(samples, bounds)
     if np.unique(design, axis=0).shape[0] < 2:
         raise ValueError("need at least 2 distinct sample points")
-    d = design.shape[1]
+    free = bounds.span > 0
+    k = int(np.count_nonzero(free))
+    free_design = design[:, free]
     y_std, _, _ = _standardize(y)
 
     lam_fixed = lambda_bounds[0] == lambda_bounds[1]
-    gene_bounds = [THETA_BOUNDS] * d + ([] if lam_fixed else [lambda_bounds])
+    gene_bounds = [THETA_BOUNDS] * k + ([] if lam_fixed else [lambda_bounds])
     lower, upper = np.log10(np.array(gene_bounds, dtype=float)).T
 
     def decode(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gene rows -> (P, d) thetas and (P,) lambdas; a pinned lambda has no gene."""
-        return 10.0 ** zs[:, :d], np.full(len(zs), lambda_bounds[0]) if lam_fixed else 10.0 ** zs[:, d]
+        """Gene rows -> (P, k) thetas and (P,) lambdas; a pinned lambda has no gene."""
+        return 10.0 ** zs[:, :k], np.full(len(zs), lambda_bounds[0]) if lam_fixed else 10.0 ** zs[:, k]
 
     with warnings.catch_warnings():
         # singular Psi at extreme theta is expected during the search
         warnings.simplefilter("ignore")
-        best_z, _ = ga_maximize(lambda zs: log_likelihood(design, y_std, *decode(zs)),
+        best_z, _ = ga_maximize(lambda zs: log_likelihood(free_design, y_std, *decode(zs)),
                                 (lower, upper), params=ga_params, rng=rng)
-    theta, lam = decode(best_z[None])
-    return _assemble(design, y, theta[0], float(lam[0]))
+    free_theta, lam = decode(best_z[None])
+    theta = np.zeros(design.shape[1])
+    theta[free] = free_theta[0]
+    return _assemble(design, y, theta, float(lam[0]))
 
 
 def fit_fixed(samples: Sequence[tuple], bounds: Bounds, theta, lam: float) -> RKModel:
@@ -310,19 +306,17 @@ def fit_fixed(samples: Sequence[tuple], bounds: Bounds, theta, lam: float) -> RK
 
 
 def predict(model: RKModel, x) -> Prediction:
-    """Predictive mean, variance, and reinterpolation variance at ``x``.
+    """Predictive mean, variance, and reinterpolation variance at the rows of ``x``.
 
-    ``x`` lives in the unit cube; a single point gives scalar fields, a
-    ``(k, d)`` batch gives arrays.  Querying outside the cube is allowed.
+    ``x`` is a ``(k, d)`` stack of unit-cube points and each field a ``(k,)``
+    array.  Querying outside the cube is allowed.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.shape[1] != model.d:
-        raise ValueError(f"query dimension {pts.shape[1]} != model dimension {model.d}")
-    psi = corr_vector(model.design, model.theta, pts)         # (k, n)
-    # vecdot sums each row as a lone point's product does, so a batch
-    # predicts bit for bit what its rows predict one at a time
+    if x.ndim != 2 or x.shape[1] != model.d:
+        raise ValueError(f"query points must be a (k, {model.d}) stack, not {x.shape}")
+    psi = corr_vector(model.design, model.theta, x)           # (k, n)
+    # vecdot sums each row on its own, so each row predicts bit for bit
+    # what a stack of one predicts
     mean_std = model._mu_std + np.vecdot(psi, model._weights)
     a = cho_solve((model._chol_r, True), psi.T)               # (n, k)
     var_std = model._sigma2_std * (1.0 + model.lam - np.einsum("kn,nk->k", psi, a))
@@ -332,8 +326,6 @@ def predict(model: RKModel, x) -> Prediction:
     mean = model.y_shift + model.y_scale * mean_std
     variance = np.maximum(var_std, 0.0) * scale2
     ri_variance = np.maximum(ri_std, 0.0) * scale2
-    if single:
-        return Prediction(float(mean[0]), float(variance[0]), float(ri_variance[0]))
     return Prediction(mean, variance, ri_variance)
 
 

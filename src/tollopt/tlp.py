@@ -249,11 +249,11 @@ def _optimize_rk(spec: ProblemSpec, seed: int,
 
     acquisition_history: list[float] = []
     while len(samples) < spec.budget:
-        pairs = [(rec.toll, rec.objective) for rec in samples]
+        pairs = [(rec.toll.as_array(), rec.objective) for rec in samples]
         obj_model = fit(pairs, spec.bounds, ga_params=spec.ga, rng=rng)
         con_model = None
         if spec.delta_max is not None:
-            con_pairs = [(rec.toll, rec.constraint) for rec in samples]
+            con_pairs = [(rec.toll.as_array(), rec.constraint) for rec in samples]
             con_model = fit(con_pairs, spec.bounds, ga_params=spec.ga, rng=rng)
         ctx = AcquisitionContext(
             obj_model=obj_model,

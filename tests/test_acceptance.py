@@ -86,7 +86,7 @@ def test_criterion_02_likelihood_matches_dense_normal_oracle():
         y = rng.normal(size=n)
         theta = 10.0 ** rng.uniform(-2, 1.5, size=d)
         lam = 10.0 ** rng.uniform(-6, 0)
-        ours = log_likelihood(design, y, theta, lam)
+        ours = log_likelihood(design, y, theta[None], np.array([lam]))[0]
         r = corr_vector(design, theta, design) + lam * np.eye(n)
         rinv = np.linalg.inv(r)
         ones = np.ones(n)
@@ -318,7 +318,7 @@ def test_criterion_11_constrained_problem(single_objective_run, constrained_run)
 
 def test_criterion_12_validation_suite(single_objective_run):
     run, _ = single_objective_run
-    pairs = [(rec.toll, rec.objective) for rec in run.samples]
+    pairs = [(rec.toll.as_array(), rec.objective) for rec in run.samples]
     model = fit(pairs, run.spec.bounds, rng=np.random.default_rng(5))
     records = loo_cv(model)
     usable = [r for r in records if not r.degenerate]

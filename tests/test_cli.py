@@ -88,6 +88,32 @@ def test_problem_section_must_be_a_mapping(tmp_path, capsys):
     assert "problem: must be a mapping" in capsys.readouterr().err
 
 
+def test_unparsable_yaml_exits_2_naming_the_file(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("network: [1\n")
+    src = os.path.dirname(os.path.dirname(sys.modules["tollopt"].__file__))
+    done = subprocess.run([sys.executable, "-m", "tollopt.cli", "optimize", str(path)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 2
+    assert str(path) in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("section,key,value,reason", [
+    ("cells", "lengths_km", [-1.0] + [0.5] * 7, "all values must be positive"),
+    ("cells", "lanes", [2.0, 2.0], "expected 8 values, got 2"),
+    ("simulation", "step_seconds", 2400, "2400 s leaves tolling interval"),
+])
+def test_bad_network_value_exits_2_naming_the_file_key(tmp_path, capsys, section, key, value,
+                                                       reason):
+    doc = config_to_dict(desk_preset())
+    doc["network"][section][key] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli(["optimize", str(path)]) == 2
+    assert f"error: network.{section}.{key}: {reason}" in capsys.readouterr().err
+
+
 def test_toll_argument_length_checked(capsys):
     assert run_cli(["simulate", "desk", "--toll", "0.5,0.5"]) == 2
     assert "8" in capsys.readouterr().err

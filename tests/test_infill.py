@@ -168,7 +168,7 @@ class TestProposeInfill:
         assert np.min(dists) > 1e-9
         # reinterpolation acquisition vanishes at every training input
         for row in model.design:
-            assert acquisition_value(ctx, row) <= 1e-10
+            assert acquisition_value(ctx, row[None])[0] <= 1e-10
 
     def test_proposal_lands_in_the_unexplored_basin(self):
         model = ridge_model()

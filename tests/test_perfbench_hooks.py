@@ -2,7 +2,9 @@
 
 ``perfbench/spans.py`` patches named entry points of ``tollopt`` modules and
 ``perfbench/checks.py`` imports others, so renaming or removing one of them
-breaks the benchmark.  This runs both hooks on one short DIRECT run.
+breaks the benchmark.  This runs both hooks on one short DIRECT run and one
+short constrained RK run, whose surrogate and infill hooks the tracer also
+counts by the position of their stacked argument.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import os
 import sys
 
 from tollopt import cli
+from tollopt.ga import ELITISM, GAParams
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -26,14 +29,38 @@ def load(name, monkeypatch):
     return module
 
 
-def test_tracer_and_checker_run_on_a_direct_run(tmp_path, monkeypatch):
-    spans, checks = load("spans", monkeypatch), load("checks", monkeypatch)
+def traced_optimize(spans, out, *flags):
+    """Layer metrics of one traced ``optimize desk`` run into ``out``."""
     tracer = spans.Tracer()
-    out = tmp_path / "run"
     with contextlib.redirect_stdout(io.StringIO()):
         with spans.installed(tracer), tracer.span("tlp.optimize"):
-            rc = cli.main(["optimize", "desk", "--method", "direct", "--budget", "22",
-                           "--replications", "1", "--out", str(out)])
+            rc = cli.main(["optimize", "desk", "--budget", "22", "--replications", "1",
+                           "--out", str(out), *flags])
     assert rc == 0
-    assert spans.layer_metrics(tracer)["direct.select_n"] >= 1
+    return spans.layer_metrics(tracer)
+
+
+def test_tracer_and_checker_run_on_a_direct_run(tmp_path, monkeypatch):
+    spans, checks = load("spans", monkeypatch), load("checks", monkeypatch)
+    out = tmp_path / "run"
+    metrics = traced_optimize(spans, out, "--method", "direct")
+    assert metrics["direct.select_n"] >= 1
     assert checks.check_run_dir(str(out), "direct", 22) == []
+
+
+def test_tracer_and_checker_run_on_a_constrained_rk_run(tmp_path, monkeypatch):
+    spans, checks = load("spans", monkeypatch), load("checks", monkeypatch)
+    out = tmp_path / "run"
+    metrics = traced_optimize(spans, out, "--seed", "5", "--delta-max", "7.0")
+    assert metrics["surrogate.fit_n"] >= 2
+    for name in ("surrogate.loglik_n", "infill.acq_points", "surrogate.predict_points"):
+        assert metrics[name] > 0, name
+    # the counts follow the wrapped argument's leading axis: one GA's candidates
+    # per fit and per proposal, and one objective and one constraint prediction
+    # per acquisition point
+    ga = GAParams()
+    candidates = ga.population_size + (ga.generations - 1) * (ga.population_size - ELITISM)
+    assert metrics["surrogate.loglik_n"] == metrics["surrogate.fit_n"] * candidates
+    assert metrics["infill.acq_points"] >= metrics["infill.propose_n"] * candidates
+    assert metrics["surrogate.predict_points"] == 2 * metrics["infill.acq_points"]
+    assert checks.check_run_dir(str(out), "rk", 22, 7.0) == []

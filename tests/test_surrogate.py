@@ -9,8 +9,7 @@ from scipy.stats import multivariate_normal
 from tollopt import surrogate
 from tollopt.doe import lhs
 from tollopt.ga import ELITISM, GAParams
-from tollopt.surrogate import (NumericalError, corr_vector, fit, fit_fixed,
-                               log_likelihood, loo_cv, predict)
+from tollopt.surrogate import corr_vector, fit, fit_fixed, log_likelihood, loo_cv, predict
 from tollopt.toll import Bounds
 
 UNIT2 = Bounds(np.zeros(2), np.ones(2))
@@ -67,15 +66,13 @@ class TestLogLikelihood:
     def test_duplicate_rows_without_regularization_fail(self):
         design = np.array([[0.3, 0.3], [0.3, 0.3]])
         y = np.array([1.0, 1.0])
-        with pytest.raises(NumericalError) as err:
-            log_likelihood(design, y, np.array([1.0, 1.0]), 0.0)
-        assert err.value.jitter == pytest.approx(1e-6)
+        assert log_likelihood(design, y, np.array([[1.0, 1.0]]), np.array([0.0]))[0] == -np.inf
 
     def test_duplicate_rows_with_regularization_are_fine(self):
         design = np.array([[0.3, 0.3], [0.3, 0.3]])
         y = np.array([1.0, 1.0])
-        val = log_likelihood(design, y, np.array([1.0, 1.0]), 0.1)
-        assert np.isfinite(val)
+        val = log_likelihood(design, y, np.array([[1.0, 1.0]]), np.array([0.1]))
+        assert np.isfinite(val[0])
 
     def test_matches_dense_normal_log_density(self):
         rng = np.random.default_rng(42)
@@ -88,8 +85,9 @@ class TestLogLikelihood:
             stacked = log_likelihood(design, y, thetas, lams)
             assert stacked.shape == (4,)
             for theta, lam, row in zip(thetas, lams, stacked):
-                ours = log_likelihood(design, y, theta, lam)
-                assert isinstance(ours, float)
+                ours = log_likelihood(design, y, theta[None], np.array([lam]))
+                assert ours.shape == (1,)
+                ours = ours[0]
                 r = corr_vector(design, theta, design) + lam * np.eye(n)
                 rinv = np.linalg.inv(r)
                 ones = np.ones(n)
@@ -111,12 +109,11 @@ class TestLogLikelihood:
         lams = np.array([0.1, 0.02, 0.0, 0.3, 0.05])
         stacked = log_likelihood(design, y, thetas, lams)
         assert stacked[2] == -np.inf
-        with pytest.raises(NumericalError):
-            log_likelihood(design, y, thetas[2], 0.0)
+        assert log_likelihood(design, y, thetas[2:3], lams[2:3])[0] == -np.inf
         for k in (0, 1, 3, 4):
             assert np.isfinite(stacked[k])
-            assert stacked[k] == pytest.approx(log_likelihood(design, y, thetas[k], lams[k]),
-                                               rel=1e-10)
+            assert stacked[k] == pytest.approx(log_likelihood(design, y, thetas[k:k + 1],
+                                                              lams[k:k + 1])[0], rel=1e-10)
 
     def test_pinned_zero_lambda_stack_matches_dense_oracle(self):
         # lambda = 0 has no eigenvalue bound for the border's c, so this
@@ -173,15 +170,12 @@ class TestLogLikelihood:
         assert alone[2] == -np.inf
         assert alone[good] == pytest.approx(bordered, rel=1e-10)
 
-    @pytest.mark.parametrize("stack", [False, True])
-    def test_bad_hyperparameters_raise_value_error_naming_them(self, stack):
+    def test_bad_hyperparameters_raise_value_error_naming_them(self):
         design = np.random.default_rng(0).uniform(size=(5, 2))
         y = np.arange(5.0)
 
         def call(theta, lam):
-            if stack:
-                theta, lam = np.tile(theta, (3, 1)), np.array([0.1, lam, 0.2])
-            return log_likelihood(design, y, np.asarray(theta), lam)
+            return log_likelihood(design, y, np.tile(theta, (3, 1)), np.array([0.1, lam, 0.2]))
 
         for theta in ([1.0, -0.5], [1.0, np.nan], [np.inf, 1.0], [1.0, 1.0, 1.0]):
             with pytest.raises(ValueError, match=r"\btheta\b"):
@@ -191,6 +185,9 @@ class TestLogLikelihood:
                 call([1.0, 1.0], lam)
         with pytest.raises(ValueError, match=r"\blam\b"):
             log_likelihood(design, y, np.ones((3, 2)), np.full(2, 0.1))
+        # a lone theta is not a stack of one
+        with pytest.raises(ValueError, match=r"theta must be .*\(P, 2\) stack, not \(2,\)"):
+            log_likelihood(design, y, np.ones(2), 0.1)
 
 
 class TestFit:
@@ -198,8 +195,8 @@ class TestFit:
         samples, pts, ys = make_samples(20, seed=1)
         model = fit(samples, UNIT2, ga_params=SMALL_GA, rng=np.random.default_rng(3))
         y_std = (ys - ys.mean()) / ys.std()
-        at_floor = log_likelihood(pts, y_std, model.theta, 1e-6)
-        at_half = log_likelihood(pts, y_std, model.theta, 0.5)
+        at_floor = log_likelihood(pts, y_std, model.theta[None], np.array([1e-6]))[0]
+        at_half = log_likelihood(pts, y_std, model.theta[None], np.array([0.5]))[0]
         assert at_floor > at_half
         assert model.lam < 1e-2
 
@@ -212,8 +209,8 @@ class TestFit:
         samples = [(np.array([0.2, 0.2]), 1.5), (np.array([0.8, 0.8]), 1.5)]
         model = fit_fixed(samples, UNIT2, theta=np.array([1.0, 1.0]), lam=0.0)
         assert model.sigma2_hat >= 0.0
-        pred = predict(model, np.array([0.5, 0.5]))
-        assert pred.mean == pytest.approx(1.5, abs=1e-9)
+        pred = predict(model, np.array([[0.5, 0.5]]))
+        assert pred.mean[0] == pytest.approx(1.5, abs=1e-9)
 
     def test_one_likelihood_stack_per_generation(self, monkeypatch):
         params = GAParams(population_size=12, generations=5)
@@ -231,6 +228,24 @@ class TestFit:
         assert shapes == ([((params.population_size, 2), (params.population_size,))]
                           + [((children, 2), (children,))] * (params.generations - 1))
 
+    def test_fixed_dimensions_get_no_theta_gene(self, monkeypatch):
+        m = 4
+        boxes = []
+        real = surrogate.ga_maximize
+
+        def spy(objective, box, **kwargs):
+            boxes.append(box)
+            return real(objective, box, **kwargs)
+
+        monkeypatch.setattr(surrogate, "ga_maximize", spy)
+        rng = np.random.default_rng(0)
+        rows = np.hstack([rng.uniform(size=(10, m)), np.zeros((10, m))])   # distance toll only
+        samples = [(row, float(np.sum(np.sin(3.0 * row)))) for row in rows]
+        model = fit(samples, Bounds.uniform(m, 1.0, 0.0), ga_params=SMALL_GA, rng=rng)
+        assert [(len(lower), len(upper)) for lower, upper in boxes] == [(m + 1, m + 1)]
+        assert np.all(model.theta[:m] > 0)
+        assert np.array_equal(model.theta[m:], np.zeros(m))
+
     def test_fewer_than_two_distinct_points_rejected(self):
         with pytest.raises(ValueError):
             fit([(np.array([0.1, 0.1]), 1.0)], UNIT2, rng=np.random.default_rng(0))
@@ -244,23 +259,23 @@ class TestPredict:
         samples, pts, ys = make_samples(15, seed=5)
         model = fit_fixed(samples, UNIT2, theta=np.array([3.0, 3.0]), lam=0.0)
         for i in range(15):
-            pred = predict(model, pts[i])
-            assert abs(pred.mean - ys[i]) <= 1e-6 * (1.0 + abs(ys[i]))
-            assert pred.variance <= 1e-8 * model.sigma2_hat
+            pred = predict(model, pts[i:i + 1])
+            assert abs(pred.mean[0] - ys[i]) <= 1e-6 * (1.0 + abs(ys[i]))
+            assert pred.variance[0] <= 1e-8 * model.sigma2_hat
 
     def test_regularized_variance_positive_but_ri_variance_zero_at_samples(self):
         samples, pts, _ = make_samples(15, seed=6)
         model = fit_fixed(samples, UNIT2, theta=np.array([3.0, 3.0]), lam=0.3)
         for i in range(15):
-            pred = predict(model, pts[i])
-            assert pred.variance > 0.0
-            assert pred.ri_variance <= 1e-10 * max(model.sigma2_ri, 1e-300)
+            pred = predict(model, pts[i:i + 1])
+            assert pred.variance[0] > 0.0
+            assert pred.ri_variance[0] <= 1e-10 * max(model.sigma2_ri, 1e-300)
 
     def test_single_training_point_predicts_its_value_everywhere(self):
         model = fit_fixed([(np.array([0.4, 0.6]), 2.25)], UNIT2,
                           theta=np.array([1.0, 1.0]), lam=0.0)
         for q in (np.zeros(2), np.ones(2), np.array([0.9, 0.1])):
-            assert predict(model, q).mean == pytest.approx(2.25, abs=1e-12)
+            assert predict(model, q[None]).mean[0] == pytest.approx(2.25, abs=1e-12)
 
     def test_prediction_invariant_under_sample_permutation(self):
         samples, _, _ = make_samples(12, seed=7)
@@ -268,15 +283,15 @@ class TestPredict:
         perm = np.random.default_rng(0).permutation(12)
         model_b = fit_fixed([samples[i] for i in perm], UNIT2,
                             theta=np.array([2.0, 1.0]), lam=0.05)
-        q = np.array([0.33, 0.77])
+        q = np.array([[0.33, 0.77]])
         pa, pb = predict(model_a, q), predict(model_b, q)
-        assert pa.mean == pytest.approx(pb.mean, rel=1e-10)
-        assert pa.variance == pytest.approx(pb.variance, rel=1e-8, abs=1e-12)
+        assert pa.mean[0] == pytest.approx(pb.mean[0], rel=1e-10)
+        assert pa.variance[0] == pytest.approx(pb.variance[0], rel=1e-8, abs=1e-12)
 
     @pytest.mark.parametrize("n,d", [(15, 2), (21, 8), (40, 16), (60, 16)])
     def test_batch_equals_single_point_calls_bit_for_bit(self, n, d):
         # the GA scores a whole generation per call; fixed-seed runs stay
-        # reproducible only if that batch predicts what lone points predict
+        # reproducible only if each row predicts what a stack of one predicts
         rng = np.random.default_rng(n + d)
         pts = rng.uniform(size=(n, d))
         samples = [(x, float(np.sin(3.0 * x[0]) + np.sum(x ** 2))) for x in pts]
@@ -284,9 +299,9 @@ class TestPredict:
                           theta=10.0 ** rng.uniform(-1.0, 1.0, size=d), lam=0.01)
         queries = rng.uniform(size=(50, d))
         batch = predict(model, queries)
-        singles = [predict(model, q) for q in queries]
+        singles = [predict(model, q[None]) for q in queries]
         for field in ("mean", "variance", "ri_variance"):
-            assert np.array_equal(getattr(batch, field), [getattr(p, field) for p in singles])
+            assert np.array_equal(getattr(batch, field), [getattr(p, field)[0] for p in singles])
 
     def test_ri_variance_never_exceeds_variance(self):
         samples, _, _ = make_samples(15, seed=8)
@@ -294,6 +309,11 @@ class TestPredict:
         grid = lhs(60, 2, np.random.default_rng(9))
         pred = predict(model, grid)
         assert np.all(pred.ri_variance <= pred.variance + 1e-12)
+
+    def test_a_lone_point_is_rejected_naming_the_stack_shape(self):
+        model = fit_fixed(make_samples(5)[0], UNIT2, theta=np.array([1.0, 1.0]), lam=0.0)
+        with pytest.raises(ValueError, match=r"\(k, 2\) stack, not \(2,\)"):
+            predict(model, np.array([0.5, 0.5]))
 
 
 class TestCrossValidation:
