@@ -57,6 +57,50 @@ def test_fixed_seed_direct_digest_two_intervals(tmp_path, capsys):
             == "c32207aae5b86680034e4a28726bdad029272b7978167f82336fbb0770184859")
 
 
+def _run_dir_digest(out) -> str:
+    """One digest over the evals/ tables in name order, then best.json and
+    convergence.csv; each file's path is hashed before it, so a file that is
+    missing (DIRECT writes no convergence.csv) is pinned too."""
+    h = hashlib.sha256()
+    for path in [*sorted((out / "evals").glob("*.csv")), out / "best.json",
+                 out / "convergence.csv"]:
+        if path.exists():
+            h.update(path.relative_to(out).as_posix().encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+GOLDEN_RUN_DIR = [
+    ([*DESK, "--method", "rk", "--delta-max", "7.0"],
+     "0f01bb327d4855c9cee5a5f7aaff1af4d4a80853853b2f4b510b352c02aea555"),
+    ([*DESK, "--method", "direct", "--delta-max", "7.0"],
+     "5a8f5ecee6a11d87966ceccb823a32c7647e8506b2acbbf366c46e9e612a39a7"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_RUN_DIR, ids=["rk-constrained", "direct-constrained"])
+def test_fixed_seed_run_dir_digest(tmp_path, capsys, args, digest):
+    out = tmp_path / "run"
+    assert main(["optimize", *args, "--out", str(out)]) == 0
+    assert _run_dir_digest(out) == digest
+
+
+def test_fixed_seed_validate_stdout_digest(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["optimize", *DESK, "--method", "rk", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 0
+    assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            == "388a12db417c5a129726ea900e6bae30aac91436d192b5dfbedc138852662952")
+
+
+def test_fixed_seed_doe_plan_digest(tmp_path, capsys):
+    plan = tmp_path / "plan.csv"
+    assert main(["doe", "paper", "--seed", "3", "--out", str(plan)]) == 0
+    assert (hashlib.sha256(plan.read_bytes()).hexdigest()
+            == "a23185537673f70cad5c741b385255042859ea3be3d4ce0979db9f18e245d382")
+
+
 PAPER_TOLL = "0.2,0.35,0.5,0.6,0.6,0.45,0.3,0.15,3,5,7,9,9,7,5,3"
 
 # the per-step history path: every step's K, gamma, Delta and cell densities
