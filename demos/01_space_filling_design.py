@@ -31,8 +31,8 @@ print(f"\nbest of 100 candidates by the maximin criterion: "
 bounds = Bounds.uniform(4, v_max=1.0, w_max=15.0)
 plan = build_initial_plan(4, bounds, np.random.default_rng(1))
 print(f"\ninitial toll plan: {len(plan)} points, first has distance rates "
-      f"{np.round(plan[0].distance_rates, 3)} and delay rates "
-      f"{np.round(plan[0].delay_rates, 2)}")
+      f"{np.round(plan[0, :4], 3)} and delay rates "
+      f"{np.round(plan[0, 4:], 2)}")
 print("anchor points at the end:")
 for p in plan[-3:]:
-    print(" ", np.round(p.as_array(), 3))
+    print(" ", np.round(p, 3))

@@ -21,9 +21,9 @@ def response(x):
 
 pts = lhs(25, 2, rng)
 noise = rng.normal(0.0, 0.08, size=25)
-samples = [(pts[i], float(response(pts[i]) + noise[i])) for i in range(25)]
+ys = [float(response(pts[i]) + noise[i]) for i in range(25)]
 
-model = fit(samples, unit, rng=rng)
+model = fit(pts, ys, unit, rng=rng)
 print(f"fitted hyperparameters: theta = {np.round(model.theta, 3)}, "
       f"lambda = {model.lam:.2e}")
 print(f"process mean {model.mu_hat:.3f}, variance {model.sigma2_hat:.3f}")

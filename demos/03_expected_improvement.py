@@ -27,13 +27,11 @@ y = [float(objective(x)) for x in X]
 
 print(f"{'round':>5} {'proposal':>18} {'value':>8} {'EI':>9} {'best so far':>12}")
 for round_idx in range(10):
-    model = fit(list(zip(X, y)), bounds, ga_params=GAParams(population_size=30, generations=25),
-                rng=rng)
+    model = fit(X, y, bounds, ga_params=GAParams(population_size=30, generations=25), rng=rng)
     ctx = AcquisitionContext(obj_model=model, bounds=bounds, y_min=min(y),
                              smoothing=(1.0, 1.0))
-    toll, acq = propose_infill(ctx, ga_params=GAParams(population_size=30, generations=25),
-                               rng=rng)
-    x_new = toll.as_array()
+    x_new, acq = propose_infill(ctx, ga_params=GAParams(population_size=30, generations=25),
+                                rng=rng)
     y_new = float(objective(x_new))
     X = np.vstack([X, x_new])
     y.append(y_new)

@@ -19,19 +19,19 @@ spec = ProblemSpec(config=config,
                    replications=2, budget=40)
 
 run = optimize(spec, method="rk", seed=11)
-zero = next(r for r in run.samples if np.allclose(r.toll.as_array(), 0.0))
-best = run.best
+objective, x = run.samples.objective, run.samples.x
+zero = next(i for i, row in enumerate(x) if np.allclose(row, 0.0))
+best = run.best_index
 
 print(f"evaluations: {run.evaluations} ({spec.initial_plan_size} initial + "
       f"{len(run.acquisition_history)} infill)")
-print(f"zero-toll objective {zero.objective:.2f} -> optimized {best.objective:.2f} vpkmpl\n")
+print(f"zero-toll objective {objective[zero]:.2f} -> optimized {objective[best]:.2f} vpkmpl\n")
 
 print(f"{'interval':>8} {'distance rate':>14} {'delay rate':>11}")
 for h in range(spec.m):
-    v, w = best.toll.rates_for_interval(h)
-    print(f"{h + 1:>8} {v:>14.3f} {w:>11.2f}")
+    print(f"{h + 1:>8} {x[best, h]:>14.3f} {x[best, spec.m + h]:>11.2f}")
 
-result = simulate(config, best.toll, run.rep_seeds[0])
+result = simulate(config, TollVector.from_array(x[best]), run.rep_seeds[0])
 print(f"\ninterval densities under the optimum: "
       f"{np.round(result.interval_density, 1)} (target {config.k_cr})")
 

@@ -18,7 +18,7 @@ from .simnet import (BatchResult, ConfigError, NetworkConfig, SimulationResult,
                      desk_preset, deviation_from_spread, envelope_gamma,
                      fit_lower_envelope, paper_preset, simulate, simulate_batch,
                      spatial_spread, zone_choice)
-from .tlp import (OptimizationRun, ProblemSpec, SampleRecord, check_smoothing,
+from .tlp import (OptimizationRun, ProblemSpec, Samples, check_smoothing,
                   constraint_value, convergence_history, objective_value,
                   optimize)
 

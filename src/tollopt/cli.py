@@ -254,21 +254,22 @@ def cmd_optimize(args) -> int:
                           "evaluations": run.evaluations,
                           "rep_seeds": run.rep_seeds})
 
-    best = run.best
+    x, b, m = run.samples.x, run.best_index, spec.m
+    constraint = run.samples.constraint
     plan = f" (initial plan {spec.initial_plan_size})" if run.method == "rk" else ""
     print(f"method={run.method} evaluations={run.evaluations}{plan}")
-    print(f"best objective: {best.objective:.4f} vpkmpl | constraint: {best.constraint:.4f} vpkmpl")
+    print(f"best objective: {run.samples.objective[b]:.4f} vpkmpl | "
+          f"constraint: {constraint[b]:.4f} vpkmpl")
     print(f"{'interval':>8} {'distance_rate_per_km':>21} {'delay_rate_per_h':>17}")
-    for h in range(spec.m):
-        v, w = best.toll.rates_for_interval(h)
-        print(f"{h + 1:>8} {v:>21.4f} {w:>17.4f}")
+    for h in range(m):
+        print(f"{h + 1:>8} {x[b, h]:>21.4f} {x[b, m + h]:>17.4f}")
     if spec.delta_max is None:
-        lowest = [r for r in run.samples if np.allclose(r.toll.as_array(), spec.bounds.lower)]
-        if lowest:
+        lowest = np.flatnonzero(np.all(np.isclose(x, spec.bounds.lower), axis=1))
+        if lowest.size:
             # bracketing guidance for a follow-up constrained run: pick the
             # heterogeneity limit between these two observed values
             print(f"heterogeneity guidance: lowest-toll (tau_min) constraint "
-                  f"{lowest[0].constraint:.3f}, optimum constraint {best.constraint:.3f}; "
+                  f"{constraint[lowest[0]]:.3f}, optimum constraint {constraint[b]:.3f}; "
                   f"choose --delta-max between them")
     print(f"artifacts: {outdir}")
     return 0
@@ -280,11 +281,10 @@ def cmd_validate(args) -> int:
     if not os.path.exists(samples_path) or not os.path.exists(config_path):
         raise UsageError(f"not a run directory (missing samples.csv/config.yaml): {args.run_dir}")
     spec = build_spec(*load_scenario(config_path))
-    records = load_samples_csv(samples_path)
-    if len(records) < 3:
+    samples = load_samples_csv(samples_path)
+    if len(samples) < 3:
         raise UsageError("insufficient samples: cross-validation needs at least 3")
-    pairs = [(rec.toll.as_array(), rec.objective) for rec in records]
-    model = fit(pairs, spec.bounds, rng=np.random.default_rng(args.seed))
+    model = fit(samples.x, samples.objective, spec.bounds, rng=np.random.default_rng(args.seed))
     cv = loo_cv(model)
     usable = [r for r in cv if not r.degenerate]
     inside = [r for r in usable if abs(r.standardized_residual) <= 3.0]
@@ -294,9 +294,8 @@ def cmd_validate(args) -> int:
     if outliers:
         print("outliers:")
         for r in sorted(outliers, key=lambda r: -abs(r.standardized_residual)):
-            toll = records[r.index].toll.as_array()
             print(f"  sample {r.index}: residual {r.standardized_residual:+.2f} "
-                  f"toll [{', '.join(f'{v:.3f}' for v in toll)}]")
+                  f"toll [{', '.join(f'{v:.3f}' for v in samples.x[r.index])}]")
     else:
         print("outliers: none")
     return 0
@@ -326,7 +325,8 @@ def cmd_compare(args) -> int:
                     "seeds": list(args.seeds)},
                    "compare", args.seeds[0])
     for label, run in curves:
-        print(f"{label:>16}: best {run.best.objective:.4f} after {run.evaluations} evaluations")
+        best = run.samples.objective[run.best_index]
+        print(f"{label:>16}: best {best:.4f} after {run.evaluations} evaluations")
     print(f"artifacts: {outdir}")
     return 0
 
@@ -336,7 +336,7 @@ def cmd_envelope(args) -> int:
     if args.runs < 1:
         raise UsageError(f"--runs must be at least 1, got {args.runs}")
     outdir = out_dir(args, "envelope")
-    batch = simulate_batch(config, [TollVector.zero(config.m)] * args.runs,
+    batch = simulate_batch(config, np.zeros((args.runs, 2 * config.m)),
                            [args.seed + i for i in range(args.runs)])
     pairs = [pair for k, gamma in zip(batch.network_density, batch.gamma)
              for pair in zip(k, gamma)]

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 
-from .toll import Bounds, TollVector
+from .toll import Bounds
 
 MAXIMIN_CANDIDATES = 100   # Latin hypercube plans compared per initial plan
 ANCHORS = 3                # lower corner, upper corner and midpoint close every plan
@@ -63,12 +63,13 @@ def initial_plan_size(m: int) -> int:
     return 2 * (2 * m + 1) + ANCHORS
 
 
-def build_initial_plan(m: int, bounds: Bounds, rng: np.random.Generator) -> list[TollVector]:
+def build_initial_plan(m: int, bounds: Bounds, rng: np.random.Generator) -> np.ndarray:
     """Initial sample plan for a toll problem with ``m`` tolling intervals.
 
     ``2(2m + 1)`` maximin-LHS points are scaled from the unit cube into the
     toll box, then the ``ANCHORS`` are appended: the lower corner, the upper
-    corner, and the box midpoint.  Total :func:`initial_plan_size`.
+    corner, and the box midpoint.  Returns :func:`initial_plan_size` rows of
+    an ``(n, 2m)`` array.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
@@ -77,23 +78,17 @@ def build_initial_plan(m: int, bounds: Bounds, rng: np.random.Generator) -> list
         raise ValueError(f"bounds have dimension {bounds.d}, expected {d}")
     if np.all(bounds.span == 0.0):
         warnings.warn("degenerate bounds: all plan points collapse to a single toll vector")
-    n = initial_plan_size(m) - ANCHORS
-    unit = maximin_lhs(n, d, MAXIMIN_CANDIDATES, rng)
-    points = [TollVector.from_array(bounds.scale_from_unit(row)) for row in unit]
-    points.append(TollVector.from_array(bounds.lower.copy()))
-    points.append(TollVector.from_array(bounds.upper.copy()))
-    points.append(TollVector.from_array(bounds.midpoint()))
-    return points
+    unit = maximin_lhs(initial_plan_size(m) - ANCHORS, d, MAXIMIN_CANDIDATES, rng)
+    return np.vstack([bounds.scale_from_unit(unit), bounds.lower, bounds.upper, bounds.midpoint()])
 
 
-def save_plan_csv(points: list[TollVector], path) -> None:
-    """Write one design point per row with header ``v_1..v_m,w_1..w_m``."""
-    if not points:
+def save_plan_csv(plan: np.ndarray, path) -> None:
+    """Write the ``(n, 2m)`` plan, one design point per row, with header ``v_1..v_m,w_1..w_m``."""
+    if len(plan) == 0:
         raise ValueError("empty plan")
-    m = points[0].m
+    m = plan.shape[1] // 2
     header = [f"v_{h + 1}" for h in range(m)] + [f"w_{h + 1}" for h in range(m)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for p in points:
-            writer.writerow([repr(float(x)) for x in p.as_array()])
+        writer.writerows([repr(float(x)) for x in row] for row in plan)

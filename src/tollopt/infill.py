@@ -17,7 +17,7 @@ from scipy.special import ndtr
 
 from .ga import GAParams, ga_maximize
 from .surrogate import RKModel, predict
-from .toll import Bounds, TollVector
+from .toll import Bounds
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -113,16 +113,16 @@ def propose_infill(
     ga_params: Optional[GAParams] = None,
     *,
     rng: np.random.Generator,
-) -> tuple[TollVector, float]:
+) -> tuple[np.ndarray, float]:
     """GA-maximize the acquisition over the smoothing-feasible toll box.
 
     The GA searches the toll box itself: each generation is repaired by
     sequential clipping (:func:`repair_smoothing`) and then scored by one
     :func:`acquisition_value` call on its unit-cube image, so the returned
-    toll satisfies the box and smoothing limits exactly.  If the acquisition
-    surface has collapsed to a flat zero plateau, the tie is broken by
-    maximizing the unit-cube distance to the nearest existing sample, which
-    keeps late iterations space-filling.
+    ``(2m,)`` toll row satisfies the box and smoothing limits exactly.  If the
+    acquisition surface has collapsed to a flat zero plateau, the tie is
+    broken by maximizing the unit-cube distance to the nearest existing
+    sample, which keeps late iterations space-filling.
     """
     bounds = ctx.bounds
     box = (bounds.lower, bounds.upper)
@@ -142,4 +142,4 @@ def propose_infill(
         best_x, _ = ga_maximize(spread, box, params=ga_params, rng=rng, repair=repair)
         best_val = acquisition_value(ctx, bounds.to_unit(best_x)[None])[0]
 
-    return TollVector.from_array(best_x), float(best_val)
+    return best_x, float(best_val)

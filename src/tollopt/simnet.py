@@ -444,7 +444,7 @@ def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationRe
     The step loop of :func:`simulate_batch` with one lane, keeping every
     per-step series; it always simulates its own untolled prefix.
     """
-    batch, history = _run(config, [toll], [seed], keep_history=True)
+    batch, history = _run(config, toll.as_array()[None], [seed], keep_history=True)
     k, gamma = batch.network_density[0], batch.gamma[0]
     return SimulationResult(
         t=_step_intervals(config)[0] * 3600.0, network_density=k, gamma=gamma,
@@ -458,13 +458,14 @@ def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationRe
     )
 
 
-def simulate_batch(config: NetworkConfig, tolls: Sequence[TollVector],
+def simulate_batch(config: NetworkConfig, tolls: np.ndarray,
                    seeds: Sequence[int]) -> BatchResult:
     """Run independent seeded replications in one step loop over a lane axis.
 
-    Lane ``b`` is bit-for-bit the replication ``simulate(config, tolls[b],
-    seeds[b])``; replications of one point, or several points, share every
-    step's numpy calls.  The steps before the tolling window do not depend
+    ``tolls`` is a ``(B, 2m)`` stack of toll rows, distance rates first;
+    lane ``b`` is bit-for-bit ``simulate`` of row ``b`` under ``seeds[b]``.
+    Replications of one point, or several points, share every step's numpy
+    calls.  The steps before the tolling window do not depend
     on the toll, so they run once per distinct seed and the lanes start
     from their seed's state at the first tolled step; inside
     :func:`shared_prefixes` that state is reused across calls.
@@ -472,7 +473,7 @@ def simulate_batch(config: NetworkConfig, tolls: Sequence[TollVector],
     return _run(config, tolls, seeds, keep_history=False)[0]
 
 
-def _run(config: NetworkConfig, tolls: Sequence[TollVector], seeds: Sequence[int],
+def _run(config: NetworkConfig, tolls: np.ndarray, seeds: Sequence[int],
          keep_history: bool) -> tuple[BatchResult, dict | None]:
     """The step loop over B lanes of (toll, seed), split at the first tolled step.
 
@@ -485,13 +486,14 @@ def _run(config: NetworkConfig, tolls: Sequence[TollVector], seeds: Sequence[int
     included; such calls never share prefixes.
     """
     m = config.m
+    tolls = np.asarray(tolls, dtype=float)
+    if tolls.ndim != 2 or tolls.shape[1] != 2 * m:
+        raise ValueError(f"tolls must be (B, {2 * m}) rows for {m} tolling intervals, "
+                         f"not {tolls.shape}")
     if len(tolls) != len(seeds):
         raise ValueError(f"got {len(tolls)} tolls for {len(seeds)} seeds")
-    if not tolls:
+    if not len(tolls):
         raise ValueError("need at least one (toll, seed) lane")
-    for toll in tolls:
-        if toll.m != m:
-            raise ValueError(f"toll has {toll.m} intervals, config defines {m}")
     B = len(tolls)
     step_interval = _step_intervals(config)[1]
     n_prefix = int(np.argmax(step_interval >= 0))
@@ -508,8 +510,8 @@ def _run(config: NetworkConfig, tolls: Sequence[TollVector], seeds: Sequence[int
 
     # row -1, a step outside the window, is the untolled rate
     rate_v, rate_w = np.zeros((2, m + 1, B))
-    rate_v[:m] = np.array([toll.distance_rates for toll in tolls]).T
-    rate_w[:m] = np.array([toll.delay_rates for toll in tolls]).T
+    rate_v[:m] = tolls[:, :m].T
+    rate_w[:m] = tolls[:, m:].T
     _advance(config, lanes, range(n_prefix, step_interval.size), rate_v, rate_w)
     k_steps, gamma_steps = lanes["k"], lanes["gamma"]
 

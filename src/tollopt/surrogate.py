@@ -242,14 +242,9 @@ def _assemble(design: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) 
     )
 
 
-def _design_rows(samples: Sequence[tuple], bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-cube design rows and responses from ``(row, response)`` pairs of floats."""
-    rows, ys = zip(*samples)
-    return bounds.to_unit(np.array(rows, dtype=float)), np.array(ys, dtype=float)
-
-
 def fit(
-    samples: Sequence[tuple],
+    x: np.ndarray,
+    y: np.ndarray,
     bounds: Bounds,
     lambda_bounds: tuple[float, float] = DEFAULT_LAMBDA_BOUNDS,
     ga_params: Optional[GAParams] = None,
@@ -258,8 +253,8 @@ def fit(
 ) -> RKModel:
     """Fit a regressing-kriging model by GA maximization of the log-likelihood.
 
-    ``samples`` is a sequence of ``(row, response)`` pairs, each row a flat
-    toll vector; inputs are normalized to the unit cube with ``bounds`` before
+    ``x`` is an ``(n, 2m)`` stack of toll rows and ``y`` their ``(n,)``
+    responses; the rows are normalized to the unit cube with ``bounds`` before
     fitting.  ``theta`` and ``lambda`` are searched in log10 space inside
     ``THETA_BOUNDS`` and ``lambda_bounds``; passing equal lambda bounds pins
     ``lambda`` (``(0, 0)`` gives an interpolating ordinary-kriging fit).  Only
@@ -270,9 +265,9 @@ def fit(
     ``(P, k)`` theta stack and ``(P,)`` lambdas; a candidate whose
     correlation matrix will not factor scores ``-inf``.
     """
-    if len(samples) < 2:
+    if len(x) < 2:
         raise ValueError("need at least 2 sample points")
-    design, y = _design_rows(samples, bounds)
+    design, y = bounds.to_unit(x), np.asarray(y, dtype=float)
     if np.unique(design, axis=0).shape[0] < 2:
         raise ValueError("need at least 2 distinct sample points")
     free = bounds.span > 0
@@ -299,10 +294,10 @@ def fit(
     return _assemble(design, y, theta, float(lam[0]))
 
 
-def fit_fixed(samples: Sequence[tuple], bounds: Bounds, theta, lam: float) -> RKModel:
-    """Assemble a model at given hyperparameters (no search)."""
-    design, y = _design_rows(samples, bounds)
-    return _assemble(design, y, np.asarray(theta, dtype=float), float(lam))
+def fit_fixed(x: np.ndarray, y: np.ndarray, bounds: Bounds, theta, lam: float) -> RKModel:
+    """Assemble a model on toll rows ``x`` and responses ``y`` at given hyperparameters."""
+    return _assemble(bounds.to_unit(x), np.asarray(y, dtype=float),
+                     np.asarray(theta, dtype=float), float(lam))
 
 
 def predict(model: RKModel, x) -> Prediction:

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .infill import AcquisitionContext, propose_infill, repair_smoothing
 from .simnet import (NetworkConfig, SimulationResult, shared_prefixes, simulate,  # noqa: F401
                      simulate_batch)
 from .surrogate import fit
-from .toll import Bounds, TollVector
+from .toll import Bounds
 
 SMOOTHING_TOL = 1e-9  # absorbs affine-rescaling roundoff in feasibility checks
 
@@ -102,25 +102,43 @@ def constraint_value(results: Sequence[SimulationResult]) -> float:
     return float(np.mean(_deviation_per_rep(_replication_rows(results, "interval_deviation"))))
 
 
-def check_smoothing(toll: TollVector, alpha: float, beta: float,
-                    tol: float = SMOOTHING_TOL) -> bool:
-    """Adjacent-interval rate changes must stay within alpha (distance) and beta (delay)."""
-    return not (np.any(np.abs(np.diff(toll.distance_rates)) > alpha + tol)
-                or np.any(np.abs(np.diff(toll.delay_rates)) > beta + tol))
+def check_smoothing(x: np.ndarray, alpha: float, beta: float,
+                    tol: float = SMOOTHING_TOL) -> np.ndarray:
+    """Per row of the ``(n, 2m)`` toll stack ``x``, whether every adjacent-interval
+    rate change stays within alpha (distance) and beta (delay): ``(n,)`` bools."""
+    m = x.shape[1] // 2
+    return ~(np.any(np.abs(np.diff(x[:, :m], axis=1)) > alpha + tol, axis=1)
+             | np.any(np.abs(np.diff(x[:, m:], axis=1)) > beta + tol, axis=1))
 
 
 @dataclass
-class SampleRecord:
-    """One evaluated design point with its replicated observations."""
+class Samples:
+    """A run's evaluated points in evaluation order, one row per point."""
 
-    toll: TollVector
-    objective_reps: np.ndarray
-    constraint_reps: np.ndarray
-    objective: float
-    constraint: float
-    origin: str = "initial"        # "initial" | "infill" | "direct"
-    interval_density_reps: Optional[np.ndarray] = None    # (reps, m)
-    interval_deviation_reps: Optional[np.ndarray] = None  # (reps, m)
+    x: np.ndarray                        # (n, 2m) toll rows
+    objective_reps: np.ndarray           # (n, R)
+    constraint_reps: np.ndarray          # (n, R)
+    origin: np.ndarray                   # (n,) "initial" | "infill" | "direct"
+    interval_density_reps: np.ndarray    # (n, R, m)
+    interval_deviation_reps: np.ndarray  # (n, R, m)
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, rows) -> "Samples":
+        return Samples(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @classmethod
+    def concat(cls, parts: Sequence["Samples"]) -> "Samples":
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
+    @property
+    def objective(self) -> np.ndarray:   # (n,) replication averages
+        return np.mean(self.objective_reps, axis=1)
+
+    @property
+    def constraint(self) -> np.ndarray:  # (n,) replication averages
+        return np.mean(self.constraint_reps, axis=1)
 
 
 @dataclass
@@ -131,7 +149,7 @@ class OptimizationRun:
     method: str
     master_seed: int
     rep_seeds: list[int]
-    samples: list[SampleRecord]
+    samples: Samples
     acquisition_history: list[float]
     best_index: int
 
@@ -139,36 +157,28 @@ class OptimizationRun:
     def evaluations(self) -> int:
         return len(self.samples)
 
-    @property
-    def best(self) -> SampleRecord:
-        return self.samples[self.best_index]
-
     def best_so_far(self) -> np.ndarray:
         """Incumbent feasible objective after each evaluation (inf until one exists)."""
-        best = math.inf
-        out = np.empty(len(self.samples))
-        for i, rec in enumerate(self.samples):
-            if _is_feasible(rec, self.spec) and rec.objective < best:
-                best = rec.objective
-            out[i] = best
-        return out
+        feasible = _is_feasible(self.samples, self.spec)
+        return np.fmin.accumulate(np.where(feasible, self.samples.objective, math.inf))
 
 
-def _is_feasible(rec: SampleRecord, spec: ProblemSpec) -> bool:
-    if not check_smoothing(rec.toll, spec.alpha, spec.beta):
-        return False
-    if not spec.bounds.contains(rec.toll.as_array(), atol=SMOOTHING_TOL):
-        return False
-    if spec.delta_max is not None and rec.constraint > spec.delta_max:
-        return False
-    return True
+def _is_feasible(samples: Samples, spec: ProblemSpec) -> np.ndarray:
+    """Per sample: smoothing-feasible, inside the box and, when capped, under delta_max."""
+    x, bounds = samples.x, spec.bounds
+    ok = (check_smoothing(x, spec.alpha, spec.beta)
+          & np.all((x >= bounds.lower - SMOOTHING_TOL) & (x <= bounds.upper + SMOOTHING_TOL),
+                   axis=1))
+    if spec.delta_max is not None:
+        ok &= ~(samples.constraint > spec.delta_max)
+    return ok
 
 
-def _best_index(samples: Sequence[SampleRecord], spec: ProblemSpec) -> int:
-    """Index of the best feasible sample, or of the best one while none is feasible."""
-    feasible = [i for i, rec in enumerate(samples) if _is_feasible(rec, spec)]
-    pool = feasible if feasible else range(len(samples))
-    return min(pool, key=lambda i: samples[i].objective)
+def _best_index(samples: Samples, spec: ProblemSpec) -> int:
+    """Index of the best feasible sample (the best one while none is feasible), first on ties."""
+    feasible = _is_feasible(samples, spec)
+    pool = np.flatnonzero(feasible) if feasible.any() else np.arange(len(samples))
+    return int(pool[np.argmin(samples.objective[pool])])
 
 
 def replication_seeds(master_seed: int, replications: int) -> list[int]:
@@ -176,32 +186,27 @@ def replication_seeds(master_seed: int, replications: int) -> list[int]:
     return [int(master_seed) * 1000 + r for r in range(replications)]
 
 
-def evaluate_toll(spec: ProblemSpec, toll: TollVector, rep_seeds: Sequence[int],
-                  origin: str = "initial") -> SampleRecord:
-    return evaluate_tolls(spec, [toll], rep_seeds, origin)[0]
+def evaluate_toll(spec: ProblemSpec, x: np.ndarray, rep_seeds: Sequence[int],
+                  origin: str = "initial") -> Samples:
+    """Evaluate one ``(2m,)`` toll row."""
+    return evaluate_tolls(spec, x[None], rep_seeds, origin)
 
 
-def evaluate_tolls(spec: ProblemSpec, tolls: Sequence[TollVector], rep_seeds: Sequence[int],
-                   origin: str = "initial") -> list[SampleRecord]:
-    """Evaluate design points with every replication of every point in one
-    simulate_batch call (lanes point-major, seeds in ``rep_seeds`` order)."""
-    n, reps = len(tolls), len(rep_seeds)
-    batch = simulate_batch(spec.config, [toll for toll in tolls for _ in rep_seeds],
-                           list(rep_seeds) * n)
-    obj_reps = _gap_per_rep(batch.interval_density, spec.k_cr).reshape(n, reps)
-    con_reps = _deviation_per_rep(batch.interval_deviation).reshape(n, reps)
-    density = batch.interval_density.reshape(n, reps, -1)
-    deviation = batch.interval_deviation.reshape(n, reps, -1)
-    return [SampleRecord(
-        toll=toll,
-        objective_reps=obj_reps[i],
-        constraint_reps=con_reps[i],
-        objective=float(np.mean(obj_reps[i])),
-        constraint=float(np.mean(con_reps[i])),
-        origin=origin,
-        interval_density_reps=density[i],
-        interval_deviation_reps=deviation[i],
-    ) for i, toll in enumerate(tolls)]
+def evaluate_tolls(spec: ProblemSpec, x: np.ndarray, rep_seeds: Sequence[int],
+                   origin: str = "initial") -> Samples:
+    """Evaluate the ``(n, 2m)`` toll rows ``x`` with every replication of every
+    row in one simulate_batch call (lanes row-major, seeds in ``rep_seeds`` order)."""
+    x = np.array(x, dtype=float)
+    n, reps = len(x), len(rep_seeds)
+    batch = simulate_batch(spec.config, np.repeat(x, reps, axis=0), list(rep_seeds) * n)
+    return Samples(
+        x=x,
+        objective_reps=_gap_per_rep(batch.interval_density, spec.k_cr).reshape(n, reps),
+        constraint_reps=_deviation_per_rep(batch.interval_deviation).reshape(n, reps),
+        origin=np.full(n, origin),
+        interval_density_reps=batch.interval_density.reshape(n, reps, -1),
+        interval_deviation_reps=batch.interval_deviation.reshape(n, reps, -1),
+    )
 
 
 def optimize(spec: ProblemSpec, method: str = "rk", seed: int = 0) -> OptimizationRun:
@@ -235,53 +240,50 @@ def optimize(spec: ProblemSpec, method: str = "rk", seed: int = 0) -> Optimizati
     )
 
 
-def repaired_initial_plan(spec: ProblemSpec, rng: np.random.Generator) -> list[TollVector]:
-    """The initial plan with every point repaired onto the smoothing-feasible set."""
-    plan = np.array([toll.as_array() for toll in build_initial_plan(spec.m, spec.bounds, rng)])
-    return [TollVector.from_array(x)
-            for x in repair_smoothing(plan, spec.alpha, spec.beta, spec.bounds)]
+def repaired_initial_plan(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
+    """The initial plan's ``(n, 2m)`` rows, each repaired onto the smoothing-feasible set."""
+    return repair_smoothing(build_initial_plan(spec.m, spec.bounds, rng),
+                            spec.alpha, spec.beta, spec.bounds)
 
 
 def _optimize_rk(spec: ProblemSpec, seed: int,
-                 rep_seeds: list[int]) -> tuple[list[SampleRecord], list[float]]:
+                 rep_seeds: list[int]) -> tuple[Samples, list[float]]:
     rng = np.random.default_rng(seed)
     samples = evaluate_tolls(spec, repaired_initial_plan(spec, rng), rep_seeds, origin="initial")
 
     acquisition_history: list[float] = []
     while len(samples) < spec.budget:
-        pairs = [(rec.toll.as_array(), rec.objective) for rec in samples]
-        obj_model = fit(pairs, spec.bounds, ga_params=spec.ga, rng=rng)
+        objective = samples.objective
+        obj_model = fit(samples.x, objective, spec.bounds, ga_params=spec.ga, rng=rng)
         con_model = None
         if spec.delta_max is not None:
-            con_pairs = [(rec.toll.as_array(), rec.constraint) for rec in samples]
-            con_model = fit(con_pairs, spec.bounds, ga_params=spec.ga, rng=rng)
+            con_model = fit(samples.x, samples.constraint, spec.bounds, ga_params=spec.ga, rng=rng)
         ctx = AcquisitionContext(
             obj_model=obj_model,
             bounds=spec.bounds,
-            y_min=samples[_best_index(samples, spec)].objective,
+            y_min=float(objective[_best_index(samples, spec)]),
             smoothing=(spec.alpha, spec.beta),
             con_model=con_model,
             delta_max=spec.delta_max,
         )
-        toll, acq = propose_infill(ctx, ga_params=spec.ga, rng=rng)
+        x, acq = propose_infill(ctx, ga_params=spec.ga, rng=rng)
         acquisition_history.append(acq)
-        samples.append(evaluate_toll(spec, toll, rep_seeds, origin="infill"))
+        samples = Samples.concat([samples, evaluate_toll(spec, x, rep_seeds, origin="infill")])
 
     return samples, acquisition_history
 
 
-def _optimize_direct(spec: ProblemSpec, rep_seeds: list[int]) -> list[SampleRecord]:
-    samples: list[SampleRecord] = []
+def _optimize_direct(spec: ProblemSpec, rep_seeds: list[int]) -> Samples:
+    batches: list[Samples] = []
     m = spec.m
     rho = None
 
     def penalized(X: np.ndarray) -> np.ndarray:
         """One DIRECT iteration's points, simulated as one batch and penalized."""
         nonlocal rho
-        records = evaluate_tolls(spec, [TollVector.from_array(x) for x in X], rep_seeds,
-                                 origin="direct")
-        samples.extend(records)
-        objective = np.array([rec.objective for rec in records])
+        batch = evaluate_tolls(spec, X, rep_seeds, origin="direct")
+        batches.append(batch)
+        objective = batch.objective
         if rho is None:
             # penalty weight scaled to the objective magnitude over the first
             # ten points DIRECT samples: the center and the box's trisection
@@ -290,13 +292,13 @@ def _optimize_direct(spec: ProblemSpec, rep_seeds: list[int]) -> list[SampleReco
         delay = np.abs(np.diff(X[:, m:], axis=1)) - spec.beta
         excess = [row for h in range(m - 1) for row in (distance[:, h], delay[:, h])]
         if spec.delta_max is not None:
-            excess.append(np.array([rec.constraint for rec in records]) - spec.delta_max)
+            excess.append(batch.constraint - spec.delta_max)
         return direct_mod.quadratic_penalty(objective, excess, rho)
 
     direct_mod.direct_minimize(
         penalized, (spec.bounds.lower, spec.bounds.upper), max_evals=spec.budget)
 
-    return samples
+    return Samples.concat(batches)
 
 
 def convergence_history(run: OptimizationRun, window: int = 4) -> tuple[np.ndarray, np.ndarray]:
@@ -328,9 +330,10 @@ def write_run_dir(run: OptimizationRun, outdir) -> None:
     for stale in [*owned, os.path.join(outdir, "convergence.csv")]:
         if os.path.exists(stale):
             os.remove(stale)
-    spec = run.spec
+    spec, samples = run.spec, run.samples
     m = spec.m
     reps = spec.replications
+    x, objective, constraint = samples.x, samples.objective, samples.constraint
 
     header = (["index", "origin"]
               + [f"v_{h + 1}_per_km" for h in range(m)]
@@ -339,48 +342,43 @@ def write_run_dir(run: OptimizationRun, outdir) -> None:
               + ["objective_mean_vpkmpl"]
               + [f"constraint_rep{r}_vpkmpl" for r in range(reps)]
               + ["constraint_mean_vpkmpl", "smoothing_feasible"])
+    smooth = check_smoothing(x, spec.alpha, spec.beta)
     with open(os.path.join(outdir, "samples.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, rec in enumerate(run.samples):
-            row = ([i, rec.origin]
-                   + [repr(float(v)) for v in rec.toll.as_array()]
-                   + [repr(float(v)) for v in rec.objective_reps]
-                   + [repr(rec.objective)]
-                   + [repr(float(v)) for v in rec.constraint_reps]
-                   + [repr(rec.constraint),
-                      int(bool(check_smoothing(rec.toll, spec.alpha, spec.beta)))])
-            writer.writerow(row)
+        for i in range(len(samples)):
+            writer.writerow([i, samples.origin[i]]
+                            + [repr(float(v)) for v in x[i]]
+                            + [repr(float(v)) for v in samples.objective_reps[i]]
+                            + [repr(float(objective[i]))]
+                            + [repr(float(v)) for v in samples.constraint_reps[i]]
+                            + [repr(float(constraint[i])), int(smooth[i])])
 
     if run.acquisition_history:
         best = run.best_so_far()
-        n0 = len(run.samples) - len(run.acquisition_history)
+        n0 = len(samples) - len(run.acquisition_history)
         with open(os.path.join(outdir, "convergence.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "acquisition", "best_objective_vpkmpl"])
             for it, acq in enumerate(run.acquisition_history):
                 writer.writerow([it, repr(acq), repr(float(best[n0 + it]))])
 
-    for i, rec in enumerate(run.samples):
+    for i in range(len(samples)):
+        density, deviation = samples.interval_density_reps[i], samples.interval_deviation_reps[i]
         with open(os.path.join(evals_dir, f"eval_{i:04d}.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["rep", "interval", "K_vpkmpl", "Delta_vpkmpl"])
-            if rec.interval_density_reps is None:
-                continue
-            for r in range(rec.interval_density_reps.shape[0]):
-                for h in range(m):
-                    writer.writerow([r, h,
-                                     repr(float(rec.interval_density_reps[r, h])),
-                                     repr(float(rec.interval_deviation_reps[r, h]))])
+            writer.writerows([r, h, repr(float(density[r, h])), repr(float(deviation[r, h]))]
+                             for r, h in np.ndindex(density.shape))
 
-    best = run.best
+    b = run.best_index
     best_doc = {
-        "index": run.best_index,
-        "distance_rates": [repr(float(v)) for v in best.toll.distance_rates],
-        "delay_rates": [repr(float(v)) for v in best.toll.delay_rates],
-        "objective": repr(best.objective),
-        "constraint": repr(best.constraint),
-        "feasible": _is_feasible(best, spec),
+        "index": b,
+        "distance_rates": [repr(float(v)) for v in x[b, :m]],
+        "delay_rates": [repr(float(v)) for v in x[b, m:]],
+        "objective": repr(float(objective[b])),
+        "constraint": repr(float(constraint[b])),
+        "feasible": bool(_is_feasible(samples, spec)[b]),
         "method": run.method,
         "evaluations": run.evaluations,
     }
@@ -388,23 +386,21 @@ def write_run_dir(run: OptimizationRun, outdir) -> None:
         json.dump(best_doc, fh, indent=2)
 
 
-def load_samples_csv(path) -> list[SampleRecord]:
-    """Rebuild sample records from a run's samples.csv (interval tables not reloaded)."""
-    records = []
+def load_samples_csv(path) -> Samples:
+    """Rebuild a run's samples from its samples.csv.  The interval tables are not
+    in that file, so they load empty, ``(n, R, 0)``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        m = sum(1 for c in header if c.startswith("v_"))
-        reps = sum(1 for c in header if c.startswith("objective_rep"))
-        for row in reader:
-            toll = TollVector.from_array([float(x) for x in row[2:2 + 2 * m]])
-            pos = 2 + 2 * m
-            obj_reps = np.array([float(x) for x in row[pos:pos + reps]])
-            obj_mean = float(row[pos + reps])
-            pos += reps + 1
-            con_reps = np.array([float(x) for x in row[pos:pos + reps]])
-            con_mean = float(row[pos + reps])
-            records.append(SampleRecord(
-                toll=toll, objective_reps=obj_reps, constraint_reps=con_reps,
-                objective=obj_mean, constraint=con_mean, origin=row[1]))
-    return records
+        rows = list(reader)
+    m = sum(1 for c in header if c.startswith("v_"))
+    reps = sum(1 for c in header if c.startswith("objective_rep"))
+    # every column but index, origin and the feasibility flag
+    values = np.array([[float(v) for v in row[2:-1]] for row in rows]).reshape(
+        len(rows), 2 * m + 2 * reps + 2)
+    con = 2 * m + reps + 1
+    return Samples(x=values[:, :2 * m], objective_reps=values[:, 2 * m:con - 1],
+                   constraint_reps=values[:, con:con + reps],
+                   origin=np.array([row[1] for row in rows]),
+                   interval_density_reps=np.empty((len(rows), reps, 0)),
+                   interval_deviation_reps=np.empty((len(rows), reps, 0)))

@@ -1,4 +1,4 @@
-"""Decision-vector types shared by the sampler, surrogate, and simulator layers."""
+"""The toll box, and TollVector, the single-replication and command-line form of a toll row."""
 
 from __future__ import annotations
 
@@ -51,9 +51,6 @@ class TollVector:
     @classmethod
     def constant(cls, m: int, distance_rate: float, delay_rate: float) -> "TollVector":
         return cls(np.full(m, float(distance_rate)), np.full(m, float(delay_rate)))
-
-    def rates_for_interval(self, h: int) -> tuple[float, float]:
-        return float(self.distance_rates[h]), float(self.delay_rates[h])
 
 
 @dataclass(frozen=True)

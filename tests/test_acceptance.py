@@ -6,6 +6,7 @@ shared between criteria through module-scoped fixtures.
 
 import dataclasses
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +35,20 @@ from tollopt.direct import direct_minimize
 UNIT2 = Bounds(np.zeros(2), np.ones(2))
 
 
+def sample(run, i):
+    """Sample ``i`` of a run: its toll row ``x``, objective and constraint."""
+    return SimpleNamespace(x=run.samples.x[i], objective=float(run.samples.objective[i]),
+                           constraint=float(run.samples.constraint[i]))
+
+
+def best(run):
+    return sample(run, run.best_index)
+
+
+def zero_toll(run):
+    return sample(run, next(i for i, x in enumerate(run.samples.x) if np.allclose(x, 0.0)))
+
+
 def report(num, message):
     print(f"\ncriterion {num:02d}: PASS — {message}")
 
@@ -49,8 +64,8 @@ def single_objective_run():
 @pytest.fixture(scope="module")
 def constrained_run(single_objective_run):
     run1, _ = single_objective_run
-    zero = next(r for r in run1.samples if np.allclose(r.toll.as_array(), 0.0))
-    delta_max = 0.5 * (zero.constraint + run1.best.constraint)
+    zero = zero_toll(run1)
+    delta_max = 0.5 * (zero.constraint + best(run1).constraint)
     spec = make_desk_spec(budget=60, replications=2, delta_max=delta_max)
     start = time.time()
     run = optimize(spec, method="rk", seed=12)
@@ -62,8 +77,7 @@ def test_criterion_01_kriging_interpolation_exactness():
     rng = np.random.default_rng(0)
     pts = lhs(20, 2, rng)
     ys = np.sin(3 * pts[:, 0]) + (pts[:, 1] - 0.4) ** 2
-    samples = [(pts[i], float(ys[i])) for i in range(20)]
-    model = fit(samples, UNIT2, lambda_bounds=(0.0, 0.0),
+    model = fit(pts, ys, UNIT2, lambda_bounds=(0.0, 0.0),
                 ga_params=GAParams(population_size=30, generations=20), rng=rng)
     preds = predict(model, pts)
     for i in range(20):
@@ -130,10 +144,9 @@ def test_criterion_04_reinterpolation_annihilation():
     rng = np.random.default_rng(3)
     pts = lhs(18, 2, rng)
     ys = np.cos(4 * pts[:, 0]) + pts[:, 1]
-    samples = [(pts[i], float(ys[i])) for i in range(18)]
     grid = lhs(50, 2, np.random.default_rng(4))
     for lam in (0.01, 0.1, 1.0):
-        model = fit_fixed(samples, UNIT2, theta=np.array([3.0, 3.0]), lam=lam)
+        model = fit_fixed(pts, ys, UNIT2, theta=np.array([3.0, 3.0]), lam=lam)
         preds = predict(model, pts)
         assert np.all(preds.ri_variance <= 1e-10 * max(model.sigma2_ri, 1e-300))
         y_min = float(np.min(ys))
@@ -288,16 +301,16 @@ def test_criterion_09_spread_deviation_and_envelope():
 def test_criterion_10_single_objective_problem(single_objective_run):
     run, elapsed = single_objective_run
     spec = run.spec
-    zero = next(r for r in run.samples if np.allclose(r.toll.as_array(), 0.0))
-    assert run.best.objective < zero.objective
-    for rec in run.samples:
-        assert check_smoothing(rec.toll, spec.alpha, spec.beta)
-        assert spec.bounds.contains(rec.toll.as_array(), atol=1e-9)
-    reps = [simulate(spec.config, run.best.toll, s) for s in run.rep_seeds]
+    zero = zero_toll(run)
+    assert best(run).objective < zero.objective
+    assert np.all(check_smoothing(run.samples.x, spec.alpha, spec.beta))
+    for x in run.samples.x:
+        assert spec.bounds.contains(x, atol=1e-9)
+    reps = [simulate(spec.config, TollVector.from_array(best(run).x), s) for s in run.rep_seeds]
     window_mean = float(np.mean([r.interval_density.mean() for r in reps]))
     assert 0.8 * spec.k_cr <= window_mean <= 1.2 * spec.k_cr
     assert elapsed < 300.0
-    report(10, f"best {run.best.objective:.2f} < zero-toll {zero.objective:.2f}; "
+    report(10, f"best {best(run).objective:.2f} < zero-toll {zero.objective:.2f}; "
                f"all 60 samples feasible; window density {window_mean:.1f} "
                f"within 20% of {spec.k_cr} ({elapsed:.0f}s)")
 
@@ -305,21 +318,21 @@ def test_criterion_10_single_objective_problem(single_objective_run):
 def test_criterion_11_constrained_problem(single_objective_run, constrained_run):
     run1, _ = single_objective_run
     run2, delta_max, elapsed = constrained_run
-    zero = next(r for r in run1.samples if np.allclose(r.toll.as_array(), 0.0))
-    assert zero.constraint < delta_max < run1.best.constraint   # bracketing held
-    assert run2.best.constraint <= delta_max
-    assert run1.best.objective < run2.best.objective
-    assert run1.best.constraint > run2.best.constraint
+    zero = zero_toll(run1)
+    assert zero.constraint < delta_max < best(run1).constraint   # bracketing held
+    assert best(run2).constraint <= delta_max
+    assert best(run1).objective < best(run2).objective
+    assert best(run1).constraint > best(run2).constraint
     assert elapsed < 300.0
     report(11, f"limit {delta_max:.2f} bracketed in ({zero.constraint:.2f}, "
-               f"{run1.best.constraint:.2f}); constrained best obj {run2.best.objective:.2f} "
-               f"/ con {run2.best.constraint:.2f}; trade-off direction holds ({elapsed:.0f}s)")
+               f"{best(run1).constraint:.2f}); constrained best obj {best(run2).objective:.2f} "
+               f"/ con {best(run2).constraint:.2f}; trade-off direction holds ({elapsed:.0f}s)")
 
 
 def test_criterion_12_validation_suite(single_objective_run):
     run, _ = single_objective_run
-    pairs = [(rec.toll.as_array(), rec.objective) for rec in run.samples]
-    model = fit(pairs, run.spec.bounds, rng=np.random.default_rng(5))
+    model = fit(run.samples.x, run.samples.objective, run.spec.bounds,
+                rng=np.random.default_rng(5))
     records = loo_cv(model)
     usable = [r for r in records if not r.degenerate]
     inside = [r for r in usable if abs(r.standardized_residual) <= 3.0]
@@ -344,15 +357,15 @@ def test_criterion_13_rk_vs_direct_against_grid_oracle(tmp_path):
     rep_seed = replication_seeds(seed, 1)[0]
     best_grid = np.inf
     for v in np.linspace(0.0, 1.0, 50):
-        row = [TollVector(np.array([v]), np.array([w])) for w in np.linspace(0.0, 15.0, 50)]
+        row = np.array([[v, w] for w in np.linspace(0.0, 15.0, 50)])
         batch = simulate_batch(config, row, [rep_seed] * len(row))
         for density in batch.interval_density:
             best_grid = min(best_grid, float(np.mean(np.abs(density - config.k_cr))))
 
     run_rk = optimize(spec, method="rk", seed=seed)
     run_direct = optimize(spec, method="direct", seed=seed)
-    gap_rk = abs(run_rk.best.objective - best_grid) / best_grid
-    gap_direct = abs(run_direct.best.objective - best_grid) / best_grid
+    gap_rk = abs(best(run_rk).objective - best_grid) / best_grid
+    gap_direct = abs(best(run_direct).objective - best_grid) / best_grid
     assert gap_rk <= 0.10
     assert gap_direct <= 0.10
 

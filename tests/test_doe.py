@@ -87,7 +87,7 @@ def test_initial_plan_anchors_and_scaling():
     bounds = Bounds.uniform(8, 1.0, 15.0)
     assert np.all(bounds.upper[:8] == 1.0) and np.all(bounds.upper[8:] == 15.0)
     plan = build_initial_plan(8, bounds, np.random.default_rng(3))
-    arrays = [p.as_array() for p in plan]
+    arrays = list(plan)
     for arr in arrays:
         assert bounds.contains(arr)
     assert np.array_equal(arrays[-3], bounds.lower)
@@ -99,7 +99,7 @@ def test_initial_plan_degenerate_bounds_warns():
     bounds = Bounds(np.zeros(4), np.zeros(4))
     with pytest.warns(UserWarning):
         plan = build_initial_plan(2, bounds, np.random.default_rng(0))
-    assert all(np.array_equal(p.as_array(), np.zeros(4)) for p in plan)
+    assert all(np.array_equal(p, np.zeros(4)) for p in plan)
 
 
 def test_plan_csv_round_trip(tmp_path):
@@ -112,4 +112,4 @@ def test_plan_csv_round_trip(tmp_path):
     assert header == ["v_1", "v_2", "w_1", "w_2"]
     assert len(rows) == len(plan)
     for toll, row in zip(plan, rows):
-        assert np.array_equal(toll.as_array(), [float(x) for x in row])
+        assert np.array_equal(toll, [float(x) for x in row])

@@ -14,7 +14,7 @@ from tollopt.infill import (AcquisitionContext, acquisition_value, constrained_e
                             repair_smoothing)
 from tollopt.surrogate import fit_fixed, predict
 from tollopt.tlp import check_smoothing
-from tollopt.toll import Bounds, TollVector
+from tollopt.toll import Bounds
 
 SEARCH_GA = GAParams(population_size=40, generations=30)
 
@@ -98,7 +98,7 @@ class TestRepairSmoothing:
         bounds = Bounds.uniform(3, 1.0, 15.0)
         x = np.array([0.0, 1.0, 0.0, 0.0, 15.0, 0.0])
         fixed = repair_smoothing(x, 1.0 / 3.0, 5.0, bounds)
-        assert check_smoothing(TollVector.from_array(fixed), 1.0 / 3.0, 5.0)
+        assert check_smoothing(fixed[None], 1.0 / 3.0, 5.0)[0]
         assert fixed[0] == 0.0 and fixed[1] == pytest.approx(1.0 / 3.0)
         assert fixed[3] == 0.0 and fixed[4] == pytest.approx(5.0)
 
@@ -115,7 +115,7 @@ class TestRepairSmoothing:
         x = bounds.scale_from_unit(rng.uniform(size=8))
         fixed = repair_smoothing(x, 1.0 / 3.0, 5.0, bounds)
         assert bounds.contains(fixed)
-        assert check_smoothing(TollVector.from_array(fixed), 1.0 / 3.0, 5.0)
+        assert check_smoothing(fixed[None], 1.0 / 3.0, 5.0)[0]
 
     @given(m=st.sampled_from([4, 8]), seed=st.integers(0, 5000),
            reach=st.sampled_from([1.0, 1.5, 3.0]))
@@ -144,7 +144,7 @@ def ridge_model(n=14, seed=0, lam=0.05):
     x1 = rng.uniform(0.0, 1.0, size=n)
     pts = np.stack([x0, x1], axis=1)
     ys = (x0 - 0.1) ** 2
-    return fit_fixed([(pts[i], float(ys[i])) for i in range(n)],
+    return fit_fixed(pts, ys,
                      Bounds(np.zeros(2), np.ones(2)), theta=np.array([8.0, 8.0]), lam=lam)
 
 
@@ -163,7 +163,7 @@ class TestProposeInfill:
         model = ridge_model(lam=0.1)
         ctx = self.make_ctx(model)
         toll, _ = propose_infill(ctx, ga_params=SEARCH_GA, rng=np.random.default_rng(1))
-        u = ctx.bounds.to_unit(toll.as_array())
+        u = ctx.bounds.to_unit(toll)
         dists = np.linalg.norm(model.design - u, axis=1)
         assert np.min(dists) > 1e-9
         # reinterpolation acquisition vanishes at every training input
@@ -179,14 +179,14 @@ class TestProposeInfill:
         grid_acq = acquisition_value(ctx, grid)
         best_grid = float(np.max(grid_acq))
         assert grid[int(np.argmax(grid_acq)), 0] < 0.4   # the basin side
-        assert toll.as_array()[0] < 0.4
+        assert toll[0] < 0.4
         assert value >= 0.98 * best_grid
 
     def test_infeasible_constraint_suppresses_acquisition(self):
         model = ridge_model()
         rng = np.random.default_rng(3)
         pts = rng.uniform(size=(12, 2))
-        con = fit_fixed([(pts[i], 50.0 + float(rng.normal(0, 0.5))) for i in range(12)],
+        con = fit_fixed(pts, [50.0 + float(rng.normal(0, 0.5)) for i in range(12)],
                         Bounds(np.zeros(2), np.ones(2)), theta=np.array([1.0, 1.0]), lam=0.01)
         ctx = self.make_ctx(model, con_model=con, delta_max=0.0)
         grid = np.stack([np.repeat(np.linspace(0, 1, 100), 100),
@@ -201,22 +201,22 @@ class TestProposeInfill:
         bounds = Bounds.uniform(m, 1.0, 15.0)
         pts = rng.uniform(size=(20, 2 * m))
         ys = np.sum((pts - 0.4) ** 2, axis=1)
-        model = fit_fixed([(bounds.scale_from_unit(pts[i]), float(ys[i])) for i in range(20)],
+        model = fit_fixed(bounds.scale_from_unit(pts), ys,
                           bounds, theta=np.full(2 * m, 2.0), lam=0.02)
         ctx = AcquisitionContext(obj_model=model, bounds=bounds, y_min=float(np.min(ys)),
                                  smoothing=(1.0 / 3.0, 5.0))
         for seed in range(3):
             toll, _ = propose_infill(ctx, ga_params=SEARCH_GA, rng=np.random.default_rng(seed))
-            assert bounds.contains(toll.as_array())
-            assert check_smoothing(toll, 1.0 / 3.0, 5.0, tol=0.0)
+            assert bounds.contains(toll)
+            assert check_smoothing(toll[None], 1.0 / 3.0, 5.0, tol=0.0)[0]
 
     def test_flat_acquisition_falls_back_to_space_filling(self):
         # constant responses with lambda = 0: EI is identically zero
         pts = np.array([[0.1, 0.1], [0.9, 0.9], [0.1, 0.9], [0.9, 0.1]])
-        model = fit_fixed([(p, 1.0) for p in pts], Bounds(np.zeros(2), np.ones(2)),
+        model = fit_fixed(pts, np.ones(len(pts)), Bounds(np.zeros(2), np.ones(2)),
                           theta=np.array([2.0, 2.0]), lam=0.0)
         ctx = self.make_ctx(model, y_min=1.0)
         toll, value = propose_infill(ctx, ga_params=SEARCH_GA, rng=np.random.default_rng(5))
-        u = ctx.bounds.to_unit(toll.as_array())
+        u = ctx.bounds.to_unit(toll)
         # the tie-break maximizes distance to the nearest sample: center-ish point
         assert float(np.min(np.linalg.norm(pts - u, axis=1))) > 0.3

@@ -240,6 +240,11 @@ def _lane_toll(m: int, fractions) -> TollVector:
     return TollVector.from_array(np.array(fractions[:2 * m]) * np.r_[np.ones(m), np.full(m, 15.0)])
 
 
+def _rows(tolls) -> np.ndarray:
+    """The ``(B, 2m)`` stack that simulate_batch takes."""
+    return np.array([toll.as_array() for toll in tolls])
+
+
 class TestSimulateBatch:
     @given(preset=st.sampled_from(sorted(PRESETS)), lanes=st.lists(LANE, min_size=1, max_size=6))
     @example(preset="desk", lanes=[(0, None)])
@@ -250,7 +255,7 @@ class TestSimulateBatch:
         config = PRESETS[preset]()
         tolls = [_lane_toll(config.m, fractions) for _, fractions in lanes]
         seeds = [seed for seed, _ in lanes]
-        batch = simulate_batch(config, tolls, seeds)
+        batch = simulate_batch(config, _rows(tolls), seeds)
         for b, (toll, seed) in enumerate(zip(tolls, seeds)):
             one = simulate(config, toll, seed)
             assert np.array_equal(batch.interval_density[b], one.interval_density)
@@ -263,7 +268,7 @@ class TestSimulateBatch:
 
     def test_per_step_series_are_contiguous_lane_rows(self):
         config = desk_preset()
-        batch = simulate_batch(config, [TollVector.zero(config.m)] * 3, [0, 1, 0])
+        batch = simulate_batch(config, np.zeros((3, 2 * config.m)), [0, 1, 0])
         steps = int(round(config.horizon_hours * 3600.0 / config.step_seconds))
         for series in (batch.network_density, batch.gamma):
             assert series.shape == (3, steps)
@@ -272,12 +277,12 @@ class TestSimulateBatch:
     def test_toll_with_wrong_interval_count_rejected(self):
         config = desk_preset()
         with pytest.raises(ValueError, match="intervals"):
-            simulate_batch(config, [TollVector.zero(config.m), TollVector.zero(config.m + 1)], [0, 1])
+            simulate_batch(config, np.zeros((2, 2 * config.m + 2)), [0, 1])
 
     def test_toll_and_seed_counts_must_match(self):
         config = desk_preset()
         with pytest.raises(ValueError, match="seeds"):
-            simulate_batch(config, [TollVector.zero(config.m)] * 2, [0, 1, 2])
+            simulate_batch(config, np.zeros((2, 2 * config.m)), [0, 1, 2])
 
 
 
@@ -297,7 +302,7 @@ class TestUntolledPrefix:
         config = dataclasses.replace(desk_preset(), tolling_window=window)
         tolls = [_lane_toll(config.m, fractions) for _, fractions in lanes]
         seeds = [seed for seed, _ in lanes]
-        batch = simulate_batch(config, tolls, seeds)
+        batch = simulate_batch(config, _rows(tolls), seeds)
         for b, (toll, seed) in enumerate(zip(tolls, seeds)):
             one = simulate(config, toll, seed)
             assert np.array_equal(batch.interval_density[b], one.interval_density)
@@ -318,8 +323,8 @@ class TestUntolledPrefix:
             return original(config, seeds, *args)
 
         monkeypatch.setattr(simnet, "_untolled_prefix", counting)
-        tolls = [TollVector.constant(config.m, 0.3, 4.0), TollVector.zero(config.m),
-                 TollVector.constant(config.m, 0.8, 12.0)]
+        tolls = _rows([TollVector.constant(config.m, 0.3, 4.0), TollVector.zero(config.m),
+                       TollVector.constant(config.m, 0.8, 12.0)])
         seeds = [7, 3, 7]
         cold = simulate_batch(config, tolls, seeds)
         assert sorted(prefixed) == [3, 7]
@@ -454,11 +459,11 @@ class TestStepBody:
                                      rebalancing=rebalancing, perception_tau_minutes=tau)
         tolls = [_lane_toll(config.m, fractions) for _, fractions in lanes]
         seeds = [seed for seed, _ in lanes]
-        batch = simulate_batch(config, tolls, seeds)
+        batch = simulate_batch(config, _rows(tolls), seeds)
         one = simulate(config, tolls[0], seeds[0])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simnet, "_advance", _reference_advance)
-            ref_batch = simulate_batch(config, tolls, seeds)
+            ref_batch = simulate_batch(config, _rows(tolls), seeds)
             ref_one = simulate(config, tolls[0], seeds[0])
         _assert_batches_equal(batch, ref_batch)
         for field in dataclasses.fields(one):

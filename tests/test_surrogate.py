@@ -27,7 +27,7 @@ def make_samples(n, seed=0, noise=0.0):
     ys = branin_like(pts)
     if noise:
         ys = ys + rng.normal(0.0, noise, size=n)
-    return [(pts[i], float(ys[i])) for i in range(n)], pts, ys
+    return pts, ys
 
 
 class TestCorrelation:
@@ -135,8 +135,8 @@ class TestLogLikelihood:
                 assert row == pytest.approx(oracle, rel=1e-8)
 
     def test_a_stack_that_factors_makes_no_triangular_solve(self, monkeypatch):
-        samples, pts, ys = make_samples(12, seed=3, noise=0.05)
-        model = fit_fixed(samples, UNIT2, theta=np.array([2.0, 1.5]), lam=0.02)
+        pts, ys = make_samples(12, seed=3, noise=0.05)
+        model = fit_fixed(pts, ys, UNIT2, theta=np.array([2.0, 1.5]), lam=0.02)
         before = log_likelihood(pts, ys, np.array([[2.0, 1.5], [0.5, 4.0]]), np.array([0.02, 0.1]))
         folds = loo_cv(model)
 
@@ -192,8 +192,8 @@ class TestLogLikelihood:
 
 class TestFit:
     def test_noise_free_data_prefers_minimal_regularization(self):
-        samples, pts, ys = make_samples(20, seed=1)
-        model = fit(samples, UNIT2, ga_params=SMALL_GA, rng=np.random.default_rng(3))
+        pts, ys = make_samples(20, seed=1)
+        model = fit(pts, ys, UNIT2, ga_params=SMALL_GA, rng=np.random.default_rng(3))
         y_std = (ys - ys.mean()) / ys.std()
         at_floor = log_likelihood(pts, y_std, model.theta[None], np.array([1e-6]))[0]
         at_half = log_likelihood(pts, y_std, model.theta[None], np.array([0.5]))[0]
@@ -201,13 +201,12 @@ class TestFit:
         assert model.lam < 1e-2
 
     def test_noisy_data_pushes_lambda_off_the_floor(self):
-        samples, _, _ = make_samples(25, seed=2, noise=0.5)
-        model = fit(samples, UNIT2, ga_params=SMALL_GA, rng=np.random.default_rng(4))
+        pts, ys = make_samples(25, seed=2, noise=0.5)
+        model = fit(pts, ys, UNIT2, ga_params=SMALL_GA, rng=np.random.default_rng(4))
         assert model.lam > 1e-6
 
     def test_two_identical_responses(self):
-        samples = [(np.array([0.2, 0.2]), 1.5), (np.array([0.8, 0.8]), 1.5)]
-        model = fit_fixed(samples, UNIT2, theta=np.array([1.0, 1.0]), lam=0.0)
+        model = fit_fixed(np.array([[0.2, 0.2], [0.8, 0.8]]), [1.5, 1.5], UNIT2, theta=np.array([1.0, 1.0]), lam=0.0)
         assert model.sigma2_hat >= 0.0
         pred = predict(model, np.array([[0.5, 0.5]]))
         assert pred.mean[0] == pytest.approx(1.5, abs=1e-9)
@@ -222,8 +221,8 @@ class TestFit:
             return real(design, y, theta, lam)
 
         monkeypatch.setattr(surrogate, "log_likelihood", spy)
-        samples, _, _ = make_samples(10, seed=3)
-        fit(samples, UNIT2, ga_params=params, rng=np.random.default_rng(0))
+        pts, ys = make_samples(10, seed=3)
+        fit(pts, ys, UNIT2, ga_params=params, rng=np.random.default_rng(0))
         children = params.population_size - ELITISM
         assert shapes == ([((params.population_size, 2), (params.population_size,))]
                           + [((children, 2), (children,))] * (params.generations - 1))
@@ -240,48 +239,46 @@ class TestFit:
         monkeypatch.setattr(surrogate, "ga_maximize", spy)
         rng = np.random.default_rng(0)
         rows = np.hstack([rng.uniform(size=(10, m)), np.zeros((10, m))])   # distance toll only
-        samples = [(row, float(np.sum(np.sin(3.0 * row)))) for row in rows]
-        model = fit(samples, Bounds.uniform(m, 1.0, 0.0), ga_params=SMALL_GA, rng=rng)
+        model = fit(rows, np.sum(np.sin(3.0 * rows), axis=1), Bounds.uniform(m, 1.0, 0.0), ga_params=SMALL_GA, rng=rng)
         assert [(len(lower), len(upper)) for lower, upper in boxes] == [(m + 1, m + 1)]
         assert np.all(model.theta[:m] > 0)
         assert np.array_equal(model.theta[m:], np.zeros(m))
 
     def test_fewer_than_two_distinct_points_rejected(self):
         with pytest.raises(ValueError):
-            fit([(np.array([0.1, 0.1]), 1.0)], UNIT2, rng=np.random.default_rng(0))
-        dup = [(np.array([0.1, 0.1]), 1.0), (np.array([0.1, 0.1]), 2.0)]
+            fit(np.array([[0.1, 0.1]]), [1.0], UNIT2, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            fit(dup, UNIT2, rng=np.random.default_rng(0))
+            fit(np.array([[0.1, 0.1], [0.1, 0.1]]), [1.0, 2.0], UNIT2, rng=np.random.default_rng(0))
 
 
 class TestPredict:
     def test_interpolation_identity_without_regularization(self):
-        samples, pts, ys = make_samples(15, seed=5)
-        model = fit_fixed(samples, UNIT2, theta=np.array([3.0, 3.0]), lam=0.0)
+        pts, ys = make_samples(15, seed=5)
+        model = fit_fixed(pts, ys, UNIT2, theta=np.array([3.0, 3.0]), lam=0.0)
         for i in range(15):
             pred = predict(model, pts[i:i + 1])
             assert abs(pred.mean[0] - ys[i]) <= 1e-6 * (1.0 + abs(ys[i]))
             assert pred.variance[0] <= 1e-8 * model.sigma2_hat
 
     def test_regularized_variance_positive_but_ri_variance_zero_at_samples(self):
-        samples, pts, _ = make_samples(15, seed=6)
-        model = fit_fixed(samples, UNIT2, theta=np.array([3.0, 3.0]), lam=0.3)
+        pts, ys = make_samples(15, seed=6)
+        model = fit_fixed(pts, ys, UNIT2, theta=np.array([3.0, 3.0]), lam=0.3)
         for i in range(15):
             pred = predict(model, pts[i:i + 1])
             assert pred.variance[0] > 0.0
             assert pred.ri_variance[0] <= 1e-10 * max(model.sigma2_ri, 1e-300)
 
     def test_single_training_point_predicts_its_value_everywhere(self):
-        model = fit_fixed([(np.array([0.4, 0.6]), 2.25)], UNIT2,
+        model = fit_fixed(np.array([[0.4, 0.6]]), [2.25], UNIT2,
                           theta=np.array([1.0, 1.0]), lam=0.0)
         for q in (np.zeros(2), np.ones(2), np.array([0.9, 0.1])):
             assert predict(model, q[None]).mean[0] == pytest.approx(2.25, abs=1e-12)
 
     def test_prediction_invariant_under_sample_permutation(self):
-        samples, _, _ = make_samples(12, seed=7)
-        model_a = fit_fixed(samples, UNIT2, theta=np.array([2.0, 1.0]), lam=0.05)
+        pts, ys = make_samples(12, seed=7)
+        model_a = fit_fixed(pts, ys, UNIT2, theta=np.array([2.0, 1.0]), lam=0.05)
         perm = np.random.default_rng(0).permutation(12)
-        model_b = fit_fixed([samples[i] for i in perm], UNIT2,
+        model_b = fit_fixed(pts[perm], ys[perm], UNIT2,
                             theta=np.array([2.0, 1.0]), lam=0.05)
         q = np.array([[0.33, 0.77]])
         pa, pb = predict(model_a, q), predict(model_b, q)
@@ -294,8 +291,8 @@ class TestPredict:
         # reproducible only if each row predicts what a stack of one predicts
         rng = np.random.default_rng(n + d)
         pts = rng.uniform(size=(n, d))
-        samples = [(x, float(np.sin(3.0 * x[0]) + np.sum(x ** 2))) for x in pts]
-        model = fit_fixed(samples, Bounds(np.zeros(d), np.ones(d)),
+        ys = np.array([float(np.sin(3.0 * x[0]) + np.sum(x ** 2)) for x in pts])
+        model = fit_fixed(pts, ys, Bounds(np.zeros(d), np.ones(d)),
                           theta=10.0 ** rng.uniform(-1.0, 1.0, size=d), lam=0.01)
         queries = rng.uniform(size=(50, d))
         batch = predict(model, queries)
@@ -304,22 +301,22 @@ class TestPredict:
             assert np.array_equal(getattr(batch, field), [getattr(p, field)[0] for p in singles])
 
     def test_ri_variance_never_exceeds_variance(self):
-        samples, _, _ = make_samples(15, seed=8)
-        model = fit_fixed(samples, UNIT2, theta=np.array([4.0, 2.0]), lam=0.2)
+        pts, ys = make_samples(15, seed=8)
+        model = fit_fixed(pts, ys, UNIT2, theta=np.array([4.0, 2.0]), lam=0.2)
         grid = lhs(60, 2, np.random.default_rng(9))
         pred = predict(model, grid)
         assert np.all(pred.ri_variance <= pred.variance + 1e-12)
 
     def test_a_lone_point_is_rejected_naming_the_stack_shape(self):
-        model = fit_fixed(make_samples(5)[0], UNIT2, theta=np.array([1.0, 1.0]), lam=0.0)
+        model = fit_fixed(*make_samples(5), UNIT2, theta=np.array([1.0, 1.0]), lam=0.0)
         with pytest.raises(ValueError, match=r"\(k, 2\) stack, not \(2,\)"):
             predict(model, np.array([0.5, 0.5]))
 
 
 class TestCrossValidation:
     def test_smooth_surface_residuals_mostly_inside_three_sigma(self):
-        samples, _, _ = make_samples(30, seed=11)
-        model = fit(samples, UNIT2, ga_params=SMALL_GA, rng=np.random.default_rng(12))
+        pts, ys = make_samples(30, seed=11)
+        model = fit(pts, ys, UNIT2, ga_params=SMALL_GA, rng=np.random.default_rng(12))
         records = loo_cv(model)
         usable = [r for r in records if not r.degenerate]
         inside = [r for r in usable if abs(r.standardized_residual) <= 3.0]
@@ -329,15 +326,14 @@ class TestCrossValidation:
             assert abs(r.observed - r.predicted) <= 3.0 * r.std_error
 
     def test_constant_responses_flag_degenerate_or_zero(self):
-        samples = [(np.array([x, y]), 7.0)
-                   for x, y in [(0.1, 0.1), (0.5, 0.5), (0.9, 0.2), (0.3, 0.8)]]
-        model = fit_fixed(samples, UNIT2, theta=np.array([1.0, 1.0]), lam=0.0)
+        pts = np.array([(0.1, 0.1), (0.5, 0.5), (0.9, 0.2), (0.3, 0.8)])
+        model = fit_fixed(pts, np.full(4, 7.0), UNIT2, theta=np.array([1.0, 1.0]), lam=0.0)
         for rec in loo_cv(model):
             assert rec.degenerate or rec.standardized_residual == pytest.approx(0.0, abs=1e-6)
 
     def test_folds_match_dense_refits(self):
-        samples, pts, ys = make_samples(14, seed=15, noise=0.05)
-        model = fit_fixed(samples, UNIT2, theta=np.array([2.0, 1.5]), lam=0.02)
+        pts, ys = make_samples(14, seed=15, noise=0.05)
+        model = fit_fixed(pts, ys, UNIT2, theta=np.array([2.0, 1.5]), lam=0.02)
         y_std = (ys - model.y_shift) / model.y_scale
         psi = corr_vector(pts, model.theta, pts)
         for i, rec in enumerate(loo_cv(model)):
@@ -354,16 +350,16 @@ class TestCrossValidation:
             assert rec.std_error == pytest.approx(model.y_scale * math.sqrt(var), rel=1e-9)
 
     def test_requires_three_points(self):
-        samples, _, _ = make_samples(2, seed=13)
-        model = fit_fixed(samples, UNIT2, theta=np.array([1.0, 1.0]), lam=0.1)
+        pts, ys = make_samples(2, seed=13)
+        model = fit_fixed(pts, ys, UNIT2, theta=np.array([1.0, 1.0]), lam=0.1)
         with pytest.raises(ValueError):
             loo_cv(model)
 
 
 def test_regularized_matrix_diagonal_is_one_plus_lambda():
-    samples, pts, _ = make_samples(10, seed=20)
+    pts, ys = make_samples(10, seed=20)
     lam = 0.37
-    model = fit_fixed(samples, UNIT2, theta=np.array([1.5, 0.8]), lam=lam)
+    model = fit_fixed(pts, ys, UNIT2, theta=np.array([1.5, 0.8]), lam=lam)
     reconstructed = model._chol_r @ model._chol_r.T
     assert np.allclose(np.diag(reconstructed), 1.0 + lam, atol=1e-12)
     psi = corr_vector(pts, np.array([1.5, 0.8]), pts)

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_desk_spec
 from tollopt.ga import GAParams
 from tollopt.simnet import desk_preset, simulate
-from tollopt.tlp import (OptimizationRun, SampleRecord, check_smoothing, constraint_value,
+from tollopt.tlp import (OptimizationRun, Samples, check_smoothing, constraint_value,
                          convergence_history, evaluate_toll, evaluate_tolls,
                          load_samples_csv, objective_value, optimize, replication_seeds,
                          write_run_dir)
@@ -48,19 +48,19 @@ class TestObjectiveAndConstraint:
 
 class TestSmoothing:
     def test_constant_pattern_is_feasible(self):
-        toll = TollVector.constant(4, 0.7, 9.0)
-        assert check_smoothing(toll, 1.0 / 3.0, 5.0)
+        toll = TollVector.constant(4, 0.7, 9.0).as_array()[None]
+        assert check_smoothing(toll, 1.0 / 3.0, 5.0)[0]
 
     def test_jump_detected_with_location(self):
         for rates in ([0.0, 0.5, 0.5], [0.5, 0.5, 0.0]):    # first and last step
-            toll = TollVector(np.array(rates), np.zeros(3))
-            assert check_smoothing(toll, 0.33, 5.0) is False
-            assert check_smoothing(toll, 0.5, 5.0) is True
+            toll = TollVector(np.array(rates), np.zeros(3)).as_array()[None]
+            assert check_smoothing(toll, 0.33, 5.0).tolist() == [False]
+            assert check_smoothing(toll, 0.5, 5.0).tolist() == [True]
 
     def test_delay_chain_checked_against_beta(self):
-        toll = TollVector(np.zeros(3), np.array([0.0, 6.0, 6.0]))
-        assert check_smoothing(toll, 0.33, 5.0) is False
-        assert check_smoothing(toll, 0.33, 6.0) is True
+        toll = TollVector(np.zeros(3), np.array([0.0, 6.0, 6.0])).as_array()[None]
+        assert check_smoothing(toll, 0.33, 5.0).tolist() == [False]
+        assert check_smoothing(toll, 0.33, 6.0).tolist() == [True]
 
 
 class TestConvergenceHistory:
@@ -94,22 +94,24 @@ class TestEvaluation:
     def test_common_random_numbers_are_reproducible(self):
         spec = make_desk_spec(replications=2)
         seeds = replication_seeds(7, 2)
-        toll = TollVector.constant(spec.m, 0.3, 4.0)
+        toll = TollVector.constant(spec.m, 0.3, 4.0).as_array()
         a = evaluate_toll(spec, toll, seeds)
         b = evaluate_toll(spec, toll, seeds)
         assert np.array_equal(a.objective_reps, b.objective_reps)
-        assert a.objective == b.objective
+        assert a.objective[0] == b.objective[0]
 
     def test_records_hold_objective_and_constraint_of_their_replications(self):
         spec = make_desk_spec(replications=2)
         seeds = replication_seeds(3, 2)
         tolls = [TollVector.zero(spec.m), TollVector.constant(spec.m, 0.3, 4.0)]
-        for toll, rec in zip(tolls, evaluate_tolls(spec, tolls, seeds)):
+        samples = evaluate_tolls(spec, np.array([toll.as_array() for toll in tolls]), seeds)
+        for i, toll in enumerate(tolls):
             results = [simulate(spec.config, toll, seed) for seed in seeds]
-            assert rec.objective == objective_value(results, spec.k_cr)
-            assert rec.constraint == constraint_value(results)
-            assert list(rec.objective_reps) == [objective_value([r], spec.k_cr) for r in results]
-            assert list(rec.constraint_reps) == [constraint_value([r]) for r in results]
+            assert samples.objective[i] == objective_value(results, spec.k_cr)
+            assert samples.constraint[i] == constraint_value(results)
+            assert list(samples.objective_reps[i]) == [objective_value([r], spec.k_cr)
+                                                       for r in results]
+            assert list(samples.constraint_reps[i]) == [constraint_value([r]) for r in results]
 
     def test_replication_seed_layout(self):
         assert replication_seeds(3, 3) == [3000, 3001, 3002]
@@ -152,13 +154,13 @@ class TestOptimizeSmallBudget:
 
     def test_every_sample_is_feasible(self, small_run):
         spec = small_run.spec
-        for rec in small_run.samples:
-            assert spec.bounds.contains(rec.toll.as_array(), atol=1e-9)
-            assert check_smoothing(rec.toll, spec.alpha, spec.beta)
+        for x in small_run.samples.x:
+            assert spec.bounds.contains(x, atol=1e-9)
+        assert np.all(check_smoothing(small_run.samples.x, spec.alpha, spec.beta))
 
     def test_best_is_minimum_over_samples(self, small_run):
-        objs = [r.objective for r in small_run.samples]
-        assert small_run.best.objective == min(objs)
+        objs = small_run.samples.objective
+        assert objs[small_run.best_index] == min(objs)
 
     def test_best_so_far_is_nonincreasing(self, small_run):
         series = small_run.best_so_far()
@@ -181,11 +183,11 @@ class TestOptimizeSmallBudget:
         assert (tmp_path / "evals" / "eval_0000.csv").exists()
         records = load_samples_csv(tmp_path / "samples.csv")
         assert len(records) == len(small_run.samples)
-        for a, b in zip(small_run.samples, records):
-            assert np.array_equal(a.toll.as_array(), b.toll.as_array())
-            assert a.objective == b.objective
-            assert a.constraint == b.constraint
-            assert a.origin == b.origin
+        a, b = small_run.samples, records
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.objective, b.objective)
+        assert np.array_equal(a.constraint, b.constraint)
+        assert np.array_equal(a.origin, b.origin)
 
     def test_reused_out_dir_holds_only_the_new_run(self, small_run, tmp_path):
         out = tmp_path / "run[1]"    # a name that a glob pattern would misread
@@ -246,4 +248,22 @@ def test_a_second_run_simulates_its_own_prefixes(prefixed):
     prefixed.clear()
     second = optimize(spec, method="direct", seed=4)
     assert sorted(prefixed) == [4000, 4001]
-    assert [rec.objective for rec in second.samples] == [rec.objective for rec in first.samples]
+    assert np.array_equal(second.samples.objective, first.samples.objective)
+
+
+@pytest.mark.parametrize("reps", [1, 2, 3, 8, 9, 17])
+def test_sample_means_are_each_rows_mean_bit_for_bit(reps):
+    # each point's mean used to be float(np.mean(row)) of its own replications;
+    # 8 and 9, 17 cross the blocks of numpy's pairwise summation
+    rng = np.random.default_rng(reps)
+    wide = rng.uniform(0.0, 50.0, size=(7, 2 * reps + 1)) * 10.0 ** rng.integers(-3, 4, size=(7, 1))
+    n = len(wide)
+    # strided views of one wider table, as load_samples_csv reads them
+    samples = Samples(x=np.zeros((n, 2)), objective_reps=wide[:, :reps],
+                      constraint_reps=wide[:, reps + 1:], origin=np.full(n, "initial"),
+                      interval_density_reps=np.zeros((n, reps, 1)),
+                      interval_deviation_reps=np.zeros((n, reps, 1)))
+    for s in (samples, Samples.concat([samples[:3], samples[3:]])):
+        assert [float(v) for v in s.objective] == [float(np.mean(row)) for row in wide[:, :reps]]
+        assert [float(v) for v in s.constraint] == [float(np.mean(row))
+                                                    for row in wide[:, reps + 1:]]
