@@ -116,8 +116,10 @@ def propose_infill(
 ) -> tuple[np.ndarray, float]:
     """GA-maximize the acquisition over the smoothing-feasible toll box.
 
-    The GA searches the toll box itself: each generation is repaired by
-    sequential clipping (:func:`repair_smoothing`) and then scored by one
+    The GA searches the toll box's free dimensions, those with
+    ``bounds.span > 0``: each generation is put back into toll rows with every
+    fixed dimension at its bound, repaired by sequential clipping
+    (:func:`repair_smoothing`) and then scored by one
     :func:`acquisition_value` call on its unit-cube image, so the returned
     ``(2m,)`` toll row satisfies the box and smoothing limits exactly.  If the
     acquisition surface has collapsed to a flat zero plateau, the tie is
@@ -125,21 +127,29 @@ def propose_infill(
     sample, which keeps late iterations space-filling.
     """
     bounds = ctx.bounds
-    box = (bounds.lower, bounds.upper)
+    free = bounds.span > 0
+    box = (bounds.lower[free], bounds.upper[free])
 
-    def repair(x: np.ndarray) -> np.ndarray:
-        return repair_smoothing(x, *ctx.smoothing, bounds)
+    def rows(z: np.ndarray) -> np.ndarray:
+        """GA genes -> toll rows, each fixed dimension at its bound."""
+        x = np.repeat(bounds.lower[None], len(z), axis=0)
+        x[:, free] = z
+        return x
 
-    best_x, best_val = ga_maximize(lambda x: acquisition_value(ctx, bounds.to_unit(x)), box,
+    def repair(z: np.ndarray) -> np.ndarray:
+        return repair_smoothing(rows(z), *ctx.smoothing, bounds)[:, free]
+
+    best_z, best_val = ga_maximize(lambda z: acquisition_value(ctx, bounds.to_unit(rows(z))), box,
                                    params=ga_params, rng=rng, repair=repair)
 
     if best_val <= ACQUISITION_TIE_EPS:
         design = ctx.obj_model.design
 
-        def spread(x: np.ndarray) -> np.ndarray:
-            return np.min(np.linalg.norm(design - bounds.to_unit(x)[:, None, :], axis=2), axis=1)
+        def spread(z: np.ndarray) -> np.ndarray:
+            x_unit = bounds.to_unit(rows(z))
+            return np.min(np.linalg.norm(design - x_unit[:, None, :], axis=2), axis=1)
 
-        best_x, _ = ga_maximize(spread, box, params=ga_params, rng=rng, repair=repair)
-        best_val = acquisition_value(ctx, bounds.to_unit(best_x)[None])[0]
+        best_z, _ = ga_maximize(spread, box, params=ga_params, rng=rng, repair=repair)
+        best_val = acquisition_value(ctx, bounds.to_unit(rows(best_z[None])))[0]
 
-    return best_x, float(best_val)
+    return rows(best_z[None])[0], float(best_val)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from tollopt import infill
 from tollopt.doe import lhs
 from tollopt.ga import GAParams
 from tollopt.infill import (AcquisitionContext, acquisition_value, constrained_ei,
@@ -220,3 +221,27 @@ class TestProposeInfill:
         u = ctx.bounds.to_unit(toll)
         # the tie-break maximizes distance to the nearest sample: center-ish point
         assert float(np.min(np.linalg.norm(pts - u, axis=1))) > 0.3
+
+    def test_ga_searches_only_the_free_dimensions(self, monkeypatch):
+        # a distance-only box holds the delay half at 0, so the GA gets m genes
+        m = 4
+        bounds = Bounds.uniform(m, 1.0, 0.0)
+        rng = np.random.default_rng(6)
+        rows = np.hstack([rng.uniform(size=(12, m)), np.zeros((12, m))])
+        ys = np.sum((rows[:, :m] - 0.3) ** 2, axis=1)
+        model = fit_fixed(rows, ys, bounds, theta=np.r_[np.full(m, 2.0), np.zeros(m)], lam=0.02)
+        boxes = []
+        real = infill.ga_maximize
+
+        def spy(f, box, **kwargs):
+            boxes.append(box)
+            return real(f, box, **kwargs)
+
+        monkeypatch.setattr(infill, "ga_maximize", spy)
+        ctx = AcquisitionContext(obj_model=model, bounds=bounds, y_min=float(np.min(ys)),
+                                 smoothing=(1.0 / 3.0, 5.0))
+        toll, _ = propose_infill(ctx, ga_params=SEARCH_GA, rng=np.random.default_rng(0))
+        assert boxes and all(len(lower) == len(upper) == m for lower, upper in boxes)
+        assert toll.shape == (2 * m,)
+        assert np.array_equal(toll[m:], np.zeros(m))
+        assert check_smoothing(toll[None], 1.0 / 3.0, 5.0, tol=0.0)[0]
