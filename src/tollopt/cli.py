@@ -254,12 +254,11 @@ def cmd_optimize(args) -> int:
                           "evaluations": run.evaluations,
                           "rep_seeds": run.rep_seeds})
 
-    x, b, m = run.samples.x, run.best_index, spec.m
-    constraint = run.samples.constraint
+    x, objective, constraint = run.samples.x, run.samples.objective, run.samples.constraint
+    b, m = run.best_index, spec.m
     plan = f" (initial plan {spec.initial_plan_size})" if run.method == "rk" else ""
     print(f"method={run.method} evaluations={run.evaluations}{plan}")
-    print(f"best objective: {run.samples.objective[b]:.4f} vpkmpl | "
-          f"constraint: {constraint[b]:.4f} vpkmpl")
+    print(f"best objective: {objective[b]:.4f} vpkmpl | constraint: {constraint[b]:.4f} vpkmpl")
     print(f"{'interval':>8} {'distance_rate_per_km':>21} {'delay_rate_per_h':>17}")
     for h in range(m):
         print(f"{h + 1:>8} {x[b, h]:>21.4f} {x[b, m + h]:>17.4f}")

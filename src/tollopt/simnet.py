@@ -178,8 +178,27 @@ _SCHEMA = {
 }
 
 
+# the file form of each field that is neither one number nor a cell array
+_FORMS = {"envelope": ((3,), "[a, b, c]"), "tolling_window": ((2,), "[start, end]"),
+          "demand_knots": ((-1, 2), "[[hour, veh/h], ...]")}
+
+
+def _file_value(fieldname: str, value):
+    """A scenario-file value as its field takes it; a TypeError or ValueError
+    says why it is not finite numbers of the field's form."""
+    arr = np.array(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"need finite numbers, got {value!r}")
+    if fieldname in _CELL_ARRAYS:
+        return arr
+    shape, form = _FORMS.get(fieldname, ((), "one number"))
+    if arr.ndim != len(shape) or any(s not in (-1, n) for s, n in zip(shape, arr.shape)):
+        raise ValueError(f"need {form}, got {value!r}")
+    return tuple(arr.tolist()) if shape else float(arr)
+
+
 def config_from_dict(doc: dict) -> NetworkConfig:
-    if not isinstance(doc, dict) or "network" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("network"), dict):
         raise ConfigError("network: missing top-level section")
     net = doc["network"]
     kwargs = {}
@@ -188,7 +207,10 @@ def config_from_dict(doc: dict) -> NetworkConfig:
             raise ConfigError(f"network.{section}: missing section")
         if key not in net[section]:
             raise ConfigError(f"network.{section}.{key}: missing key")
-        kwargs[fieldname] = net[section][key]
+        try:
+            kwargs[fieldname] = _file_value(fieldname, net[section][key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"network.{section}.{key}: {exc}") from exc
     known = {s for s, _ in _SCHEMA}
     for section in net:
         if section not in known:
@@ -196,13 +218,6 @@ def config_from_dict(doc: dict) -> NetworkConfig:
         for key in net[section]:
             if (section, key) not in _SCHEMA:
                 raise ConfigError(f"network.{section}.{key}: unknown key")
-    kwargs["envelope"] = tuple(float(v) for v in kwargs["envelope"])
-    if len(kwargs["envelope"]) != 3:
-        raise ConfigError("network.control.envelope_abc: need exactly [a, b, c]")
-    kwargs["tolling_window"] = tuple(float(v) for v in kwargs["tolling_window"])
-    if len(kwargs["tolling_window"]) != 2:
-        raise ConfigError("network.control.tolling_window_hours: need [start, end]")
-    kwargs["demand_knots"] = [(float(h), float(q)) for h, q in kwargs["demand_knots"]]
     try:
         return NetworkConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -487,13 +502,10 @@ def _run(config: NetworkConfig, tolls: np.ndarray, seeds: Sequence[int],
     """
     m = config.m
     tolls = np.asarray(tolls, dtype=float)
-    if tolls.ndim != 2 or tolls.shape[1] != 2 * m:
-        raise ValueError(f"tolls must be (B, {2 * m}) rows for {m} tolling intervals, "
-                         f"not {tolls.shape}")
+    if tolls.ndim != 2 or tolls.shape[1] != 2 * m or not len(tolls):
+        raise ValueError(f"tolls must be (B > 0, {2 * m}) rows for {m} intervals, not {tolls.shape}")
     if len(tolls) != len(seeds):
         raise ValueError(f"got {len(tolls)} tolls for {len(seeds)} seeds")
-    if not len(tolls):
-        raise ValueError("need at least one (toll, seed) lane")
     B = len(tolls)
     step_interval = _step_intervals(config)[1]
     n_prefix = int(np.argmax(step_interval >= 0))

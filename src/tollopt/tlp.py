@@ -165,10 +165,8 @@ class OptimizationRun:
 
 def _is_feasible(samples: Samples, spec: ProblemSpec) -> np.ndarray:
     """Per sample: smoothing-feasible, inside the box and, when capped, under delta_max."""
-    x, bounds = samples.x, spec.bounds
-    ok = (check_smoothing(x, spec.alpha, spec.beta)
-          & np.all((x >= bounds.lower - SMOOTHING_TOL) & (x <= bounds.upper + SMOOTHING_TOL),
-                   axis=1))
+    ok = (check_smoothing(samples.x, spec.alpha, spec.beta)
+          & spec.bounds.contains(samples.x, atol=SMOOTHING_TOL))
     if spec.delta_max is not None:
         ok &= ~(samples.constraint > spec.delta_max)
     return ok
@@ -331,8 +329,7 @@ def write_run_dir(run: OptimizationRun, outdir) -> None:
         if os.path.exists(stale):
             os.remove(stale)
     spec, samples = run.spec, run.samples
-    m = spec.m
-    reps = spec.replications
+    m, reps = spec.m, spec.replications
     x, objective, constraint = samples.x, samples.objective, samples.constraint
 
     header = (["index", "origin"]
@@ -398,9 +395,9 @@ def load_samples_csv(path) -> Samples:
     # every column but index, origin and the feasibility flag
     values = np.array([[float(v) for v in row[2:-1]] for row in rows]).reshape(
         len(rows), 2 * m + 2 * reps + 2)
-    con = 2 * m + reps + 1
-    return Samples(x=values[:, :2 * m], objective_reps=values[:, 2 * m:con - 1],
-                   constraint_reps=values[:, con:con + reps],
+    x, objective_reps, _, constraint_reps, _ = np.split(
+        values, np.cumsum([2 * m, reps, 1, reps]), axis=1)
+    return Samples(x=x, objective_reps=objective_reps, constraint_reps=constraint_reps,
                    origin=np.array([row[1] for row in rows]),
                    interval_density_reps=np.empty((len(rows), reps, 0)),
                    interval_deviation_reps=np.empty((len(rows), reps, 0)))

@@ -28,11 +28,6 @@ class TollVector:
         object.__setattr__(self, "distance_rates", dr)
         object.__setattr__(self, "delay_rates", wr)
 
-    @property
-    def m(self) -> int:
-        """Number of tolling intervals."""
-        return self.distance_rates.size
-
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.distance_rates, self.delay_rates])
 
@@ -95,9 +90,10 @@ class Bounds:
         hi = np.concatenate([np.full(m, float(v_max)), np.full(m, float(w_max))])
         return cls(lo, hi)
 
-    def contains(self, x, atol: float = 0.0) -> bool:
+    def contains(self, x, atol: float = 0.0) -> np.ndarray:
+        """Whether each row of ``x`` lies in the box, within ``atol``: one bool per row."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
+        return np.all((x >= self.lower - atol) & (x <= self.upper + atol), axis=-1)
 
     def scale_from_unit(self, u) -> np.ndarray:
         """Affine map from the unit cube into the box."""

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from tollopt.cli import main
-from tollopt.simnet import config_to_dict, desk_preset
+from tollopt.simnet import _SCHEMA, config_to_dict, desk_preset
 
 
 def run_cli(args):
@@ -112,6 +112,24 @@ def test_bad_network_value_exits_2_naming_the_file_key(tmp_path, capsys, section
     path.write_text(yaml.safe_dump(doc))
     assert run_cli(["optimize", str(path)]) == 2
     assert f"error: network.{section}.{key}: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value",
+                         [(section, key, value) for section, key in _SCHEMA
+                          for value in ("x", None, {"a": 1})]
+                         + [("demand", "knots_hour_vph", [[1, "a"]]),
+                            ("demand", "knots_hour_vph", [[1, 2, 3]])],
+                         ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_every_non_numeric_network_value_exits_2_naming_its_key(tmp_path, capsys, section, key,
+                                                                value):
+    doc = config_to_dict(desk_preset())
+    doc["network"][section][key] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli(["optimize", str(path), "--print-config"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: network.{section}.{key}: ")
+    assert "Traceback" not in err
 
 
 def test_toll_argument_length_checked(capsys):

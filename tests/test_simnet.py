@@ -514,6 +514,10 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match="network.cells.wheelbase"):
             config_from_dict(doc)
 
+    def test_empty_network_section_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^network: "):
+            config_from_dict({"network": None})
+
     def test_missing_key_is_named(self):
         doc = config_to_dict(desk_preset())
         del doc["network"]["choice"]["vtt_per_hour"]
