@@ -1,0 +1,36 @@
+"""Layering: a toll point travels as a row of an ``(n, 2m)`` array from the
+initial plan to the simulator, and ``TollVector`` stays at the edge."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tollopt"
+# the definition, the package exports and the command line (``--toll`` and
+# ``cmd_simulate``) may use TollVector anywhere
+EDGE = {"toll.py", "__init__.py", "cli.py"}
+
+
+def _mentions(node: ast.AST) -> int:
+    """How often ``node`` names TollVector: as a name, an attribute or an import."""
+    return sum((isinstance(n, ast.Name) and n.id == "TollVector")
+               or (isinstance(n, ast.Attribute) and n.attr == "TollVector")
+               or (isinstance(n, ast.alias) and n.name == "TollVector")
+               for n in ast.walk(node))
+
+
+def _allowed(module: str, stmt: ast.stmt) -> bool:
+    """simnet imports TollVector for ``simulate``, the single-replication call."""
+    return module == "simnet.py" and (
+        isinstance(stmt, ast.ImportFrom)
+        or (isinstance(stmt, ast.FunctionDef) and stmt.name == "simulate"))
+
+
+def test_toll_vector_is_used_only_at_the_edge():
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {"doe.py", "infill.py", "simnet.py", "surrogate.py", "tlp.py"} <= set(modules)
+    outside = [f"{name}:{stmt.lineno}" for name, tree in modules.items() if name not in EDGE
+               for stmt in tree.body if _mentions(stmt) and not _allowed(name, stmt)]
+    assert outside == []
+    simulate = next(stmt for stmt in modules["simnet.py"].body
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name == "simulate")
+    assert _mentions(simulate) > 0
