@@ -480,10 +480,10 @@ def simulate_batch(config: NetworkConfig, tolls: np.ndarray,
     ``tolls`` is a ``(B, 2m)`` stack of toll rows, distance rates first;
     lane ``b`` is bit-for-bit ``simulate`` of row ``b`` under ``seeds[b]``.
     Replications of one point, or several points, share every step's numpy
-    calls.  The steps before the tolling window do not depend
-    on the toll, so they run once per distinct seed and the lanes start
-    from their seed's state at the first tolled step; inside
-    :func:`shared_prefixes` that state is reused across calls.
+    calls.  The steps before the tolling window do not depend on the toll,
+    so they run once per distinct seed and the lanes start from their
+    seed's state at the first tolled step; inside :func:`shared_prefixes`
+    that state is reused across calls.
     """
     return _run(config, tolls, seeds, keep_history=False)[0]
 

@@ -125,9 +125,6 @@ class Samples:
     def __len__(self) -> int:
         return len(self.x)
 
-    def __getitem__(self, rows) -> "Samples":
-        return Samples(*(getattr(self, f.name)[rows] for f in fields(self)))
-
     @classmethod
     def concat(cls, parts: Sequence["Samples"]) -> "Samples":
         return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
@@ -160,6 +157,7 @@ class OptimizationRun:
     def best_so_far(self) -> np.ndarray:
         """Incumbent feasible objective after each evaluation (inf until one exists)."""
         feasible = _is_feasible(self.samples, self.spec)
+        # fmin passes over a nan objective, so it never becomes the incumbent
         return np.fmin.accumulate(np.where(feasible, self.samples.objective, math.inf))
 
 
@@ -168,7 +166,7 @@ def _is_feasible(samples: Samples, spec: ProblemSpec) -> np.ndarray:
     ok = (check_smoothing(samples.x, spec.alpha, spec.beta)
           & spec.bounds.contains(samples.x, atol=SMOOTHING_TOL))
     if spec.delta_max is not None:
-        ok &= ~(samples.constraint > spec.delta_max)
+        ok &= ~(samples.constraint > spec.delta_max)   # not <=: a nan is not over the cap
     return ok
 
 

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,11 @@ from tollopt.tlp import (OptimizationRun, Samples, check_smoothing, constraint_v
 from tollopt.toll import Bounds, TollVector
 
 FAST_GA = GAParams(population_size=20, generations=12)
+
+
+def first(samples, n):
+    """The first ``n`` points of ``samples``."""
+    return Samples(*(getattr(samples, f.name)[:n] for f in fields(samples)))
 
 
 def fake_result(kbar, dbar=None):
@@ -193,7 +199,7 @@ class TestOptimizeSmallBudget:
         out = tmp_path / "run[1]"    # a name that a glob pattern would misread
         write_run_dir(small_run, out)
         shorter = OptimizationRun(spec=small_run.spec, method="direct", master_seed=2,
-                                  rep_seeds=small_run.rep_seeds, samples=small_run.samples[:22],
+                                  rep_seeds=small_run.rep_seeds, samples=first(small_run.samples, 22),
                                   acquisition_history=[], best_index=0)
         write_run_dir(shorter, out)
         assert not (out / "convergence.csv").exists()
@@ -263,7 +269,8 @@ def test_sample_means_are_each_rows_mean_bit_for_bit(reps):
                       constraint_reps=wide[:, reps + 1:], origin=np.full(n, "initial"),
                       interval_density_reps=np.zeros((n, reps, 1)),
                       interval_deviation_reps=np.zeros((n, reps, 1)))
-    for s in (samples, Samples.concat([samples[:3], samples[3:]])):
+    rest = Samples(*(getattr(samples, f.name)[3:] for f in fields(samples)))
+    for s in (samples, Samples.concat([first(samples, 3), rest])):
         assert [float(v) for v in s.objective] == [float(np.mean(row)) for row in wide[:, :reps]]
         assert [float(v) for v in s.constraint] == [float(np.mean(row))
                                                     for row in wide[:, reps + 1:]]
