@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -40,8 +41,17 @@ DEFAULT_PROBLEM = {
 
 
 def _rate_pair(value) -> tuple[float, float]:
-    distance, delay = (float(v) for v in value)
-    return distance, delay
+    pair = np.array(value, dtype=float)
+    if pair.shape != (2,):
+        raise ValueError("need [distance, delay]")
+    return float(pair[0]), float(pair[1])
+
+
+def _count(value) -> int:
+    """A whole number as an int; a bool, a fraction or an infinity is refused, not truncated."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError("need a whole number")
+    return int(value)
 
 
 # problem key -> conversion to the type the toll level problem takes
@@ -50,8 +60,8 @@ _PROBLEM_TYPES = {
     "tau_max": _rate_pair,
     "alpha": float,
     "beta": float,
-    "replications": int,
-    "budget": int,
+    "replications": _count,
+    "budget": _count,
     "delta_max": lambda v: None if v is None else float(v),
 }
 
@@ -115,7 +125,7 @@ def build_spec(config: NetworkConfig, problem: dict, args=None) -> ProblemSpec:
     for key, convert in _PROBLEM_TYPES.items():
         try:
             p[key] = convert(resolved[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"problem.{key}: {resolved[key]!r} is not usable ({exc})") from exc
     (v_min, w_min), (v_max, w_max) = p["tau_min"], p["tau_max"]
     try:
@@ -124,10 +134,21 @@ def build_spec(config: NetworkConfig, problem: dict, args=None) -> ProblemSpec:
                            delta_max=p["delta_max"], replications=p["replications"],
                            budget=p["budget"])
     except ValueError as exc:
-        # Bounds and ProblemSpec start each message with the field they reject
-        field, _, reason = str(exc).partition(": ")
-        key = {"lower": "tau_min", "upper": "tau_max"}.get(field, field)
-        raise ConfigError(f"problem.{key}: {reason}") from exc
+        # Bounds and ProblemSpec start each message with the field they reject;
+        # the box's lower and upper bounds are the tau_min and tau_max keys
+        keys = {"lower": "problem.tau_min", "upper": "problem.tau_max"}
+        message = re.sub(r"\b(lower|upper)\b", lambda w: keys[w.group()], str(exc))
+        if not message.startswith("problem."):
+            message = f"problem.{message}"
+        raise ConfigError(message) from exc
+
+
+def check_method(spec: ProblemSpec, method: str) -> None:
+    """RK fits a kriging model, which needs two distinct points; a toll box with
+    no free dimension has one, so it is refused before any simulation."""
+    if method == "rk" and not np.any(spec.bounds.span > 0):
+        raise ConfigError("problem.tau_max: equals problem.tau_min, so the toll box is one "
+                          "point and RK has no model to fit; --method direct evaluates it")
 
 
 def scenario_doc(config: NetworkConfig, problem: dict) -> dict:
@@ -239,6 +260,7 @@ def cmd_simulate(args) -> int:
 def cmd_optimize(args) -> int:
     config, problem = resolve_scenario(args)
     spec = build_spec(config, problem)
+    check_method(spec, args.method)
     outdir = out_dir(args, f"optimize-{args.method}-seed{args.seed}")
     run = optimize(spec, method=args.method, seed=args.seed)
     write_run_dir(run, outdir)
@@ -303,6 +325,7 @@ def cmd_validate(args) -> int:
 def cmd_compare(args) -> int:
     config, problem = resolve_scenario(args)
     spec = build_spec(config, problem)
+    check_method(spec, "rk")
     outdir = out_dir(args, "compare")
     curves: list[tuple[str, OptimizationRun]] = []
     # DIRECT's rectangles do not depend on the seed, but each seed has its
@@ -425,7 +448,9 @@ def main(argv=None) -> int:
     try:
         check_seeds(args)
         if getattr(args, "print_config", False):
-            yaml.safe_dump(scenario_doc(*resolve_scenario(args)), sys.stdout, sort_keys=False)
+            config, problem = resolve_scenario(args)
+            build_spec(config, problem)
+            yaml.safe_dump(scenario_doc(config, problem), sys.stdout, sort_keys=False)
             sys.stdout.flush()
             return 0
         return args.func(args)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .ga import GAParams, ga_maximize
 from .surrogate import RKModel, predict
@@ -42,6 +41,8 @@ def expected_improvement(mean, variance, y_min):
 
     Zero variance gives exactly zero improvement.
     """
+    from scipy.special import ndtr
+
     u, gap, s = _standardized_gap(mean, variance, y_min)
     pdf = np.exp(-0.5 * u * u) / _SQRT_2PI
     return np.where(s > 0, np.maximum(gap * ndtr(u) + s * pdf, 0.0), 0.0)
@@ -49,6 +50,8 @@ def expected_improvement(mean, variance, y_min):
 
 def prob_feasible(mean, variance, delta_max):
     """Gaussian probability that the constraint stays at or below ``delta_max``, elementwise."""
+    from scipy.special import ndtr
+
     z, gap, s = _standardized_gap(mean, variance, delta_max)
     return np.where(s > 0, ndtr(z), (gap >= 0).astype(float))
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import contextlib
 import math
+import re
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .toll import TollVector
 
@@ -83,7 +83,8 @@ class NetworkConfig:
             if arr.size == 1 and c > 1:
                 arr = np.full(c, arr[0])
             elif arr.size != c:
-                raise ConfigError(f"{name}: expected {c} values, got {arr.size}")
+                raise ConfigError(f"{name}: expected {c} values, got {arr.size} "
+                                  f"(one per entry of cell_lengths)")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "demand_knots", tuple(tuple(k) for k in self.demand_knots))
@@ -121,7 +122,7 @@ class NetworkConfig:
         if self.logit_scale < 0:
             raise ConfigError("logit_scale: must be nonnegative")
         if self.k_cr <= 0 or np.any(self.k_cr >= self.jam_density):
-            raise ConfigError("k_cr: must be positive and below every jam density")
+            raise ConfigError("k_cr: must be positive and below every jam_density")
         if self.demand_cv < 0:
             raise ConfigError("demand_cv: must be nonnegative")
         if not 0 <= self.crawl_speed < float(np.min(self.free_flow_speed)):
@@ -221,11 +222,12 @@ def config_from_dict(doc: dict) -> NetworkConfig:
     try:
         return NetworkConfig(**kwargs)
     except (TypeError, ValueError) as exc:
-        # NetworkConfig starts each message with the field it rejects: name its file key
-        field, _, reason = str(exc).partition(": ")
+        # NetworkConfig starts each message with the field it rejects and names
+        # any other field it involves: name their file keys
         keys = {name: f"network.{section}.{key}" for (section, key), name in _SCHEMA.items()}
-        if field in keys:
-            raise ConfigError(f"{keys[field]}: {reason}") from exc
+        message = re.sub(r"\w+", lambda w: keys.get(w.group(), w.group()), str(exc))
+        if message.startswith("network."):
+            raise ConfigError(message) from exc
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"network: {exc}") from exc
@@ -335,11 +337,31 @@ def zone_choice(toll_rates, zone_time, free_time: float, bypass_time, config: Ne
     minutes; rates and times may be arrays holding one value per lane.
     Returns ``(p_pz, trip_toll)``.
     """
+    u, trip_toll = _zone_utility(toll_rates, zone_time, free_time, bypass_time, config)
+    with np.errstate(over="ignore"):
+        return _logistic(np.reshape(u, -1)).reshape(np.shape(u))[()], trip_toll
+
+
+def _zone_utility(toll_rates, zone_time, free_time, bypass_time, config: NetworkConfig):
+    """``logit_scale * (through-zone cost - bypass_time)``, the argument of
+    :func:`_logistic` that gives the zone's share, and the trip toll."""
     v_h, w_h = toll_rates
     delay_hours = np.maximum(0.0, zone_time - free_time) / 60.0
     trip_toll = v_h * config.pz_path_length + w_h * delay_hours
     cost_pz = zone_time + 60.0 * trip_toll / config.vtt
-    return expit(-config.logit_scale * (cost_pz - bypass_time)), trip_toll
+    return config.logit_scale * (cost_pz - bypass_time), trip_toll
+
+
+def _logistic(u: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(u))`` over a 1-d array, bit for bit ``scipy.special.expit(-u)``.
+
+    numpy's float64 exp runs a SIMD kernel on forward-strided input, which
+    differs from the C library's ``exp`` in the last bit on some arguments;
+    on a reversed view it runs its scalar loop, which calls the C library's
+    ``exp``, as expit does.  An ``exp`` that overflows gives 0, as expit does,
+    and warns unless the caller ignores overflow.
+    """
+    return 1.0 / (1.0 + np.exp(u[::-1])[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +611,9 @@ def _untolled_prefix(config: NetworkConfig, seeds: Sequence[int], n_prefix: int,
     return lanes
 
 
+# an exp that overflows in the logit gives the share 0 (see _logistic); one
+# errstate for the whole call, as one per step would cost more than the logit
+@np.errstate(over="ignore")
 def _advance(config: NetworkConfig, lanes: dict, steps: range,
              rate_v: np.ndarray, rate_w: np.ndarray) -> None:
     """The step body: run ``steps`` over every lane of ``lanes``, in place.
@@ -625,7 +650,8 @@ def _advance(config: NetworkConfig, lanes: dict, steps: range,
     # one multiply-add adds the step's terms to the five totals; the gate queue
     # and the bypass vehicles carry over in their rows.  One reduction sums
     # each cell pair: veh and its lane-km flow, inflow and spare supply
-    totals, terms = np.stack([lanes[name] for name in _TOTALS]), np.empty((5, len(revenue)))
+    n_lanes = len(revenue)
+    totals, terms = np.stack([lanes[name] for name in _TOTALS]), np.empty((5, n_lanes))
     accumulation, production, queue, bypass_veh, bypass_km = terms
     queue[:], bypass_veh[:] = lanes["gate_queue"], lanes["bypass_veh"]
     (veh, flow_km), (inflow, spare) = cells, loads = np.empty((2, 2, *lanes["veh"].shape))
@@ -647,9 +673,9 @@ def _advance(config: NetworkConfig, lanes: dict, steps: range,
         # squares, which differs from pow in the last bit on some inputs
         bypass_tt_h = bypass_free_h * (
             1.0 + 0.15 * np.float_power(bypass_inflow / config.bypass_capacity, 2.0))
-        p_pz, trip_toll = zone_choice((rate_v[h], rate_w[h]), perceived_tt, pz_free_min,
-                                      bypass_tt_h * 60.0, config)
-        pz_rate = p_pz * demand
+        u, trip_toll = _zone_utility((rate_v[h], rate_w[h]), perceived_tt, pz_free_min,
+                                     bypass_tt_h * 60.0, config)
+        pz_rate = _logistic(u) * demand
         bypass_rate = demand - pz_rate
 
         # load the zone: queued vehicles plus new arrivals, by inflow share,
@@ -664,19 +690,23 @@ def _advance(config: NetworkConfig, lanes: dict, steps: range,
         shares = base_shares
         if rebalancing > 0:
             has_room = hr_total > 0
-            rebalanced = rebalanced_base + rebalancing * headroom \
-                / np.where(has_room, hr_total, 1.0)[:, None]
-            shares = np.where(has_room[:, None], rebalanced, base_shares)
+            every = np.count_nonzero(has_room) == n_lanes
+            shares = rebalanced_base + rebalancing * headroom \
+                / (hr_total if every else np.where(has_room, hr_total, 1.0))[:, None]
+            if not every:
+                shares = np.where(has_room[:, None], shares, base_shares)
         supply = np.minimum(cap_flow, wave * jam_gap * cell_lanes) * dt_h
         np.minimum(avail[:, None] * shares, supply, out=inflow)
         np.subtract(supply, inflow, out=spare)
         entered, spare_total = np.add.reduce(loads, axis=-1)
-        top_up = (avail - entered > 1e-12) & (spare_total > 1e-12)
+        short = avail - entered
+        top_up = (short > 1e-12) & (spare_total > 1e-12)
         if np.count_nonzero(top_up):
-            fill = np.minimum(avail - entered, spare_total) / np.where(top_up, spare_total, 1.0)
+            fill = np.minimum(short, spare_total) / np.where(top_up, spare_total, 1.0)
             np.copyto(inflow, inflow + spare * fill[:, None], where=top_up[:, None])
             entered = np.add.reduce(inflow, axis=-1)
-        np.maximum(avail - entered, 0.0, out=queue)
+            short = avail - entered
+        np.maximum(short, 0.0, out=queue)
 
         # drain: per-cell completion via the fundamental diagram, slowed by
         # the drain multipliers while the network trend is falling; the

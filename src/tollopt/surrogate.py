@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .ga import GAParams, ga_maximize
 from .toll import Bounds
@@ -84,6 +83,8 @@ def _bordered_cholesky(a: np.ndarray, borders: Sequence, lams: np.ndarray, stric
     try:
         return np.linalg.cholesky(a), ok
     except np.linalg.LinAlgError:
+        from scipy.linalg import solve_triangular
+
         chol = np.broadcast_to(np.eye(n + k), a.shape).copy()
         for p, member in enumerate(a):
             try:
@@ -210,6 +211,8 @@ def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 
 def _assemble(design: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) -> RKModel:
+    from scipy.linalg import solve_triangular
+
     n = design.shape[0]
     y_std, shift, scale = _standardize(y)
     psi = corr_vector(design, theta, design)
@@ -300,6 +303,17 @@ def fit_fixed(x: np.ndarray, y: np.ndarray, bounds: Bounds, theta, lam: float) -
                      np.asarray(theta, dtype=float), float(lam))
 
 
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``A^-1 b`` from the lower Cholesky factor of A: LAPACK ``potrs``, which
+    ``scipy.linalg.cho_solve`` calls after checks the model's own factors need not pass."""
+    from scipy.linalg.lapack import dpotrs
+
+    x, info = dpotrs(chol, b, lower=True)
+    if info != 0:
+        raise ValueError(f"potrs: illegal value in argument {-info}")
+    return x
+
+
 def predict(model: RKModel, x) -> Prediction:
     """Predictive mean, variance, and reinterpolation variance at the rows of ``x``.
 
@@ -313,9 +327,9 @@ def predict(model: RKModel, x) -> Prediction:
     # vecdot sums each row on its own, so each row predicts bit for bit
     # what a stack of one predicts
     mean_std = model._mu_std + np.vecdot(psi, model._weights)
-    a = cho_solve((model._chol_r, True), psi.T)               # (n, k)
+    a = _cho_solve(model._chol_r, psi.T)                      # (n, k)
     var_std = model._sigma2_std * (1.0 + model.lam - np.einsum("kn,nk->k", psi, a))
-    b = cho_solve((model._chol_psi, True), psi.T)
+    b = _cho_solve(model._chol_psi, psi.T)
     ri_std = model._sigma2_ri_std * (1.0 - np.einsum("kn,nk->k", psi, b))
     scale2 = model.y_scale ** 2
     mean = model.y_shift + model.y_scale * mean_std

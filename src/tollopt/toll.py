@@ -66,7 +66,7 @@ class Bounds:
             if not np.all(np.isfinite(limits)):
                 raise ValueError(f"{name}: bounds must be finite")
         if np.any(lo > hi):
-            raise ValueError("lower: bound exceeds the upper bound")
+            raise ValueError("lower: bound exceeds upper")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

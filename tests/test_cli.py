@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +10,10 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tollopt.cli import main
+from tollopt.cli import DEFAULT_PROBLEM, main
 from tollopt.simnet import _SCHEMA, config_to_dict, desk_preset
 
 
@@ -17,13 +21,25 @@ def run_cli(args):
     return main(args)
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    # scipy.spatial alone once cost about 74 ms of every command's start-up
+def test_cli_and_non_kriging_commands_leave_scipy_unloaded(tmp_path):
+    # scipy.linalg and scipy.special once cost about 270 ms of every command's
+    # start-up; only fitting and searching a kriging model needs them
     src = os.path.dirname(os.path.dirname(sys.modules["tollopt"].__file__))
-    code = "import sys, tollopt.cli; print('scipy.spatial' in sys.modules)"
+    commands = [["simulate", "desk", "--out", str(tmp_path / "sim")],
+                ["optimize", "desk", "--method", "direct", "--budget", "22",
+                 "--replications", "1", "--out", str(tmp_path / "direct")],
+                ["doe", "desk", "--out", str(tmp_path / "plan.csv")],
+                ["envelope", "desk", "--runs", "1", "--out", str(tmp_path / "envelope")],
+                ["optimize", "desk", "--print-config"]]
+    code = ("import contextlib, io, sys, tollopt.cli as cli\n"
+            "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "loaded = scipy()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main(argv) for argv in {commands!r}]\n"
+            "print(loaded, codes, scipy())\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == f"[] {[0] * len(commands)} []"
 
 
 def test_simulate_is_byte_reproducible(tmp_path, capsys):
@@ -79,6 +95,19 @@ def test_bad_problem_flag_exits_2_naming_the_key(capsys, flags, key):
     assert (key if key.startswith("--") else f"problem.{key}") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("replications", 2.7), ("budget", 60.9),
+                                       ("replications", True), ("budget", float("inf"))])
+def test_problem_counts_are_checked_not_truncated(tmp_path, capsys, no_simulation, key, value):
+    doc = config_to_dict(desk_preset())
+    doc["problem"] = {key: value}
+    path = tmp_path / "count.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli(["optimize", str(path), "--method", "direct",
+                    "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: problem.{key}: ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_problem_section_must_be_a_mapping(tmp_path, capsys):
     doc = config_to_dict(desk_preset())
     doc["problem"] = [1, 2]
@@ -130,6 +159,64 @@ def test_every_non_numeric_network_value_exits_2_naming_its_key(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: network.{section}.{key}: ")
     assert "Traceback" not in err
+
+
+def _negated(value):
+    """Every number of a scenario value with its sign flipped; None becomes -1."""
+    if isinstance(value, list):
+        return [_negated(v) for v in value]
+    return -1.0 if value is None else -value
+
+
+def _lengthened(value):
+    """A list one entry longer; a single value becomes a list of two."""
+    return value + value[-1:] if isinstance(value, list) and value else [value, value]
+
+
+DELETE = object()
+LEAF_EDITS = {
+    "string": lambda v: "x",
+    "nan": lambda v: math.nan,
+    "negative": _negated,
+    "zero": lambda v: 0,
+    "wrong length": _lengthened,
+    "shortened": lambda v: v[:-1] if isinstance(v, list) else [],
+    "mapping": lambda v: {"a": 1},
+    "deleted": lambda v: DELETE,
+}
+SCENARIO_LEAVES = ([("network", section, key) for section, key in _SCHEMA]
+                   + [("problem", key) for key in DEFAULT_PROBLEM])
+
+
+# more examples than leaf-edit pairs, so every pair is tried: hypothesis
+# generates each example from a choice sequence it has not tried before
+@given(leaf=st.sampled_from(SCENARIO_LEAVES), edit=st.sampled_from(sorted(LEAF_EDITS)))
+@settings(max_examples=300, deadline=None)
+def test_any_one_leaf_edit_is_accepted_or_exits_2_naming_its_key(tmp_path_factory, leaf, edit):
+    doc = config_to_dict(desk_preset())
+    doc["problem"] = dict(DEFAULT_PROBLEM)
+    *parents, key = leaf
+    section = doc
+    for name in parents:
+        section = section[name]
+    value = LEAF_EDITS[edit](section[key])
+    if value is DELETE:
+        del section[key]
+    else:
+        section[key] = value
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(["optimize", str(path), "--print-config"])
+    dotted = ".".join(leaf)
+    if code == 0:
+        assert yaml.safe_load(out.getvalue())[parents[0]]
+    else:
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith(f"error: {parents[0]}.")
+        assert dotted in err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 def test_toll_argument_length_checked(capsys):
@@ -304,6 +391,31 @@ def test_zero_width_delay_box_runs_under_both_methods(tmp_path, capsys):
         assert all(float(row[f"w_{h}_per_h"]) == 0.0 for row in rows for h in range(1, 5))
     tolls = [tuple(row[f"v_{h}_per_km"] for h in range(1, 5)) for row in rows]
     assert len(set(tolls)) == len(tolls)      # DIRECT never samples a point twice
+
+
+def test_rk_on_a_one_point_box_exits_2_before_simulating(tmp_path, monkeypatch, capsys):
+    import tollopt.tlp as tlp
+
+    lanes = []
+    simulate_batch = tlp.simulate_batch
+
+    def counting(config, tolls, seeds):
+        lanes.append(len(tolls))
+        return simulate_batch(config, tolls, seeds)
+
+    monkeypatch.setattr(tlp, "simulate_batch", counting)
+    doc = config_to_dict(desk_preset())
+    doc["problem"] = {"tau_max": [0.0, 0.0]}      # tau_min is zero too
+    path = tmp_path / "one_point.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    flags = ["--budget", "22", "--replications", "1"]
+    for command in (["optimize", str(path), "--method", "rk"], ["compare", str(path), "--seeds", "0"]):
+        assert run_cli([*command, *flags, "--out", str(tmp_path / command[0])]) == 2
+        assert capsys.readouterr().err.startswith("error: problem.tau_max: ")
+        assert lanes == []
+    assert run_cli(["optimize", str(path), "--method", "direct", *flags,
+                    "--out", str(tmp_path / "direct")]) == 0
+    assert lanes == [1]
 
 
 def test_envelope_single_run_and_determinism(tmp_path, capsys):

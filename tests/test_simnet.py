@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,22 @@ class TestRouteChoice:
             p, toll = zone_choice((float(v[b]), float(w[b])), float(pz[b]), 9.6,
                                   float(byp[b]), self.config)
             assert (splits[b], tolls[b]) == (p, toll)
+
+    def test_share_is_expit_bit_for_bit(self):
+        # at zero toll and bypass time, with logit scale 1, the logit's argument
+        # is the zone time itself: u over five scales, plus the band where
+        # exp(u) nears and passes overflow, which must give 0 without a warning
+        rng = np.random.default_rng(3)
+        u = np.concatenate([rng.standard_normal(20_000) * scale for scale in (1, 10, 100, 300, 1e3)]
+                           + [np.linspace(700.0, 712.0, 50_000), np.linspace(-750.0, -700.0, 10_000),
+                              [0.0, -0.0, 709.782712893384, 709.7827128933841, 1e308, -1e308]])
+        config = dataclasses.replace(self.config, logit_scale=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, toll = zone_choice((0.0, 0.0), u, np.inf, 0.0, config)
+        assert np.all(toll == 0.0)
+        assert np.array_equal(p, expit(-u))
+        assert p[-3] == 0.0
 
     def test_split_symmetry_and_limits(self):
         assert zone_choice((0.0, 0.0), 20.0, 9.6, 20.0, self.config)[0] == 0.5

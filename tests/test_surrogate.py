@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
@@ -143,7 +144,7 @@ class TestLogLikelihood:
         def no_solve(*args, **kwargs):
             raise AssertionError("solve_triangular called")
 
-        monkeypatch.setattr(surrogate, "solve_triangular", no_solve)
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", no_solve)
         after = log_likelihood(pts, ys, np.array([[2.0, 1.5], [0.5, 4.0]]), np.array([0.02, 0.1]))
         assert np.array_equal(after, before)
         assert loo_cv(model) == folds
@@ -299,6 +300,24 @@ class TestPredict:
         singles = [predict(model, q[None]) for q in queries]
         for field in ("mean", "variance", "ri_variance"):
             assert np.array_equal(getattr(batch, field), [getattr(p, field)[0] for p in singles])
+
+    def test_variances_equal_a_cho_solve_oracle_bit_for_bit(self):
+        # predict calls LAPACK potrs itself; scipy's cho_solve checks its
+        # arguments and then calls the same routine
+        rng = np.random.default_rng(21)
+        for n, d, k in ((5, 2, 1), (21, 8, 48), (38, 16, 48), (60, 8, 7)):
+            pts = rng.uniform(size=(n, d))
+            model = fit_fixed(pts, rng.normal(size=n), Bounds(np.zeros(d), np.ones(d)),
+                              theta=10.0 ** rng.uniform(-1.0, 1.0, size=d), lam=0.01)
+            queries = rng.uniform(size=(k, d))
+            psi = corr_vector(model.design, model.theta, queries)
+            a = scipy.linalg.cho_solve((model._chol_r, True), psi.T)
+            b = scipy.linalg.cho_solve((model._chol_psi, True), psi.T)
+            var_std = model._sigma2_std * (1.0 + model.lam - np.einsum("kn,nk->k", psi, a))
+            ri_std = model._sigma2_ri_std * (1.0 - np.einsum("kn,nk->k", psi, b))
+            pred = predict(model, queries)
+            assert np.array_equal(pred.variance, np.maximum(var_std, 0.0) * model.y_scale ** 2)
+            assert np.array_equal(pred.ri_variance, np.maximum(ri_std, 0.0) * model.y_scale ** 2)
 
     def test_ri_variance_never_exceeds_variance(self):
         pts, ys = make_samples(15, seed=8)
