@@ -8,9 +8,15 @@ full space as well.
 """
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from tollopt import Bounds, build_initial_plan, lhs, maximin_lhs
+
+
+def min_pair_distance(points):
+    """Smallest Euclidean distance between two rows of ``points``."""
+    i, j = np.triu_indices(len(points), k=1)
+    return np.min(np.linalg.norm(points[i] - points[j], axis=1))
+
 
 rng = np.random.default_rng(0)
 
@@ -20,11 +26,11 @@ print(np.round(plan, 3))
 print("column strata occupied:",
       sorted(np.floor(plan[:, 0] * 8).astype(int)),
       sorted(np.floor(plan[:, 1] * 8).astype(int)))
-print(f"min pairwise distance: {np.min(pdist(plan)):.3f}")
+print(f"min pairwise distance: {min_pair_distance(plan):.3f}")
 
 best = maximin_lhs(8, 2, 100, rng)
 print(f"\nbest of 100 candidates by the maximin criterion: "
-      f"min distance {np.min(pdist(best)):.3f}")
+      f"min distance {min_pair_distance(best):.3f}")
 
 # a full initial plan for a 4-interval toll problem: 2(2m+1) = 18 space-filling
 # points plus the lower corner, upper corner, and midpoint of the toll box

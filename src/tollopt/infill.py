@@ -19,9 +19,17 @@ from .surrogate import RKModel, predict
 from .toll import Bounds
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 # acquisition values at or below this count as the flat all-zero plateau
 ACQUISITION_TIE_EPS = 1e-16
+
+
+def norm_cdf(u):
+    """Standard normal CDF ``0.5 erfc(-u / sqrt 2)``, elementwise, from the C
+    library's ``erfc``: within 1e-12 relative of ``scipy.special.ndtr``."""
+    return 0.5 * np.asarray(_erfc(np.asarray(u, dtype=float) * -_SQRT_HALF), dtype=float)
 
 
 def _standardized_gap(mean, variance, limit):
@@ -41,19 +49,15 @@ def expected_improvement(mean, variance, y_min):
 
     Zero variance gives exactly zero improvement.
     """
-    from scipy.special import ndtr
-
     u, gap, s = _standardized_gap(mean, variance, y_min)
     pdf = np.exp(-0.5 * u * u) / _SQRT_2PI
-    return np.where(s > 0, np.maximum(gap * ndtr(u) + s * pdf, 0.0), 0.0)
+    return np.where(s > 0, np.maximum(gap * norm_cdf(u) + s * pdf, 0.0), 0.0)
 
 
 def prob_feasible(mean, variance, delta_max):
     """Gaussian probability that the constraint stays at or below ``delta_max``, elementwise."""
-    from scipy.special import ndtr
-
     z, gap, s = _standardized_gap(mean, variance, delta_max)
-    return np.where(s > 0, ndtr(z), (gap >= 0).astype(float))
+    return np.where(s > 0, norm_cdf(z), (gap >= 0).astype(float))
 
 
 def constrained_ei(ei, p_feasible):

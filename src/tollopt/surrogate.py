@@ -70,7 +70,8 @@ def _bordered_cholesky(a: np.ndarray, borders: Sequence, lams: np.ndarray, stric
     the last k x k block positive definite as R's eigenvalues are at least
     lambda (a pinned lambda = 0 takes machine epsilon's bound).  A stack that
     will not factor falls back to R alone, member by member through
-    :func:`_cholesky_with_jitter`, and a solve; a failed member's factor is I.
+    :func:`_cholesky_with_jitter`, and the inverse of its transpose
+    (:func:`_inverse_factor_t`); a failed member's factor is I.
     """
     k = len(borders)
     n = a.shape[-1] - k
@@ -83,17 +84,21 @@ def _bordered_cholesky(a: np.ndarray, borders: Sequence, lams: np.ndarray, stric
     try:
         return np.linalg.cholesky(a), ok
     except np.linalg.LinAlgError:
-        from scipy.linalg import solve_triangular
-
         chol = np.broadcast_to(np.eye(n + k), a.shape).copy()
         for p, member in enumerate(a):
             try:
                 chol[p, :n, :n], _ = _cholesky_with_jitter(member[:n, :n], strict)
             except NumericalError:
                 ok[p] = False
-        chol[:, n:, :n] = solve_triangular(chol[:, :n, :n], a[:, n:, :n].mT, lower=True,
-                                           check_finite=False).mT
+        chol[:, n:, :n] = a[:, n:, :n] @ _inverse_factor_t(chol[:, :n, :n])
         return chol, ok
+
+
+def _inverse_factor_t(chol: np.ndarray) -> np.ndarray:
+    """``L^-T`` of lower factors ``L``, stacked or not: numpy's LU of the upper
+    triangular ``L^T`` pivots nowhere, so this is back substitution, and the
+    result is upper triangular and C-contiguous."""
+    return np.linalg.inv(chol.mT)
 
 
 def corr_vector(design: np.ndarray, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -152,7 +157,9 @@ class RKModel:
 
     ``design`` rows live in the unit cube; ``y`` is in original response
     units.  ``mu_hat``, ``sigma2_hat`` and ``sigma2_ri`` are reported in
-    original units as well.  Factorized matrices are kept for fast solves.
+    original units as well.  The Cholesky factors of R = Psi + lambda I and Psi are
+    kept with their inverses, transposed, so a prediction's variances are
+    ``|L^-1 psi|^2`` terms (Rasmussen & Williams 2006, Alg. 2.1).
     """
 
     design: np.ndarray          # (n, d)
@@ -167,6 +174,8 @@ class RKModel:
     # internal, standardized-space quantities
     _chol_r: np.ndarray = field(repr=False)
     _chol_psi: np.ndarray = field(repr=False)
+    _inv_r_t: np.ndarray = field(repr=False)    # L_R^-T, upper triangular
+    _inv_psi_t: np.ndarray = field(repr=False)  # L_Psi^-T
     _weights: np.ndarray = field(repr=False)    # R^-1 (y_std - mu_std)
     _mu_std: float = field(repr=False)
     _sigma2_std: float = field(repr=False)
@@ -211,8 +220,6 @@ def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 
 def _assemble(design: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) -> RKModel:
-    from scipy.linalg import solve_triangular
-
     n = design.shape[0]
     y_std, shift, scale = _standardize(y)
     psi = corr_vector(design, theta, design)
@@ -223,8 +230,9 @@ def _assemble(design: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) 
         raise NumericalError("correlation matrix not positive definite")
     chol_r = chol[0, :n, :n]
     chol_psi, _ = _cholesky_with_jitter(psi)
+    inv_r_t = _inverse_factor_t(chol_r)
     mu_std, resid, sigma2_std = _gls_profile(chol[0, n, :n], chol[0, n + 1, :n], 0.0)
-    weights = solve_triangular(chol_r, resid, lower=True, trans=1, check_finite=False)
+    weights = inv_r_t @ resid
     sigma2_ri_std = max(float(weights @ psi @ weights) / n, 0.0)
     return RKModel(
         design=design,
@@ -238,6 +246,8 @@ def _assemble(design: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) 
         y_scale=scale,
         _chol_r=chol_r,
         _chol_psi=chol_psi,
+        _inv_r_t=inv_r_t,
+        _inv_psi_t=_inverse_factor_t(chol_psi),
         _weights=weights,
         _mu_std=mu_std,
         _sigma2_std=sigma2_std,
@@ -303,17 +313,6 @@ def fit_fixed(x: np.ndarray, y: np.ndarray, bounds: Bounds, theta, lam: float) -
                      np.asarray(theta, dtype=float), float(lam))
 
 
-def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``A^-1 b`` from the lower Cholesky factor of A: LAPACK ``potrs``, which
-    ``scipy.linalg.cho_solve`` calls after checks the model's own factors need not pass."""
-    from scipy.linalg.lapack import dpotrs
-
-    x, info = dpotrs(chol, b, lower=True)
-    if info != 0:
-        raise ValueError(f"potrs: illegal value in argument {-info}")
-    return x
-
-
 def predict(model: RKModel, x) -> Prediction:
     """Predictive mean, variance, and reinterpolation variance at the rows of ``x``.
 
@@ -324,13 +323,14 @@ def predict(model: RKModel, x) -> Prediction:
     if x.ndim != 2 or x.shape[1] != model.d:
         raise ValueError(f"query points must be a (k, {model.d}) stack, not {x.shape}")
     psi = corr_vector(model.design, model.theta, x)           # (k, n)
-    # vecdot sums each row on its own, so each row predicts bit for bit
-    # what a stack of one predicts
+    # vecdot and the (k, 1, n) @ (n, n) stack take each row on its own, so
+    # each row predicts bit for bit what a stack of one predicts
     mean_std = model._mu_std + np.vecdot(psi, model._weights)
-    a = _cho_solve(model._chol_r, psi.T)                      # (n, k)
-    var_std = model._sigma2_std * (1.0 + model.lam - np.einsum("kn,nk->k", psi, a))
-    b = _cho_solve(model._chol_psi, psi.T)
-    ri_std = model._sigma2_ri_std * (1.0 - np.einsum("kn,nk->k", psi, b))
+    rows = psi[:, None, :]
+    z = (rows @ model._inv_r_t)[:, 0]                          # row i: L_R^-1 psi_i
+    var_std = model._sigma2_std * (1.0 + model.lam - np.vecdot(z, z))
+    z = (rows @ model._inv_psi_t)[:, 0]
+    ri_std = model._sigma2_ri_std * (1.0 - np.vecdot(z, z))
     scale2 = model.y_scale ** 2
     mean = model.y_shift + model.y_scale * mean_std
     variance = np.maximum(var_std, 0.0) * scale2

@@ -71,8 +71,11 @@ def _run_dir_digest(out) -> str:
 
 
 GOLDEN_RUN_DIR = [
+    # re-pinned when predict's variances became |L^-1 psi|^2 and Phi became
+    # 0.5 erfc(-u / sqrt 2): the one acquisition value in convergence.csv
+    # moved by 1.8e-15 relative, and samples.csv held
     ([*DESK, "--method", "rk", "--delta-max", "7.0"],
-     "0f01bb327d4855c9cee5a5f7aaff1af4d4a80853853b2f4b510b352c02aea555"),
+     "ae277fbd59fad8c7b11a0e1af1da3581536f951c44cd25b0a0577f993908b906"),
     ([*DESK, "--method", "direct", "--delta-max", "7.0"],
      "5a8f5ecee6a11d87966ceccb823a32c7647e8506b2acbbf366c46e9e612a39a7"),
 ]

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from tollopt import infill
 from tollopt.doe import lhs
 from tollopt.ga import GAParams
 from tollopt.infill import (AcquisitionContext, acquisition_value, constrained_ei,
-                            expected_improvement, prob_feasible, propose_infill,
+                            expected_improvement, norm_cdf, prob_feasible, propose_infill,
                             repair_smoothing)
 from tollopt.surrogate import fit_fixed, predict
 from tollopt.tlp import check_smoothing
@@ -92,6 +93,53 @@ class TestConstrainedEI:
     @settings(max_examples=50, deadline=None)
     def test_never_exceeds_unconstrained(self, ei, p):
         assert constrained_ei(ei, p) <= ei
+
+
+class TestNormCdf:
+    def test_matches_scipy_ndtr_from_tail_to_tail(self):
+        # both evaluate erf or erfc at u / sqrt 2 and differ only in how that
+        # rounds: 6e-14 relative was measured on [-40, 10], and this test allows
+        # 1e-12; below 1e-300, where ndtr goes subnormal, 1e-300 absolute
+        rng = np.random.default_rng(0)
+        u = np.concatenate([rng.uniform(-40.0, 10.0, 100_000), rng.normal(size=20_000),
+                            np.linspace(-1.0, 1.0, 2001), [-38.5, -37.5, 8.3, 9.0, 40.0]])
+        got, ref = norm_cdf(u), ndtr(u)
+        assert got.shape == u.shape and got.dtype == np.float64
+        normal = ref > 1e-300
+        np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got[~normal], ref[~normal], rtol=0.0, atol=1e-300)
+        assert np.count_nonzero(~normal) > 1000
+
+    def test_zeros_infinities_and_nan(self):
+        u = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        got = norm_cdf(u)
+        assert got[:4].tolist() == [0.5, 0.5, 1.0, 0.0]
+        assert np.isnan(got[4])
+        np.testing.assert_array_equal(got, ndtr(u))
+        assert norm_cdf(1.0) == pytest.approx(ndtr(1.0), rel=1e-15)
+        assert np.asarray(norm_cdf(np.zeros((2, 3)))).shape == (2, 3)
+
+
+class TestAcquisitionValue:
+    @pytest.mark.parametrize("n,m", [(21, 4), (38, 8)])
+    def test_batch_equals_single_point_calls_bit_for_bit(self, n, m):
+        # the GA scores a whole generation per call, constrained runs through
+        # both surrogates and the feasibility probability
+        rng = np.random.default_rng(n + m)
+        d = 2 * m
+        unit = Bounds(np.zeros(d), np.ones(d))
+        pts = rng.uniform(size=(n, d))
+        obj = fit_fixed(pts, np.sin(3.0 * pts[:, 0]) + np.sum(pts ** 2, axis=1), unit,
+                        theta=10.0 ** rng.uniform(-1.0, 0.5, size=d), lam=0.01)
+        con = fit_fixed(pts, 5.0 + pts @ rng.uniform(size=d), unit,
+                        theta=10.0 ** rng.uniform(-1.0, 0.5, size=d), lam=0.01)
+        ctx = AcquisitionContext(obj_model=obj, bounds=Bounds.uniform(m, 1.0, 15.0),
+                                 y_min=float(np.min(obj.y)), smoothing=(1.0 / 3.0, 5.0),
+                                 con_model=con, delta_max=float(np.median(con.y)))
+        queries = np.vstack([rng.uniform(size=(48, d)), pts[:2]])
+        batch = acquisition_value(ctx, queries)
+        assert np.count_nonzero(batch > 0) > 24
+        assert np.array_equal(batch, [acquisition_value(ctx, q[None])[0] for q in queries])
 
 
 class TestRepairSmoothing:
