@@ -21,12 +21,12 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .doe import ANCHORS, save_plan_csv
+from .doe import ANCHORS
 from .simnet import (ConfigError, NetworkConfig, PRESETS, config_from_dict,
                      config_to_dict, fit_lower_envelope, simulate, simulate_batch)
 from .surrogate import fit, loo_cv
-from .tlp import (OptimizationRun, ProblemSpec, load_samples_csv, optimize,
-                  repaired_initial_plan, write_run_dir)
+from .tlp import (OptimizationRun, ProblemSpec, check_smoothing, is_feasible, optimize,
+                  repaired_initial_plan)
 from .toll import Bounds, TollVector
 
 DEFAULT_PROBLEM = {
@@ -83,7 +83,10 @@ def load_scenario(config_arg: str) -> tuple[NetworkConfig, dict]:
         except yaml.YAMLError as exc:
             raise ConfigError(f"{config_arg}: not valid YAML ({exc})") from exc
     config = config_from_dict(doc)
-    section = doc.get("problem") or {}
+    for key in doc:
+        if key not in ("network", "problem"):
+            raise ConfigError(f"{key}: unknown section")
+    section = {} if doc.get("problem") is None else doc["problem"]
     if not isinstance(section, dict):
         raise ConfigError("problem: must be a mapping")
     for key, val in section.items():
@@ -152,9 +155,7 @@ def check_method(spec: ProblemSpec, method: str) -> None:
 
 
 def scenario_doc(config: NetworkConfig, problem: dict) -> dict:
-    doc = config_to_dict(config)
-    doc["problem"] = {k: v for k, v in problem.items()}
-    return doc
+    return {**config_to_dict(config), "problem": dict(problem)}
 
 
 def config_digest(doc: dict) -> str:
@@ -197,20 +198,113 @@ def parse_toll(arg: str, m: int) -> TollVector:
     return TollVector.from_array(values)
 
 
+# ---------------------------------------------------------------------------
+# run artifacts: every CSV and JSON file is written, and read back, here
+
+def _num(value) -> str:
+    """A float as an artifact writes it: its repr, which reads back bit for bit."""
+    return repr(float(value))
+
+
+def _write_csv(path, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+
+
+def write_run_dir(run: OptimizationRun, outdir) -> None:
+    """Write the run artifact files: samples, convergence, best point, and the
+    per-evaluation interval tables.  Everything except timestamps is a pure
+    function of (config, flags, master seed).  Files an earlier run left in
+    ``outdir`` under these names are removed first, so a reused directory
+    holds this run only."""
+    evals_dir = os.path.join(outdir, "evals")
+    os.makedirs(evals_dir, exist_ok=True)
+    owned = [os.path.join(evals_dir, name) for name in os.listdir(evals_dir)
+             if name.startswith("eval_") and name.endswith(".csv")]
+    for stale in [*owned, os.path.join(outdir, "convergence.csv")]:
+        if os.path.exists(stale):
+            os.remove(stale)
+    spec, samples, m, reps = run.spec, run.samples, run.spec.m, run.spec.replications
+    x, objective, constraint = samples.x, samples.objective, samples.constraint
+
+    header = (["index", "origin"]
+              + [f"v_{h + 1}_per_km" for h in range(m)]
+              + [f"w_{h + 1}_per_h" for h in range(m)]
+              + [f"objective_rep{r}_vpkmpl" for r in range(reps)]
+              + ["objective_mean_vpkmpl"]
+              + [f"constraint_rep{r}_vpkmpl" for r in range(reps)]
+              + ["constraint_mean_vpkmpl", "smoothing_feasible"])
+    smooth = check_smoothing(x, spec.alpha, spec.beta)
+    _write_csv(os.path.join(outdir, "samples.csv"), header,
+               ([i, samples.origin[i], *map(_num, x[i]), *map(_num, samples.objective_reps[i]),
+                 _num(objective[i]), *map(_num, samples.constraint_reps[i]),
+                 _num(constraint[i]), int(smooth[i])] for i in range(len(samples))))
+
+    if run.acquisition_history:
+        best = run.best_so_far()
+        n0 = len(samples) - len(run.acquisition_history)
+        _write_csv(os.path.join(outdir, "convergence.csv"),
+                   ["iteration", "acquisition", "best_objective_vpkmpl"],
+                   ([it, _num(acq), _num(best[n0 + it])]
+                    for it, acq in enumerate(run.acquisition_history)))
+
+    for i in range(len(samples)):
+        density, deviation = samples.interval_density_reps[i], samples.interval_deviation_reps[i]
+        _write_csv(os.path.join(evals_dir, f"eval_{i:04d}.csv"),
+                   ["rep", "interval", "K_vpkmpl", "Delta_vpkmpl"],
+                   ([r, h, _num(density[r, h]), _num(deviation[r, h])]
+                    for r, h in np.ndindex(density.shape)))
+
+    b = run.best_index
+    _write_json(os.path.join(outdir, "best.json"), {
+        "index": b,
+        "distance_rates": [_num(v) for v in x[b, :m]],
+        "delay_rates": [_num(v) for v in x[b, m:]],
+        "objective": _num(objective[b]),
+        "constraint": _num(constraint[b]),
+        "feasible": bool(is_feasible(samples, spec)[b]),
+        "method": run.method,
+        "evaluations": run.evaluations,
+    })
+
+
+def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """What ``validate`` fits from a run's samples.csv: the ``(n, 2m)`` toll rows
+    and the ``(n,)`` objective_mean_vpkmpl column."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    d = sum(1 for name in header if name.startswith(("v_", "w_")))
+    # every column but index, origin and the feasibility flag; a ragged row is a ValueError
+    table = np.array([[float(v) for v in row[2:-1]] for row in rows]).reshape(
+        len(rows), len(header) - 3)
+    return table[:, :d], table[:, header.index("objective_mean_vpkmpl") - 2]
+
+
+def save_plan_csv(plan: np.ndarray, path) -> None:
+    """Write the ``(n, 2m)`` plan, one design point per row, with header ``v_1..v_m,w_1..w_m``."""
+    m = plan.shape[1] // 2
+    _write_csv(path, [f"v_{h + 1}" for h in range(m)] + [f"w_{h + 1}" for h in range(m)],
+               ([_num(v) for v in row] for row in plan))
+
+
 def write_manifest(path: str, doc_cfg: dict, args_dict: dict, method: str, seed: int,
                    extra: dict | None = None) -> None:
-    manifest = {
+    _write_json(path, {
         "tool_version": __version__,
         "config_digest": config_digest(doc_cfg),
         "master_seed": seed,
         "method": method,
         "flags": args_dict,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    if extra:
-        manifest.update(extra)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+        **(extra or {}),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -223,27 +317,20 @@ def cmd_simulate(args) -> int:
     outdir = out_dir(args, f"simulate-seed{args.seed}")
     result = simulate(config, toll, args.seed)
 
-    with open(os.path.join(outdir, "timeseries.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "K_vpkmpl", "gamma_vpkmpl", "Delta_vpkmpl",
-                         "flow_vph_per_lane", "speed_kmh", "queue_veh"]
-                        + [f"k_{i + 1}_vpkmpl" for i in range(config.n_cells)])
-        for i in range(result.t.size):
-            writer.writerow([repr(float(result.t[i])), repr(float(result.network_density[i])),
-                             repr(float(result.gamma[i])), repr(float(result.deviation[i])),
-                             repr(float(result.flow[i])), repr(float(result.speed[i])),
-                             repr(float(result.queue[i]))]
-                            + [repr(float(v)) for v in result.k_cells[i]])
-    summary = {
-        "interval_density_vpkmpl": [repr(float(v)) for v in result.interval_density],
-        "interval_deviation_vpkmpl": [repr(float(v)) for v in result.interval_deviation],
-        "pz_avg_travel_time_min_per_km": repr(result.pz_avg_travel_time),
-        "net_avg_travel_time_min_per_km": repr(result.net_avg_travel_time),
-        "toll_revenue": repr(result.toll_revenue),
+    table = np.column_stack([result.t, result.network_density, result.gamma, result.deviation,
+                             result.flow, result.speed, result.queue, result.k_cells])
+    _write_csv(os.path.join(outdir, "timeseries.csv"),
+               ["t_s", "K_vpkmpl", "gamma_vpkmpl", "Delta_vpkmpl", "flow_vph_per_lane",
+                "speed_kmh", "queue_veh"] + [f"k_{i + 1}_vpkmpl" for i in range(config.n_cells)],
+               ([_num(v) for v in row] for row in table))
+    _write_json(os.path.join(outdir, "summary.json"), {
+        "interval_density_vpkmpl": [_num(v) for v in result.interval_density],
+        "interval_deviation_vpkmpl": [_num(v) for v in result.interval_deviation],
+        "pz_avg_travel_time_min_per_km": _num(result.pz_avg_travel_time),
+        "net_avg_travel_time_min_per_km": _num(result.net_avg_travel_time),
+        "toll_revenue": _num(result.toll_revenue),
         "seed": result.seed,
-    }
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
+    })
     write_manifest(os.path.join(outdir, "run.json"), scenario_doc(config, problem),
                    {"toll": args.toll, "seed": args.seed}, "simulate", args.seed)
 
@@ -302,10 +389,10 @@ def cmd_validate(args) -> int:
     if not os.path.exists(samples_path) or not os.path.exists(config_path):
         raise UsageError(f"not a run directory (missing samples.csv/config.yaml): {args.run_dir}")
     spec = build_spec(*load_scenario(config_path))
-    samples = load_samples_csv(samples_path)
-    if len(samples) < 3:
+    x, objective = load_samples_csv(samples_path)
+    if len(x) < 3:
         raise UsageError("insufficient samples: cross-validation needs at least 3")
-    model = fit(samples.x, samples.objective, spec.bounds, rng=np.random.default_rng(args.seed))
+    model = fit(x, objective, spec.bounds, rng=np.random.default_rng(args.seed))
     cv = loo_cv(model)
     usable = [r for r in cv if not r.degenerate]
     inside = [r for r in usable if abs(r.standardized_residual) <= 3.0]
@@ -316,7 +403,7 @@ def cmd_validate(args) -> int:
         print("outliers:")
         for r in sorted(outliers, key=lambda r: -abs(r.standardized_residual)):
             print(f"  sample {r.index}: residual {r.standardized_residual:+.2f} "
-                  f"toll [{', '.join(f'{v:.3f}' for v in samples.x[r.index])}]")
+                  f"toll [{', '.join(f'{v:.3f}' for v in x[r.index])}]")
     else:
         print("outliers: none")
     return 0
@@ -334,14 +421,10 @@ def cmd_compare(args) -> int:
         for seed in args.seeds:
             curves.append((f"{method}-seed{seed}", optimize(spec, method=method, seed=seed)))
 
-    with open(os.path.join(outdir, "comparison.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "run", "evals", "best_objective_vpkmpl"])
-        for label, run in curves:
-            method = label.split("-")[0]
-            for i, val in enumerate(run.best_so_far()):
-                if np.isfinite(val):
-                    writer.writerow([method, label, i + 1, repr(float(val))])
+    _write_csv(os.path.join(outdir, "comparison.csv"),
+               ["method", "run", "evals", "best_objective_vpkmpl"],
+               ([run.method, label, i + 1, _num(val)] for label, run in curves
+                for i, val in enumerate(run.best_so_far()) if np.isfinite(val)))
     write_manifest(os.path.join(outdir, "run.json"), scenario_doc(config, problem),
                    {"budget": problem["budget"], "replications": problem["replications"],
                     "seeds": list(args.seeds)},

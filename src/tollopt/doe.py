@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 
@@ -80,15 +79,3 @@ def build_initial_plan(m: int, bounds: Bounds, rng: np.random.Generator) -> np.n
         warnings.warn("degenerate bounds: all plan points collapse to a single toll vector")
     unit = maximin_lhs(initial_plan_size(m) - ANCHORS, d, MAXIMIN_CANDIDATES, rng)
     return np.vstack([bounds.scale_from_unit(unit), bounds.lower, bounds.upper, bounds.midpoint()])
-
-
-def save_plan_csv(plan: np.ndarray, path) -> None:
-    """Write the ``(n, 2m)`` plan, one design point per row, with header ``v_1..v_m,w_1..w_m``."""
-    if len(plan) == 0:
-        raise ValueError("empty plan")
-    m = plan.shape[1] // 2
-    header = [f"v_{h + 1}" for h in range(m)] + [f"w_{h + 1}" for h in range(m)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([repr(float(x)) for x in row] for row in plan)

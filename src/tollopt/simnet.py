@@ -200,12 +200,14 @@ def _file_value(fieldname: str, value):
 
 def config_from_dict(doc: dict) -> NetworkConfig:
     if not isinstance(doc, dict) or not isinstance(doc.get("network"), dict):
-        raise ConfigError("network: missing top-level section")
+        present = isinstance(doc, dict) and "network" in doc
+        raise ConfigError(f"network: {'must be a mapping' if present else 'missing section'}")
     net = doc["network"]
     kwargs = {}
     for (section, key), fieldname in _SCHEMA.items():
-        if section not in net or not isinstance(net[section], dict):
-            raise ConfigError(f"network.{section}: missing section")
+        if not isinstance(net.get(section), dict):
+            raise ConfigError(f"network.{section}: "
+                              + ("must be a mapping" if section in net else "missing section"))
         if key not in net[section]:
             raise ConfigError(f"network.{section}.{key}: missing key")
         try:

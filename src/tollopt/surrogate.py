@@ -157,8 +157,8 @@ class RKModel:
 
     ``design`` rows live in the unit cube; ``y`` is in original response
     units.  ``mu_hat``, ``sigma2_hat`` and ``sigma2_ri`` are reported in
-    original units as well.  The Cholesky factors of R = Psi + lambda I and Psi are
-    kept with their inverses, transposed, so a prediction's variances are
+    original units as well.  The inverse Cholesky factors of R = Psi + lambda I
+    and Psi are kept, transposed, so a prediction's variances are
     ``|L^-1 psi|^2`` terms (Rasmussen & Williams 2006, Alg. 2.1).
     """
 
@@ -172,8 +172,6 @@ class RKModel:
     y_shift: float
     y_scale: float
     # internal, standardized-space quantities
-    _chol_r: np.ndarray = field(repr=False)
-    _chol_psi: np.ndarray = field(repr=False)
     _inv_r_t: np.ndarray = field(repr=False)    # L_R^-T, upper triangular
     _inv_psi_t: np.ndarray = field(repr=False)  # L_Psi^-T
     _weights: np.ndarray = field(repr=False)    # R^-1 (y_std - mu_std)
@@ -228,9 +226,7 @@ def _assemble(design: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) 
     chol, ok = _bordered_cholesky(a, (y_std, 1.0), np.array([lam]), strict=False)
     if not ok[0]:
         raise NumericalError("correlation matrix not positive definite")
-    chol_r = chol[0, :n, :n]
-    chol_psi, _ = _cholesky_with_jitter(psi)
-    inv_r_t = _inverse_factor_t(chol_r)
+    inv_r_t = _inverse_factor_t(chol[0, :n, :n])
     mu_std, resid, sigma2_std = _gls_profile(chol[0, n, :n], chol[0, n + 1, :n], 0.0)
     weights = inv_r_t @ resid
     sigma2_ri_std = max(float(weights @ psi @ weights) / n, 0.0)
@@ -244,10 +240,8 @@ def _assemble(design: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) 
         sigma2_ri=scale ** 2 * sigma2_ri_std,
         y_shift=shift,
         y_scale=scale,
-        _chol_r=chol_r,
-        _chol_psi=chol_psi,
         _inv_r_t=inv_r_t,
-        _inv_psi_t=_inverse_factor_t(chol_psi),
+        _inv_psi_t=_inverse_factor_t(_cholesky_with_jitter(psi)[0]),
         _weights=weights,
         _mu_std=mu_std,
         _sigma2_std=sigma2_std,

@@ -8,10 +8,7 @@ expected-improvement infill or by DIRECT with a quadratic penalty.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import os
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -156,12 +153,12 @@ class OptimizationRun:
 
     def best_so_far(self) -> np.ndarray:
         """Incumbent feasible objective after each evaluation (inf until one exists)."""
-        feasible = _is_feasible(self.samples, self.spec)
+        feasible = is_feasible(self.samples, self.spec)
         # fmin passes over a nan objective, so it never becomes the incumbent
         return np.fmin.accumulate(np.where(feasible, self.samples.objective, math.inf))
 
 
-def _is_feasible(samples: Samples, spec: ProblemSpec) -> np.ndarray:
+def is_feasible(samples: Samples, spec: ProblemSpec) -> np.ndarray:
     """Per sample: smoothing-feasible, inside the box and, when capped, under delta_max."""
     ok = (check_smoothing(samples.x, spec.alpha, spec.beta)
           & spec.bounds.contains(samples.x, atol=SMOOTHING_TOL))
@@ -172,7 +169,7 @@ def _is_feasible(samples: Samples, spec: ProblemSpec) -> np.ndarray:
 
 def _best_index(samples: Samples, spec: ProblemSpec) -> int:
     """Index of the best feasible sample (the best one while none is feasible), first on ties."""
-    feasible = _is_feasible(samples, spec)
+    feasible = is_feasible(samples, spec)
     pool = np.flatnonzero(feasible) if feasible.any() else np.arange(len(samples))
     return int(pool[np.argmin(samples.objective[pool])])
 
@@ -308,94 +305,3 @@ def convergence_history(run: OptimizationRun, window: int = 4) -> tuple[np.ndarr
         raise ValueError("run has no infill iterations")
     averaged = np.array([np.mean(raw[i:i + window]) for i in range(0, raw.size, window)])
     return raw, averaged
-
-
-# ---------------------------------------------------------------------------
-# run artifacts
-
-def write_run_dir(run: OptimizationRun, outdir) -> None:
-    """Write the run artifact files: samples, convergence, best point, and the
-    per-evaluation interval tables.  Everything except timestamps is a pure
-    function of (config, flags, master seed).  Files an earlier run left in
-    ``outdir`` under these names are removed first, so a reused directory
-    holds this run only."""
-    evals_dir = os.path.join(outdir, "evals")
-    os.makedirs(evals_dir, exist_ok=True)
-    owned = [os.path.join(evals_dir, name) for name in os.listdir(evals_dir)
-             if name.startswith("eval_") and name.endswith(".csv")]
-    for stale in [*owned, os.path.join(outdir, "convergence.csv")]:
-        if os.path.exists(stale):
-            os.remove(stale)
-    spec, samples = run.spec, run.samples
-    m, reps = spec.m, spec.replications
-    x, objective, constraint = samples.x, samples.objective, samples.constraint
-
-    header = (["index", "origin"]
-              + [f"v_{h + 1}_per_km" for h in range(m)]
-              + [f"w_{h + 1}_per_h" for h in range(m)]
-              + [f"objective_rep{r}_vpkmpl" for r in range(reps)]
-              + ["objective_mean_vpkmpl"]
-              + [f"constraint_rep{r}_vpkmpl" for r in range(reps)]
-              + ["constraint_mean_vpkmpl", "smoothing_feasible"])
-    smooth = check_smoothing(x, spec.alpha, spec.beta)
-    with open(os.path.join(outdir, "samples.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(samples)):
-            writer.writerow([i, samples.origin[i]]
-                            + [repr(float(v)) for v in x[i]]
-                            + [repr(float(v)) for v in samples.objective_reps[i]]
-                            + [repr(float(objective[i]))]
-                            + [repr(float(v)) for v in samples.constraint_reps[i]]
-                            + [repr(float(constraint[i])), int(smooth[i])])
-
-    if run.acquisition_history:
-        best = run.best_so_far()
-        n0 = len(samples) - len(run.acquisition_history)
-        with open(os.path.join(outdir, "convergence.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "acquisition", "best_objective_vpkmpl"])
-            for it, acq in enumerate(run.acquisition_history):
-                writer.writerow([it, repr(acq), repr(float(best[n0 + it]))])
-
-    for i in range(len(samples)):
-        density, deviation = samples.interval_density_reps[i], samples.interval_deviation_reps[i]
-        with open(os.path.join(evals_dir, f"eval_{i:04d}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rep", "interval", "K_vpkmpl", "Delta_vpkmpl"])
-            writer.writerows([r, h, repr(float(density[r, h])), repr(float(deviation[r, h]))]
-                             for r, h in np.ndindex(density.shape))
-
-    b = run.best_index
-    best_doc = {
-        "index": b,
-        "distance_rates": [repr(float(v)) for v in x[b, :m]],
-        "delay_rates": [repr(float(v)) for v in x[b, m:]],
-        "objective": repr(float(objective[b])),
-        "constraint": repr(float(constraint[b])),
-        "feasible": bool(_is_feasible(samples, spec)[b]),
-        "method": run.method,
-        "evaluations": run.evaluations,
-    }
-    with open(os.path.join(outdir, "best.json"), "w") as fh:
-        json.dump(best_doc, fh, indent=2)
-
-
-def load_samples_csv(path) -> Samples:
-    """Rebuild a run's samples from its samples.csv.  The interval tables are not
-    in that file, so they load empty, ``(n, R, 0)``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    m = sum(1 for c in header if c.startswith("v_"))
-    reps = sum(1 for c in header if c.startswith("objective_rep"))
-    # every column but index, origin and the feasibility flag
-    values = np.array([[float(v) for v in row[2:-1]] for row in rows]).reshape(
-        len(rows), 2 * m + 2 * reps + 2)
-    x, objective_reps, _, constraint_reps, _ = np.split(
-        values, np.cumsum([2 * m, reps, 1, reps]), axis=1)
-    return Samples(x=x, objective_reps=objective_reps, constraint_reps=constraint_reps,
-                   origin=np.array([row[1] for row in rows]),
-                   interval_density_reps=np.empty((len(rows), reps, 0)),
-                   interval_deviation_reps=np.empty((len(rows), reps, 0)))

@@ -114,13 +114,48 @@ def test_problem_counts_are_checked_not_truncated(tmp_path, capsys, no_simulatio
     assert not (tmp_path / "run").exists()
 
 
-def test_problem_section_must_be_a_mapping(tmp_path, capsys):
+# a falsy section is not an absent one: it does not mean the defaults
+@pytest.mark.parametrize("section", [[1, 2], [], 0, "", False],
+                         ids=["list", "empty-list", "zero", "empty-string", "false"])
+def test_problem_section_must_be_a_mapping(tmp_path, capsys, section):
     doc = config_to_dict(desk_preset())
-    doc["problem"] = [1, 2]
+    doc["problem"] = section
     path = tmp_path / "list.yaml"
     path.write_text(yaml.safe_dump(doc))
     assert run_cli(["optimize", str(path)]) == 2
     assert "problem: must be a mapping" in capsys.readouterr().err
+
+
+def test_a_null_problem_section_keeps_the_defaults(tmp_path, capsys):
+    doc = config_to_dict(desk_preset())
+    doc["problem"] = None
+    path = tmp_path / "null.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli(["optimize", str(path), "--print-config"]) == 0
+    assert yaml.safe_load(capsys.readouterr().out)["problem"] == DEFAULT_PROBLEM
+
+
+def test_unknown_top_level_section_exits_2_naming_it(tmp_path, capsys):
+    doc = config_to_dict(desk_preset())
+    doc["problme"] = {"budget": 10}
+    path = tmp_path / "typo.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli(["optimize", str(path), "--print-config"]) == 2
+    assert "error: problme: unknown section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,message", [("network", "network: must be a mapping"),
+                                             ("cells", "network.cells: must be a mapping")])
+def test_a_network_section_that_is_not_a_mapping_says_so(tmp_path, capsys, section, message):
+    doc = config_to_dict(desk_preset())
+    if section == "network":
+        doc["network"] = [1, 2]
+    else:
+        doc["network"][section] = [1, 2]
+    path = tmp_path / "list.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli(["optimize", str(path), "--print-config"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_unparsable_yaml_exits_2_naming_the_file(tmp_path):

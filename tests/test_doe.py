@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from tollopt.doe import build_initial_plan, lhs, maximin_lhs, save_plan_csv
+from tollopt.cli import save_plan_csv
+from tollopt.doe import build_initial_plan, lhs, maximin_lhs
 from tollopt.toll import Bounds
 
 

@@ -104,6 +104,15 @@ def test_fixed_seed_doe_plan_digest(tmp_path, capsys):
             == "a23185537673f70cad5c741b385255042859ea3be3d4ce0979db9f18e245d382")
 
 
+def test_fixed_seed_compare_digest(tmp_path, capsys):
+    # both methods' incumbent curves, rk first, as compare writes them
+    out = tmp_path / "compare"
+    assert main(["compare", "desk", "--budget", "22", "--replications", "1", "--seeds", "5",
+                 "--out", str(out)]) == 0
+    assert (hashlib.sha256((out / "comparison.csv").read_bytes()).hexdigest()
+            == "1c6690a0865c5e8ccbb898f38568fd23a9b4d7f0b6d8e46731894258740d99ec")
+
+
 PAPER_TOLL = "0.2,0.35,0.5,0.6,0.6,0.45,0.3,0.15,3,5,7,9,9,7,5,3"
 
 # the per-step history path: every step's K, gamma, Delta and cell densities

@@ -1,5 +1,6 @@
 """Layering: a toll point travels as a row of an ``(n, 2m)`` array from the
-initial plan to the simulator, and ``TollVector`` stays at the edge."""
+initial plan to the simulator, ``TollVector`` stays at the edge, and only the
+command line reads or writes files."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,26 @@ def test_toll_vector_is_used_only_at_the_edge():
     simulate = next(stmt for stmt in modules["simnet.py"].body
                     if isinstance(stmt, ast.FunctionDef) and stmt.name == "simulate")
     assert _mentions(simulate) > 0
+
+
+FILE_IO_MODULES = {"csv", "json", "os"}
+
+
+def _file_io(node: ast.AST) -> list[str]:
+    """What ``node`` does of file I/O: imports of csv, json or os, and calls of ``open``."""
+    found = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Import):
+            found += [a.name for a in n.names if a.name.split(".")[0] in FILE_IO_MODULES]
+        elif isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] in FILE_IO_MODULES:
+            found.append(n.module)
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "open":
+            found.append(f"open() at line {n.lineno}")
+    return found
+
+
+def test_only_the_command_line_reads_and_writes_files():
+    # every run artifact is formatted in one module; the library computes
+    uses = {path.name: _file_io(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
+    assert uses["cli.py"]
+    assert {name: found for name, found in uses.items() if name != "cli.py" and found} == {}

@@ -317,9 +317,13 @@ class TestPredict:
             queries = np.vstack([rng.uniform(size=(k, d)), pts[:2] + 1e-7])
             psi = corr_vector(model.design, model.theta, queries)
             pred = predict(model, queries)
+            # the oracle's own factors of R = Psi + lambda I and of Psi
+            design_psi = corr_vector(model.design, model.theta, model.design)
+            chol_r = np.linalg.cholesky(design_psi + model.lam * np.eye(n))
+            chol_psi, _ = surrogate._cholesky_with_jitter(design_psi)
             for chol, sigma2, base, got in (
-                    (model._chol_r, model.sigma2_hat, 1.0 + model.lam, pred.variance),
-                    (model._chol_psi, model.sigma2_ri, 1.0, pred.ri_variance)):
+                    (chol_r, model.sigma2_hat, 1.0 + model.lam, pred.variance),
+                    (chol_psi, model.sigma2_ri, 1.0, pred.ri_variance)):
                 quad = np.einsum("kn,nk->k", psi, scipy.linalg.cho_solve((chol, True), psi.T))
                 oracle = sigma2 * np.maximum(base - quad, 0.0)
                 tol = 4.0 * eps * np.linalg.cond(chol) ** 2 * sigma2
@@ -385,7 +389,10 @@ def test_regularized_matrix_diagonal_is_one_plus_lambda():
     pts, ys = make_samples(10, seed=20)
     lam = 0.37
     model = fit_fixed(pts, ys, UNIT2, theta=np.array([1.5, 0.8]), lam=lam)
-    reconstructed = model._chol_r @ model._chol_r.T
-    assert np.allclose(np.diag(reconstructed), 1.0 + lam, atol=1e-12)
     psi = corr_vector(pts, np.array([1.5, 0.8]), pts)
     assert np.all(np.diag(psi) == 1.0)
+    # the model's inverse factor L^-T whitens R = Psi + lambda I: L^-1 R L^-T = I
+    inv_r_t = model._inv_r_t
+    assert np.allclose(inv_r_t.T @ (psi + lam * np.eye(10)) @ inv_r_t, np.eye(10), atol=1e-10)
+    reconstructed = np.linalg.inv(inv_r_t @ inv_r_t.T)
+    assert np.allclose(np.diag(reconstructed), 1.0 + lam, atol=1e-12)
