@@ -275,16 +275,26 @@ def write_run_dir(run: OptimizationRun, outdir) -> None:
     })
 
 
-def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """What ``validate`` fits from a run's samples.csv: the ``(n, 2m)`` toll rows
-    and the ``(n,)`` objective_mean_vpkmpl column."""
+def load_samples_csv(path, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """What ``validate`` fits from a run's samples.csv, the ``(n, d)`` toll rows and the ``(n,)``
+    objective_mean_vpkmpl column; damage is a UsageError naming the row (the header is row 1)."""
     with open(path, newline="") as fh:
-        header, *rows = csv.reader(fh)
-    d = sum(1 for name in header if name.startswith(("v_", "w_")))
-    # every column but index, origin and the feasibility flag; a ragged row is a ValueError
-    table = np.array([[float(v) for v in row[2:-1]] for row in rows]).reshape(
-        len(rows), len(header) - 3)
-    return table[:, :d], table[:, header.index("objective_mean_vpkmpl") - 2]
+        header, *rows = list(csv.reader(fh)) or [[]]
+    cols = [i for i, name in enumerate(header) if name.startswith(("v_", "w_"))]
+    if len(cols) != d or "objective_mean_vpkmpl" not in header:
+        raise UsageError(f"samples.csv: row 1: need {d} toll columns and objective_mean_vpkmpl")
+    cols.append(header.index("objective_mean_vpkmpl"))
+    table = np.empty((len(rows), d + 1))
+    for n, row in enumerate(rows):
+        if len(row) != len(header):
+            raise UsageError(f"samples.csv: row {n + 2}: {len(row)} of {len(header)} values")
+        try:
+            table[n] = [float(row[c]) for c in cols]
+        except ValueError as exc:
+            raise UsageError(f"samples.csv: row {n + 2}: {exc}") from exc
+        if not np.isfinite(table[n]).all():
+            raise UsageError(f"samples.csv: row {n + 2}: a toll or the objective is not finite")
+    return table[:, :d], table[:, d]
 
 
 def save_plan_csv(plan: np.ndarray, path) -> None:
@@ -389,9 +399,9 @@ def cmd_validate(args) -> int:
     if not os.path.exists(samples_path) or not os.path.exists(config_path):
         raise UsageError(f"not a run directory (missing samples.csv/config.yaml): {args.run_dir}")
     spec = build_spec(*load_scenario(config_path))
-    x, objective = load_samples_csv(samples_path)
+    x, objective = load_samples_csv(samples_path, spec.bounds.d)
     if len(x) < 3:
-        raise UsageError("insufficient samples: cross-validation needs at least 3")
+        raise UsageError("samples.csv: insufficient samples: cross-validation needs at least 3")
     model = fit(x, objective, spec.bounds, rng=np.random.default_rng(args.seed))
     cv = loo_cv(model)
     usable = [r for r in cv if not r.degenerate]

@@ -137,7 +137,8 @@ class Samples:
 
 @dataclass
 class OptimizationRun:
-    """Everything produced by one optimization: samples, incumbent, and history."""
+    """One optimization's state: samples, acquisition history and the generator that
+    :func:`rk_step` draws from (a DIRECT run holds one and draws nothing from it)."""
 
     spec: ProblemSpec
     method: str
@@ -145,11 +146,18 @@ class OptimizationRun:
     rep_seeds: list[int]
     samples: Samples
     acquisition_history: list[float]
-    best_index: int
+    rng: np.random.Generator
 
     @property
     def evaluations(self) -> int:
         return len(self.samples)
+
+    @property
+    def best_index(self) -> int:
+        """The best feasible sample's index (the best one while none is feasible), first on ties."""
+        feasible = is_feasible(self.samples, self.spec)
+        pool = np.flatnonzero(feasible) if feasible.any() else np.arange(len(self.samples))
+        return int(pool[np.argmin(self.samples.objective[pool])])
 
     def best_so_far(self) -> np.ndarray:
         """Incumbent feasible objective after each evaluation (inf until one exists)."""
@@ -165,13 +173,6 @@ def is_feasible(samples: Samples, spec: ProblemSpec) -> np.ndarray:
     if spec.delta_max is not None:
         ok &= ~(samples.constraint > spec.delta_max)   # not <=: a nan is not over the cap
     return ok
-
-
-def _best_index(samples: Samples, spec: ProblemSpec) -> int:
-    """Index of the best feasible sample (the best one while none is feasible), first on ties."""
-    feasible = is_feasible(samples, spec)
-    pool = np.flatnonzero(feasible) if feasible.any() else np.arange(len(samples))
-    return int(pool[np.argmin(samples.objective[pool])])
 
 
 def replication_seeds(master_seed: int, replications: int) -> list[int]:
@@ -203,34 +204,33 @@ def evaluate_tolls(spec: ProblemSpec, x: np.ndarray, rep_seeds: Sequence[int],
 
 
 def optimize(spec: ProblemSpec, method: str = "rk", seed: int = 0) -> OptimizationRun:
-    """Run one full optimization and return its evaluated history.
+    """Run one full optimization and return the run.
 
     ``method="rk"``: maximin-LHS initial plan (pre-repaired onto the
-    smoothing-feasible set), then expected-improvement infill until the
-    evaluation budget is spent.  ``method="direct"``: DIRECT over the toll
-    box with smoothing (and heterogeneity, when set) constraints folded into
-    a quadratic penalty; each DIRECT iteration's points are simulated in one
-    batch, in DIRECT's sampling order, and the final iteration may overshoot
-    the budget.
+    smoothing-feasible set), then one :func:`rk_step` (expected-improvement
+    infill) at a time until the evaluation budget is spent.
+    ``method="direct"``: DIRECT over the toll box with smoothing (and
+    heterogeneity, when set) constraints folded into a quadratic penalty;
+    each DIRECT iteration's points are simulated in one batch, in DIRECT's
+    sampling order, and the final iteration may overshoot the budget.
 
-    The run shares each replication seed's untolled prefix, the steps
-    before the tolling window, across all its simulator calls
-    (:func:`simnet.shared_prefixes`); the prefixes are dropped when the
-    call returns, so the next call simulates its own.
+    The run shares each replication seed's untolled prefix (the steps before
+    the tolling window) across all its simulator calls and drops the prefixes
+    on return, so the next call simulates its own (:func:`simnet.shared_prefixes`).
     """
     if method not in ("rk", "direct"):
         raise ValueError(f"unknown method {method!r}")
+    rng = np.random.default_rng(seed)
     rep_seeds = replication_seeds(seed, spec.replications)
     with shared_prefixes(spec.config):
         if method == "rk":
-            samples, acquisition_history = _optimize_rk(spec, seed, rep_seeds)
+            samples = evaluate_tolls(spec, repaired_initial_plan(spec, rng), rep_seeds)
         else:
-            samples, acquisition_history = _optimize_direct(spec, rep_seeds), []
-    return OptimizationRun(
-        spec=spec, method=method, master_seed=int(seed), rep_seeds=rep_seeds,
-        samples=samples, acquisition_history=acquisition_history,
-        best_index=_best_index(samples, spec),
-    )
+            samples = _optimize_direct(spec, rep_seeds)
+        run = OptimizationRun(spec, method, int(seed), rep_seeds, samples, [], rng)
+        while method == "rk" and run.evaluations < spec.budget:
+            rk_step(run)
+    return run
 
 
 def repaired_initial_plan(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
@@ -239,31 +239,21 @@ def repaired_initial_plan(spec: ProblemSpec, rng: np.random.Generator) -> np.nda
                             spec.alpha, spec.beta, spec.bounds)
 
 
-def _optimize_rk(spec: ProblemSpec, seed: int,
-                 rep_seeds: list[int]) -> tuple[Samples, list[float]]:
-    rng = np.random.default_rng(seed)
-    samples = evaluate_tolls(spec, repaired_initial_plan(spec, rng), rep_seeds, origin="initial")
-
-    acquisition_history: list[float] = []
-    while len(samples) < spec.budget:
-        objective = samples.objective
-        obj_model = fit(samples.x, objective, spec.bounds, ga_params=spec.ga, rng=rng)
-        con_model = None
-        if spec.delta_max is not None:
-            con_model = fit(samples.x, samples.constraint, spec.bounds, ga_params=spec.ga, rng=rng)
-        ctx = AcquisitionContext(
-            obj_model=obj_model,
-            bounds=spec.bounds,
-            y_min=float(objective[_best_index(samples, spec)]),
-            smoothing=(spec.alpha, spec.beta),
-            con_model=con_model,
-            delta_max=spec.delta_max,
-        )
-        x, acq = propose_infill(ctx, ga_params=spec.ga, rng=rng)
-        acquisition_history.append(acq)
-        samples = Samples.concat([samples, evaluate_toll(spec, x, rep_seeds, origin="infill")])
-
-    return samples, acquisition_history
+def rk_step(run: OptimizationRun) -> None:
+    """One RK iteration: fit the surrogates to ``run``'s samples, propose an
+    expected-improvement infill point, evaluate it and append it to the run."""
+    spec, samples, rng = run.spec, run.samples, run.rng
+    objective = samples.objective
+    obj_model = fit(samples.x, objective, spec.bounds, ga_params=spec.ga, rng=rng)
+    con_model = None
+    if spec.delta_max is not None:
+        con_model = fit(samples.x, samples.constraint, spec.bounds, ga_params=spec.ga, rng=rng)
+    ctx = AcquisitionContext(obj_model=obj_model, bounds=spec.bounds,
+                             y_min=float(objective[run.best_index]), con_model=con_model,
+                             smoothing=(spec.alpha, spec.beta), delta_max=spec.delta_max)
+    x, acq = propose_infill(ctx, ga_params=spec.ga, rng=rng)
+    run.acquisition_history.append(acq)
+    run.samples = Samples.concat([samples, evaluate_toll(spec, x, run.rep_seeds, origin="infill")])
 
 
 def _optimize_direct(spec: ProblemSpec, rep_seeds: list[int]) -> Samples:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tollopt.cli import DEFAULT_PROBLEM, main
-from tollopt.simnet import _SCHEMA, config_to_dict, desk_preset
+from tollopt.simnet import _SCHEMA, config_to_dict, desk_preset, paper_preset
 
 
 def run_cli(args):
@@ -530,3 +530,101 @@ def test_validate_rejects_unknown_problem_key(tmp_path, capsys):
 
 def test_validate_missing_run_dir(capsys):
     assert run_cli(["validate", "/no/such/run"]) == 2
+
+
+@pytest.fixture(scope="module")
+def direct_run_dir(tmp_path_factory):
+    """The run directory of one short DIRECT run on the desk scenario."""
+    out = tmp_path_factory.mktemp("direct") / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(["optimize", "desk", "--method", "direct", "--budget", "22",
+                        "--replications", "1", "--out", str(out)]) == 0
+    return out
+
+
+def validate_damaged(run_dir, run_copy, samples_text, config_text=None):
+    """``validate``'s exit code and stderr on a copy of ``run_dir`` whose
+    samples.csv (and config.yaml, when given) are replaced."""
+    run_copy.mkdir()
+    (run_copy / "samples.csv").write_text(samples_text)
+    (run_copy / "config.yaml").write_text(config_text or (run_dir / "config.yaml").read_text())
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(["validate", str(run_copy)])
+    return code, err.getvalue()
+
+
+def _paper_config_text():
+    doc = config_to_dict(paper_preset())
+    doc["problem"] = dict(DEFAULT_PROBLEM)
+    return yaml.safe_dump(doc)
+
+
+def _nan_objective(text):
+    """``text`` with the second data row's objective_mean_vpkmpl set to nan."""
+    rows = [line.split(",") for line in text.splitlines()]
+    rows[2][rows[0].index("objective_mean_vpkmpl")] = "nan"
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+# name: (edit of samples.csv, whether config.yaml is the paper scenario's, the row named)
+DAMAGED_SAMPLES = {
+    "truncated last row": (lambda text: text[:-40], False, "last"),
+    "empty": (lambda text: "", False, 1),
+    "nan objective": (_nan_objective, False, 3),
+    "beside a paper config.yaml": (lambda text: text, True, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_SAMPLES))
+def test_validate_rejects_a_damaged_samples_csv_naming_the_row(direct_run_dir, tmp_path, case):
+    edit, paper, row = DAMAGED_SAMPLES[case]
+    samples = edit((direct_run_dir / "samples.csv").read_text())
+    code, err = validate_damaged(direct_run_dir, tmp_path / "damaged", samples,
+                                 _paper_config_text() if paper else None)
+    assert code == 2
+    row = len(samples.splitlines()) if row == "last" else row
+    assert err.startswith(f"error: samples.csv: row {row}: ")
+    assert "Traceback" not in err
+
+
+def _cell_edit(value):
+    """An edit that sets the cell ``where`` picks to ``value``."""
+    def edit(rows, r, c):
+        rows[r][c] = value
+    return edit
+
+
+SAMPLES_CELL_EDITS = {
+    "text": _cell_edit("x"),
+    "nan": _cell_edit("nan"),
+    "drop a cell": lambda rows, r, c: rows[r].pop(c),
+    "add a cell": lambda rows, r, c: rows[r].insert(c, "0.5"),
+    "drop a column": lambda rows, r, c: [row.pop(c) for row in rows],
+    "add a column": lambda rows, r, c: [row.insert(c, "0.5") for row in rows],
+}
+
+
+@given(edit=st.sampled_from(sorted([*SAMPLES_CELL_EDITS, "truncate", "empty", "paper config"])),
+       where=st.integers(0, 2 ** 16))
+@settings(max_examples=25, deadline=None)
+def test_any_one_samples_edit_is_accepted_or_exits_2_naming_samples_csv(
+        direct_run_dir, tmp_path_factory, edit, where):
+    text, config = (direct_run_dir / "samples.csv").read_text(), None
+    if edit == "truncate":
+        text = text[:where % len(text)]
+    elif edit == "empty":
+        text = ""
+    elif edit == "paper config":
+        config = _paper_config_text()
+    else:
+        rows = [line.split(",") for line in text.splitlines()]
+        r = where % len(rows)
+        SAMPLES_CELL_EDITS[edit](rows, r, (where // len(rows)) % len(rows[r]))
+        text = "\n".join(",".join(row) for row in rows) + "\n"
+    code, err = validate_damaged(direct_run_dir, tmp_path_factory.mktemp("edit") / "run", text,
+                                 config)
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error: samples.csv: ")
+        assert "Traceback" not in err

@@ -1,6 +1,6 @@
 """Layering: a toll point travels as a row of an ``(n, 2m)`` array from the
-initial plan to the simulator, ``TollVector`` stays at the edge, and only the
-command line reads or writes files."""
+initial plan to the simulator, ``TollVector`` stays at the edge, only the
+command line reads or writes files, and one RK step is the only driver loop."""
 
 import ast
 from pathlib import Path
@@ -58,3 +58,12 @@ def test_only_the_command_line_reads_and_writes_files():
     uses = {path.name: _file_io(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
     assert uses["cli.py"]
     assert {name: found for name, found in uses.items() if name != "cli.py" and found} == {}
+
+
+def test_only_rk_step_fits_and_proposes():
+    # one driver loop: whatever an RK iteration adds goes into rk_step
+    tree = ast.parse((SRC / "tlp.py").read_text())
+    callers = {stmt.name for stmt in ast.walk(tree) if isinstance(stmt, ast.FunctionDef)
+               for n in ast.walk(stmt) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id in ("fit", "propose_infill")}
+    assert callers == {"rk_step"}

@@ -10,7 +10,7 @@ from tollopt.ga import GAParams
 from tollopt.simnet import desk_preset, simulate
 from tollopt.tlp import (OptimizationRun, Samples, check_smoothing, constraint_value,
                          convergence_history, evaluate_toll, evaluate_tolls, objective_value,
-                         optimize, replication_seeds)
+                         optimize, replication_seeds, rk_step)
 from tollopt.toll import Bounds, TollVector
 
 FAST_GA = GAParams(population_size=20, generations=12)
@@ -74,7 +74,7 @@ class TestConvergenceHistory:
         spec = make_desk_spec()
         return OptimizationRun(spec=spec, method="rk", master_seed=0, rep_seeds=[0],
                                samples=[], acquisition_history=list(values),
-                               best_index=0)
+                               rng=np.random.default_rng(0))
 
     def test_window_of_four_averages(self):
         _, avg = convergence_history(self.run_with([4.0, 0.0, 2.0, 2.0]))
@@ -188,7 +188,7 @@ class TestOptimizeSmallBudget:
         assert (tmp_path / "best.json").exists()
         assert (tmp_path / "evals" / "eval_0000.csv").exists()
         # what validate reads back: the toll rows and the objective means, bit for bit
-        x, objective = load_samples_csv(tmp_path / "samples.csv")
+        x, objective = load_samples_csv(tmp_path / "samples.csv", small_run.spec.bounds.d)
         assert np.array_equal(x, small_run.samples.x)
         assert np.array_equal(objective, small_run.samples.objective)
 
@@ -197,11 +197,27 @@ class TestOptimizeSmallBudget:
         write_run_dir(small_run, out)
         shorter = OptimizationRun(spec=small_run.spec, method="direct", master_seed=2,
                                   rep_seeds=small_run.rep_seeds, samples=first(small_run.samples, 22),
-                                  acquisition_history=[], best_index=0)
+                                  acquisition_history=[], rng=small_run.rng)
         write_run_dir(shorter, out)
         assert not (out / "convergence.csv").exists()
         assert sorted(p.name for p in (out / "evals").iterdir()) == [
             f"eval_{i:04d}.csv" for i in range(22)]
+
+
+@pytest.mark.parametrize("delta_max", [None, 7.0])
+def test_the_run_carries_all_of_its_state(delta_max):
+    # a run stopped at budget 23 and stepped on by hand to 25 is the budget-25 run
+    spec = make_desk_spec(budget=25, replications=1, ga=FAST_GA, delta_max=delta_max)
+    whole = optimize(spec, method="rk", seed=3)
+    run = optimize(make_desk_spec(budget=23, replications=1, ga=FAST_GA, delta_max=delta_max),
+                   method="rk", seed=3)
+    run.spec = spec
+    while run.evaluations < spec.budget:
+        rk_step(run)
+    assert np.array_equal(run.samples.x, whole.samples.x)
+    assert np.array_equal(run.samples.objective_reps, whole.samples.objective_reps)
+    assert run.acquisition_history == whole.acquisition_history
+    assert run.best_index == whole.best_index
 
 
 def test_direct_simulates_one_batch_per_iteration(monkeypatch):
