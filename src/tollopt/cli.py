@@ -25,20 +25,9 @@ from .doe import ANCHORS
 from .simnet import (ConfigError, NetworkConfig, PRESETS, config_from_dict,
                      config_to_dict, fit_lower_envelope, simulate, simulate_batch)
 from .surrogate import fit, loo_cv
-from .tlp import (OptimizationRun, ProblemSpec, check_smoothing, is_feasible, optimize,
-                  repaired_initial_plan)
+from .tlp import (SMOOTHING_TOL, OptimizationRun, ProblemSpec, check_smoothing, is_feasible,
+                  optimize, repaired_initial_plan)
 from .toll import Bounds, TollVector
-
-DEFAULT_PROBLEM = {
-    "tau_min": [0.0, 0.0],       # [distance currency/km, delay currency/h]
-    "tau_max": [1.0, 15.0],
-    "alpha": (1.0 - 0.0) / 3.0,
-    "beta": (15.0 - 0.0) / 3.0,
-    "replications": 2,
-    "budget": 60,
-    "delta_max": None,
-}
-
 
 def _rate_pair(value) -> tuple[float, float]:
     pair = np.array(value, dtype=float)
@@ -54,16 +43,17 @@ def _count(value) -> int:
     return int(value)
 
 
-# problem key -> conversion to the type the toll level problem takes
-_PROBLEM_TYPES = {
-    "tau_min": _rate_pair,
-    "tau_max": _rate_pair,
-    "alpha": float,
-    "beta": float,
-    "replications": _count,
-    "budget": _count,
-    "delta_max": lambda v: None if v is None else float(v),
+# problem key -> (default, conversion to the type the toll level problem takes)
+_PROBLEM = {
+    "tau_min": ([0.0, 0.0], _rate_pair),     # [distance currency/km, delay currency/h]
+    "tau_max": ([1.0, 15.0], _rate_pair),
+    "alpha": ((1.0 - 0.0) / 3.0, float),
+    "beta": ((15.0 - 0.0) / 3.0, float),
+    "replications": (2, _count),
+    "budget": (60, _count),
+    "delta_max": (None, lambda v: None if v is None else float(v)),
 }
+DEFAULT_PROBLEM = {key: default for key, (default, _) in _PROBLEM.items()}
 
 
 class UsageError(Exception):
@@ -125,7 +115,7 @@ def build_spec(config: NetworkConfig, problem: dict, args=None) -> ProblemSpec:
     ConfigError that names its key."""
     resolved = resolve_problem(problem, args)
     p = {}
-    for key, convert in _PROBLEM_TYPES.items():
+    for key, (_, convert) in _PROBLEM.items():
         try:
             p[key] = convert(resolved[key])
         except (TypeError, ValueError, OverflowError) as exc:
@@ -275,9 +265,11 @@ def write_run_dir(run: OptimizationRun, outdir) -> None:
     })
 
 
-def load_samples_csv(path, d: int) -> tuple[np.ndarray, np.ndarray]:
+def load_samples_csv(path, bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
     """What ``validate`` fits from a run's samples.csv, the ``(n, d)`` toll rows and the ``(n,)``
-    objective_mean_vpkmpl column; damage is a UsageError naming the row (the header is row 1)."""
+    objective_mean_vpkmpl column; damage or a row outside ``bounds`` is a UsageError naming the
+    row (the header is row 1)."""
+    d = bounds.d
     with open(path, newline="") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
     cols = [i for i, name in enumerate(header) if name.startswith(("v_", "w_"))]
@@ -294,6 +286,8 @@ def load_samples_csv(path, d: int) -> tuple[np.ndarray, np.ndarray]:
             raise UsageError(f"samples.csv: row {n + 2}: {exc}") from exc
         if not np.isfinite(table[n]).all():
             raise UsageError(f"samples.csv: row {n + 2}: a toll or the objective is not finite")
+        if not bounds.contains(table[n, :d], atol=SMOOTHING_TOL):
+            raise UsageError(f"samples.csv: row {n + 2}: a toll lies outside config.yaml's box")
     return table[:, :d], table[:, d]
 
 
@@ -399,7 +393,7 @@ def cmd_validate(args) -> int:
     if not os.path.exists(samples_path) or not os.path.exists(config_path):
         raise UsageError(f"not a run directory (missing samples.csv/config.yaml): {args.run_dir}")
     spec = build_spec(*load_scenario(config_path))
-    x, objective = load_samples_csv(samples_path, spec.bounds.d)
+    x, objective = load_samples_csv(samples_path, spec.bounds)
     if len(x) < 3:
         raise UsageError("samples.csv: insufficient samples: cross-validation needs at least 3")
     model = fit(x, objective, spec.bounds, rng=np.random.default_rng(args.seed))

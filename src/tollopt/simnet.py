@@ -15,7 +15,7 @@ import contextlib
 import math
 import re
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -30,9 +30,13 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration
 
-# the per-cell arrays; the first five must be positive
-_CELL_ARRAYS = ("cell_lengths", "cell_lanes", "free_flow_speed", "critical_density",
-                "jam_density", "heterogeneity_bias", "drain_multipliers")
+_CELLS = None   # the form of a per-cell array: one value per cell, or one for every cell
+
+
+def _file(section: str, key: str, form=((), "one number")):
+    """A field's scenario-file key, ``network.<section>.<key>``, and its form:
+    ``(shape, description)`` with -1 for any length, or ``_CELLS``."""
+    return field(metadata={"key": (section, key), "form": form})
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,32 +53,35 @@ class NetworkConfig:
     cache can key on the object, which compares and hashes by identity (values
     compare through :func:`config_to_dict`): the cell arrays are read-only
     copies (one value is broadcast to every cell) and the demand knots a tuple.
+    Each field is declared with its scenario-file key, in the file's order.
     """
 
-    cell_lengths: np.ndarray        # km per cell
-    cell_lanes: np.ndarray          # lanes per cell
-    free_flow_speed: np.ndarray     # km/h per cell
-    critical_density: np.ndarray    # vpkmpl per cell
-    jam_density: np.ndarray         # vpkmpl per cell
-    heterogeneity_bias: np.ndarray  # inflow shares, sums to 1
-    drain_multipliers: np.ndarray   # in (0, 1], applied during unloading
-    rebalancing: float              # 0..1, inflow weight steered toward spare capacity
-    pz_path_length: float           # km, representative through-zone trip
-    bypass_length: float            # km
-    bypass_free_speed: float        # km/h
-    bypass_capacity: float          # veh/h
-    vtt: float                      # currency/h
-    logit_scale: float              # 1/min of generalized cost
-    perception_tau_minutes: float   # smoothing of the travel time drivers react to
-    k_cr: float                     # vpkmpl, control target
-    envelope: tuple[float, float, float]   # (a, b, c) of the spread envelope
-    demand_knots: tuple[tuple[float, float], ...]  # (hour, veh/h) piecewise linear
-    demand_cv: float                # replication noise coefficient of variation
-    crawl_speed: float              # km/h floor on congested movement; keeps jams drainable
-    step_seconds: float
-    horizon_hours: float
-    tolling_window: tuple[float, float]      # hours
-    interval_minutes: float
+    cell_lengths: np.ndarray = _file("cells", "lengths_km", _CELLS)
+    cell_lanes: np.ndarray = _file("cells", "lanes", _CELLS)
+    free_flow_speed: np.ndarray = _file("cells", "free_flow_speed_kmh", _CELLS)
+    critical_density: np.ndarray = _file("cells", "critical_density_vpkmpl", _CELLS)
+    jam_density: np.ndarray = _file("cells", "jam_density_vpkmpl", _CELLS)
+    heterogeneity_bias: np.ndarray = _file("cells", "inflow_shares", _CELLS)   # sums to 1
+    drain_multipliers: np.ndarray = _file("cells", "drain_multipliers", _CELLS)   # in (0, 1]
+    crawl_speed: float = _file("cells", "crawl_speed_kmh")   # floor on congested movement
+    rebalancing: float = _file("cells", "rebalancing")   # 0..1, inflow weight steered to spare capacity
+    pz_path_length: float = _file("paths", "pz_path_length_km")   # representative through-zone trip
+    bypass_length: float = _file("paths", "bypass_length_km")
+    bypass_free_speed: float = _file("paths", "bypass_free_speed_kmh")
+    bypass_capacity: float = _file("paths", "bypass_capacity_vph")
+    vtt: float = _file("choice", "vtt_per_hour")
+    logit_scale: float = _file("choice", "logit_scale_per_min")   # of generalized cost
+    # smoothing of the travel time drivers react to
+    perception_tau_minutes: float = _file("choice", "perception_tau_minutes")
+    k_cr: float = _file("control", "k_cr_vpkmpl")   # control target
+    envelope: tuple[float, float, float] = _file("control", "envelope_abc", ((3,), "[a, b, c]"))
+    tolling_window: tuple[float, float] = _file("control", "tolling_window_hours", ((2,), "[start, end]"))
+    interval_minutes: float = _file("control", "interval_minutes")
+    demand_knots: tuple[tuple[float, float], ...] = _file(   # piecewise linear
+        "demand", "knots_hour_vph", ((-1, 2), "[[hour, veh/h], ...]"))
+    demand_cv: float = _file("demand", "noise_cv")   # replication noise coefficient of variation
+    step_seconds: float = _file("simulation", "step_seconds")
+    horizon_hours: float = _file("simulation", "horizon_hours")
 
     def __post_init__(self):
         c = np.size(self.cell_lengths)
@@ -101,7 +108,7 @@ class NetworkConfig:
         return int(round((end - start) * 60.0 / self.interval_minutes))
 
     def validate(self) -> None:
-        for name in _CELL_ARRAYS[:5]:
+        for name in _CELL_ARRAYS[:5]:   # lengths, lanes, free-flow speeds and both densities
             if np.any(getattr(self, name) <= 0):
                 raise ConfigError(f"{name}: all values must be positive")
         if np.any(self.critical_density >= self.jam_density):
@@ -150,51 +157,22 @@ class NetworkConfig:
                               f"interval {stepless[0] + 1} of {self.m} without a step")
 
 
-# (section, key) -> dataclass field; single place defining the file schema
-_SCHEMA = {
-    ("cells", "lengths_km"): "cell_lengths",
-    ("cells", "lanes"): "cell_lanes",
-    ("cells", "free_flow_speed_kmh"): "free_flow_speed",
-    ("cells", "critical_density_vpkmpl"): "critical_density",
-    ("cells", "jam_density_vpkmpl"): "jam_density",
-    ("cells", "inflow_shares"): "heterogeneity_bias",
-    ("cells", "drain_multipliers"): "drain_multipliers",
-    ("cells", "crawl_speed_kmh"): "crawl_speed",
-    ("cells", "rebalancing"): "rebalancing",
-    ("paths", "pz_path_length_km"): "pz_path_length",
-    ("paths", "bypass_length_km"): "bypass_length",
-    ("paths", "bypass_free_speed_kmh"): "bypass_free_speed",
-    ("paths", "bypass_capacity_vph"): "bypass_capacity",
-    ("choice", "vtt_per_hour"): "vtt",
-    ("choice", "logit_scale_per_min"): "logit_scale",
-    ("choice", "perception_tau_minutes"): "perception_tau_minutes",
-    ("control", "k_cr_vpkmpl"): "k_cr",
-    ("control", "envelope_abc"): "envelope",
-    ("control", "tolling_window_hours"): "tolling_window",
-    ("control", "interval_minutes"): "interval_minutes",
-    ("demand", "knots_hour_vph"): "demand_knots",
-    ("demand", "noise_cv"): "demand_cv",
-    ("simulation", "step_seconds"): "step_seconds",
-    ("simulation", "horizon_hours"): "horizon_hours",
-}
+# (section, key) -> field name, and the per-cell arrays, both in file order
+_SCHEMA = {f.metadata["key"]: f.name for f in fields(NetworkConfig)}
+_CELL_ARRAYS = tuple(f.name for f in fields(NetworkConfig) if f.metadata["form"] is _CELLS)
 
 
-# the file form of each field that is neither one number nor a cell array
-_FORMS = {"envelope": ((3,), "[a, b, c]"), "tolling_window": ((2,), "[start, end]"),
-          "demand_knots": ((-1, 2), "[[hour, veh/h], ...]")}
-
-
-def _file_value(fieldname: str, value):
-    """A scenario-file value as its field takes it; a TypeError or ValueError
-    says why it is not finite numbers of the field's form."""
+def _file_value(form, value):
+    """A scenario-file value as a field of ``form`` takes it; a TypeError or
+    ValueError says why it is not finite numbers of that form."""
     arr = np.array(value, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"need finite numbers, got {value!r}")
-    if fieldname in _CELL_ARRAYS:
+    if form is _CELLS:
         return arr
-    shape, form = _FORMS.get(fieldname, ((), "one number"))
+    shape, text = form
     if arr.ndim != len(shape) or any(s not in (-1, n) for s, n in zip(shape, arr.shape)):
-        raise ValueError(f"need {form}, got {value!r}")
+        raise ValueError(f"need {text}, got {value!r}")
     return tuple(arr.tolist()) if shape else float(arr)
 
 
@@ -204,14 +182,15 @@ def config_from_dict(doc: dict) -> NetworkConfig:
         raise ConfigError(f"network: {'must be a mapping' if present else 'missing section'}")
     net = doc["network"]
     kwargs = {}
-    for (section, key), fieldname in _SCHEMA.items():
+    for f in fields(NetworkConfig):
+        section, key = f.metadata["key"]
         if not isinstance(net.get(section), dict):
             raise ConfigError(f"network.{section}: "
                               + ("must be a mapping" if section in net else "missing section"))
         if key not in net[section]:
             raise ConfigError(f"network.{section}.{key}: missing key")
         try:
-            kwargs[fieldname] = _file_value(fieldname, net[section][key])
+            kwargs[f.name] = _file_value(f.metadata["form"], net[section][key])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"network.{section}.{key}: {exc}") from exc
     known = {s for s, _ in _SCHEMA}
@@ -237,15 +216,8 @@ def config_from_dict(doc: dict) -> NetworkConfig:
 
 def config_to_dict(config: NetworkConfig) -> dict:
     net: dict = {}
-    for (section, key), fieldname in _SCHEMA.items():
-        value = getattr(config, fieldname)
-        if fieldname == "demand_knots":
-            value = [[float(h), float(q)] for h, q in value]
-        elif isinstance(value, (np.ndarray, tuple)):
-            value = [float(v) for v in value]
-        else:
-            value = float(value)
-        net.setdefault(section, {})[key] = value
+    for (section, key), name in _SCHEMA.items():
+        net.setdefault(section, {})[key] = np.asarray(getattr(config, name), float).tolist()
     return {"network": net}
 
 

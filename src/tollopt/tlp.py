@@ -36,9 +36,9 @@ class ProblemSpec:
     bounds: Bounds
     alpha: float                    # max adjacent-interval distance-rate change
     beta: float                     # max adjacent-interval delay-rate change
+    replications: int
+    budget: int
     delta_max: Optional[float] = None   # heterogeneity cap; None = single objective
-    replications: int = 2
-    budget: int = 60
     ga: GAParams = field(default_factory=GAParams)   # likelihood and infill searches
 
     def __post_init__(self):

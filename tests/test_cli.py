@@ -560,6 +560,14 @@ def _paper_config_text():
     return yaml.safe_dump(doc)
 
 
+def _narrow_box_config_text():
+    """The desk scenario with a tenth of the default toll box and smoothing limits, so the
+    desk DIRECT run's centre point, its row 2, lies outside the box."""
+    doc = config_to_dict(desk_preset())
+    doc["problem"] = {**DEFAULT_PROBLEM, "tau_max": [0.1, 1.5], "alpha": 0.1 / 3, "beta": 0.5}
+    return yaml.safe_dump(doc)
+
+
 def _nan_objective(text):
     """``text`` with the second data row's objective_mean_vpkmpl set to nan."""
     rows = [line.split(",") for line in text.splitlines()]
@@ -567,21 +575,23 @@ def _nan_objective(text):
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
-# name: (edit of samples.csv, whether config.yaml is the paper scenario's, the row named)
+# name: (edit of samples.csv, the config.yaml text in place of the run's (None keeps it),
+# the row named)
 DAMAGED_SAMPLES = {
-    "truncated last row": (lambda text: text[:-40], False, "last"),
-    "empty": (lambda text: "", False, 1),
-    "nan objective": (_nan_objective, False, 3),
-    "beside a paper config.yaml": (lambda text: text, True, 1),
+    "truncated last row": (lambda text: text[:-40], None, "last"),
+    "empty": (lambda text: "", None, 1),
+    "nan objective": (_nan_objective, None, 3),
+    "beside a paper config.yaml": (lambda text: text, _paper_config_text, 1),
+    "outside config.yaml's toll box": (lambda text: text, _narrow_box_config_text, 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DAMAGED_SAMPLES))
 def test_validate_rejects_a_damaged_samples_csv_naming_the_row(direct_run_dir, tmp_path, case):
-    edit, paper, row = DAMAGED_SAMPLES[case]
+    edit, config, row = DAMAGED_SAMPLES[case]
     samples = edit((direct_run_dir / "samples.csv").read_text())
     code, err = validate_damaged(direct_run_dir, tmp_path / "damaged", samples,
-                                 _paper_config_text() if paper else None)
+                                 config() if config else None)
     assert code == 2
     row = len(samples.splitlines()) if row == "last" else row
     assert err.startswith(f"error: samples.csv: row {row}: ")

@@ -97,6 +97,20 @@ def test_fixed_seed_validate_stdout_digest(tmp_path, capsys):
             == "388a12db417c5a129726ea900e6bae30aac91436d192b5dfbedc138852662952")
 
 
+# the resolved scenario as --print-config writes it: its key order and float form, which
+# config.yaml and run.json's config_digest also take
+GOLDEN_PRINT_CONFIG = [
+    ("desk", "b64a6224e4e7ac5bbb1adf2a8b0650915969e6718b41df962bd030e992ab95af"),
+    ("paper", "debcc66cae6a15145a6d3e7937af181d4dadf19372398b5fe11762e48553ea11"),
+]
+
+
+@pytest.mark.parametrize("preset,digest", GOLDEN_PRINT_CONFIG, ids=["desk", "paper"])
+def test_print_config_stdout_digest(capsys, preset, digest):
+    assert main(["simulate", preset, "--print-config"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_fixed_seed_doe_plan_digest(tmp_path, capsys):
     plan = tmp_path / "plan.csv"
     assert main(["doe", "paper", "--seed", "3", "--out", str(plan)]) == 0

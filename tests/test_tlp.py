@@ -188,7 +188,7 @@ class TestOptimizeSmallBudget:
         assert (tmp_path / "best.json").exists()
         assert (tmp_path / "evals" / "eval_0000.csv").exists()
         # what validate reads back: the toll rows and the objective means, bit for bit
-        x, objective = load_samples_csv(tmp_path / "samples.csv", small_run.spec.bounds.d)
+        x, objective = load_samples_csv(tmp_path / "samples.csv", small_run.spec.bounds)
         assert np.array_equal(x, small_run.samples.x)
         assert np.array_equal(objective, small_run.samples.objective)
 
