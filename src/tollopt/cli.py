@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 import time
 
@@ -22,8 +21,8 @@ import yaml
 
 from . import __version__
 from .doe import ANCHORS
-from .simnet import (ConfigError, NetworkConfig, PRESETS, config_from_dict,
-                     config_to_dict, fit_lower_envelope, simulate, simulate_batch)
+from .simnet import (ConfigError, NetworkConfig, PRESETS, config_from_dict, config_to_dict,
+                     fit_lower_envelope, keyed_error, simulate, simulate_batch)
 from .surrogate import fit, loo_cv
 from .tlp import (SMOOTHING_TOL, OptimizationRun, ProblemSpec, check_smoothing, is_feasible,
                   optimize, repaired_initial_plan)
@@ -102,24 +101,22 @@ def resolve_problem(problem: dict, args) -> dict:
     return resolved
 
 
-def resolve_scenario(args) -> tuple[NetworkConfig, dict]:
-    """Scenario argument and flags -> network config and resolved problem dict."""
-    config, problem = load_scenario(args.config)
-    return config, resolve_problem(problem, args)
-
-
-def build_spec(config: NetworkConfig, problem: dict, args=None) -> ProblemSpec:
-    """The toll level problem of a scenario, with the ``args`` flag overrides applied.
-
-    The one place problem values are converted and checked; a bad one is a
-    ConfigError that names its key."""
-    resolved = resolve_problem(problem, args)
+def convert_problem(problem: dict) -> dict:
+    """Each problem value converted to the type the toll level problem takes;
+    a value that is not usable is a ConfigError that names its key."""
     p = {}
     for key, (_, convert) in _PROBLEM.items():
         try:
-            p[key] = convert(resolved[key])
+            p[key] = convert(problem[key])
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"problem.{key}: {resolved[key]!r} is not usable ({exc})") from exc
+            raise ConfigError(f"problem.{key}: {problem[key]!r} is not usable ({exc})") from exc
+    return p
+
+
+def build_spec(config: NetworkConfig, problem: dict, args=None) -> ProblemSpec:
+    """The toll level problem of a scenario, with the ``args`` flag overrides applied;
+    a bad problem value is a ConfigError that names its key."""
+    p = convert_problem(resolve_problem(problem, args))
     (v_min, w_min), (v_max, w_max) = p["tau_min"], p["tau_max"]
     try:
         bounds = Bounds.uniform(config.m, v_max, w_max, v_min, w_min)
@@ -127,13 +124,10 @@ def build_spec(config: NetworkConfig, problem: dict, args=None) -> ProblemSpec:
                            delta_max=p["delta_max"], replications=p["replications"],
                            budget=p["budget"])
     except ValueError as exc:
-        # Bounds and ProblemSpec start each message with the field they reject;
         # the box's lower and upper bounds are the tau_min and tau_max keys
-        keys = {"lower": "problem.tau_min", "upper": "problem.tau_max"}
-        message = re.sub(r"\b(lower|upper)\b", lambda w: keys[w.group()], str(exc))
-        if not message.startswith("problem."):
-            message = f"problem.{message}"
-        raise ConfigError(message) from exc
+        keys = {**{key: f"problem.{key}" for key in _PROBLEM},
+                "lower": "problem.tau_min", "upper": "problem.tau_max"}
+        raise keyed_error(exc, keys) from exc
 
 
 def check_method(spec: ProblemSpec, method: str) -> None:
@@ -312,10 +306,9 @@ def write_manifest(path: str, doc_cfg: dict, args_dict: dict, method: str, seed:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: main hands a scenario command its resolved scenario, spec None if it solves none
 
-def cmd_simulate(args) -> int:
-    config, problem = resolve_scenario(args)
+def cmd_simulate(args, config: NetworkConfig, problem: dict, spec: None) -> int:
     m = config.m
     toll = TollVector.zero(m) if args.toll is None else parse_toll(args.toll, m)
     outdir = out_dir(args, f"simulate-seed{args.seed}")
@@ -348,10 +341,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_optimize(args) -> int:
-    config, problem = resolve_scenario(args)
-    spec = build_spec(config, problem)
-    check_method(spec, args.method)
+def cmd_optimize(args, config: NetworkConfig, problem: dict, spec: ProblemSpec) -> int:
     outdir = out_dir(args, f"optimize-{args.method}-seed{args.seed}")
     run = optimize(spec, method=args.method, seed=args.seed)
     write_run_dir(run, outdir)
@@ -413,10 +403,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    config, problem = resolve_scenario(args)
-    spec = build_spec(config, problem)
-    check_method(spec, "rk")
+def cmd_compare(args, config: NetworkConfig, problem: dict, spec: ProblemSpec) -> int:
     outdir = out_dir(args, "compare")
     curves: list[tuple[str, OptimizationRun]] = []
     # DIRECT's rectangles do not depend on the seed, but each seed has its
@@ -440,8 +427,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_envelope(args) -> int:
-    config, problem = resolve_scenario(args)
+def cmd_envelope(args, config: NetworkConfig, problem: dict, spec: None) -> int:
     if args.runs < 1:
         raise UsageError(f"--runs must be at least 1, got {args.runs}")
     outdir = out_dir(args, "envelope")
@@ -460,9 +446,7 @@ def cmd_envelope(args) -> int:
     return 0
 
 
-def cmd_doe(args) -> int:
-    config, problem = resolve_scenario(args)
-    spec = build_spec(config, problem)
+def cmd_doe(args, config: NetworkConfig, problem: dict, spec: ProblemSpec) -> int:
     plan = repaired_initial_plan(spec, np.random.default_rng(args.seed))
     path = args.out or "plan.csv"
     try:
@@ -482,18 +466,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Surrogate-based toll optimization on a synthetic reservoir simulator.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # main resolves a scenario command's scenario by its defaults: ``solves`` builds
+    # the ProblemSpec, and check_method checks the toll box for ``method``
 
     def add_common(p, out_help="output directory (default $TOLLOPT_OUT/<name>)"):
         p.add_argument("config", help="scenario YAML path or preset name (desk, paper)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help=out_help)
         p.add_argument("--print-config", action="store_true",
-                       help="dump the resolved scenario YAML and exit")
+                       help="dump the scenario YAML the command would run and exit")
 
     p = sub.add_parser("simulate", help="run one seeded simulation")
     add_common(p)
     p.add_argument("--toll", help="comma list v_1..v_m,w_1..w_m (default: zero toll)")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, solves=False)
 
     p = sub.add_parser("optimize", help="solve a toll level problem")
     add_common(p)
@@ -504,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoothing",
                    help="override the adjacent-interval limits as 'alpha,beta' "
                         "(sensitivity scenarios: 0.2,3  0.3333,5  0.5,7.5)")
-    p.set_defaults(func=cmd_optimize)
+    p.set_defaults(func=cmd_optimize, solves=True)
 
     p = sub.add_parser("validate", help="cross-validate the surrogate on a finished run")
     p.add_argument("run_dir")
@@ -516,16 +502,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--replications", type=int)
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, solves=True, method="rk")
 
     p = sub.add_parser("envelope", help="fit the spread-accumulation lower envelope")
     add_common(p)
     p.add_argument("--runs", type=int, default=10)
-    p.set_defaults(func=cmd_envelope)
+    p.set_defaults(func=cmd_envelope, solves=False)
 
     p = sub.add_parser("doe", help="export an initial design plan as CSV")
     add_common(p, out_help="output CSV file (default ./plan.csv)")
-    p.set_defaults(func=cmd_doe)
+    p.set_defaults(func=cmd_doe, solves=True, method=None)
     return parser
 
 
@@ -534,13 +520,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         check_seeds(args)
-        if getattr(args, "print_config", False):
-            config, problem = resolve_scenario(args)
-            build_spec(config, problem)
+        if "solves" not in args:   # validate reads the scenario of its run directory
+            return args.func(args)
+        # the one resolution of a scenario command, before any output or simulation
+        config, problem = load_scenario(args.config)
+        problem = resolve_problem(problem, args)
+        spec = None
+        if args.solves:
+            spec = build_spec(config, problem)
+            check_method(spec, args.method)
+        else:   # every problem value is checked, though only a solver needs the spec
+            convert_problem(problem)
+        if args.print_config:
             yaml.safe_dump(scenario_doc(config, problem), sys.stdout, sort_keys=False)
             sys.stdout.flush()
             return 0
-        return args.func(args)
+        return args.func(args, config, problem, spec)
     except BrokenPipeError:
         # the reader stopped early (as in ``--print-config | head``): point stdout
         # at devnull so the interpreter's flush at exit cannot fail on the pipe again

@@ -27,6 +27,13 @@ class ConfigError(ValueError):
     """Malformed or inconsistent network configuration; message names the key."""
 
 
+def keyed_error(exc: ValueError, keys: dict) -> ConfigError:
+    """``exc`` as a ConfigError whose message names file keys: every word of it
+    that is a field name in ``keys`` becomes that field's key.  The validators
+    start each message with the field they reject."""
+    return ConfigError(re.sub(r"\w+", lambda w: keys.get(w.group(), w.group()), str(exc)))
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -169,6 +176,8 @@ def _file_value(form, value):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"need finite numbers, got {value!r}")
     if form is _CELLS:
+        if arr.ndim > 1:
+            raise ValueError(f"need one number or a list of numbers, got {value!r}")
         return arr
     shape, text = form
     if arr.ndim != len(shape) or any(s not in (-1, n) for s, n in zip(shape, arr.shape)):
@@ -202,16 +211,10 @@ def config_from_dict(doc: dict) -> NetworkConfig:
                 raise ConfigError(f"network.{section}.{key}: unknown key")
     try:
         return NetworkConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        # NetworkConfig starts each message with the field it rejects and names
-        # any other field it involves: name their file keys
+    except ValueError as exc:
+        # NetworkConfig also names any other field a message involves
         keys = {name: f"network.{section}.{key}" for (section, key), name in _SCHEMA.items()}
-        message = re.sub(r"\w+", lambda w: keys.get(w.group(), w.group()), str(exc))
-        if message.startswith("network."):
-            raise ConfigError(message) from exc
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"network: {exc}") from exc
+        raise keyed_error(exc, keys) from exc
 
 
 def config_to_dict(config: NetworkConfig) -> dict:

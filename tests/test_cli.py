@@ -188,7 +188,8 @@ def test_bad_network_value_exits_2_naming_the_file_key(tmp_path, capsys, section
                          [(section, key, value) for section, key in _SCHEMA
                           for value in ("x", None, {"a": 1})]
                          + [("demand", "knots_hour_vph", [[1, "a"]]),
-                            ("demand", "knots_hour_vph", [[1, 2, 3]])],
+                            ("demand", "knots_hour_vph", [[1, 2, 3]]),
+                            ("cells", "lengths_km", [[0.625] * 4, [0.625] * 4])],
                          ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_every_non_numeric_network_value_exits_2_naming_its_key(tmp_path, capsys, section, key,
                                                                 value):
@@ -362,6 +363,39 @@ def test_print_config_into_closed_pipe_exits_quietly(tmp_path, monkeypatch, caps
     finally:
         os.close(fd)
     assert capsys.readouterr().err == ""
+
+
+# a desk scenario edit -> the commands that run it (the others exit 2)
+SCENARIO_EDITS = {
+    "problem.alpha: x": (("problem", "alpha", "x"), set()),
+    "interval_minutes: 5": (("network", "control", "interval_minutes", 5),   # m = 24
+                            {"simulate", "envelope"}),
+    "tau_max: [0, 0]": (("problem", "tau_max", [0, 0]), {"simulate", "envelope", "doe"}),
+}
+SCENARIO_COMMANDS = {"simulate": [], "envelope": ["--runs", "1"], "doe": [],
+                     "optimize": ["--method", "rk"], "compare": ["--seeds", "0"]}
+
+
+@pytest.mark.filterwarnings("ignore:degenerate bounds")   # doe on the one-point box
+@pytest.mark.parametrize("edit", sorted(SCENARIO_EDITS))
+@pytest.mark.parametrize("command", sorted(SCENARIO_COMMANDS))
+def test_print_config_exits_as_the_command_does(tmp_path, capsys, command, edit):
+    # --print-config checks the scenario the command runs, no more and no less
+    (*parents, key, value), runs = SCENARIO_EDITS[edit]
+    doc = {**config_to_dict(desk_preset()), "problem": {}}
+    section = doc
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    argv = [command, str(path), *SCENARIO_COMMANDS[command], "--out", str(out)]
+    printed = run_cli([*argv, "--print-config"]), capsys.readouterr().err
+    assert not out.exists()
+    ran = run_cli(argv), capsys.readouterr().err
+    assert (printed[0], ran[0]) == ((0, 0) if command in runs else (2, 2))
+    assert printed[1] == ran[1]
 
 
 def test_optimize_records_smoothing_override(tmp_path):

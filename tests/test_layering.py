@@ -1,6 +1,7 @@
 """Layering: a toll point travels as a row of an ``(n, 2m)`` array from the
 initial plan to the simulator, ``TollVector`` stays at the edge, only the
-command line reads or writes files, and one RK step is the only driver loop."""
+command line reads or writes files, one RK step is the body of every RK loop, and
+``cli.main`` alone resolves the scenario of a command."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,14 @@ def test_only_rk_step_fits_and_proposes():
                for n in ast.walk(stmt) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                and n.func.id in ("fit", "propose_infill")}
     assert callers == {"rk_step"}
+
+
+def test_only_main_resolves_a_scenario():
+    # main loads, overrides and checks a command's scenario once and hands it on;
+    # validate resolves the config.yaml of the run directory it is given
+    tree = ast.parse((SRC / "cli.py").read_text())
+    callers = {stmt.name for stmt in tree.body
+               if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("cmd_")
+               for n in ast.walk(stmt) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id in ("load_scenario", "resolve_problem", "build_spec")}
+    assert callers == {"cmd_validate"}
