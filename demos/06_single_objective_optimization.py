@@ -3,7 +3,7 @@
 The driver evaluates a space-filling initial plan (with the corner and
 midpoint anchors), then alternates between refitting the kriging surrogate
 and evaluating the expected-improvement maximizer, under common random
-numbers across design points.  Takes around half a minute.
+numbers across design points.  Takes a few seconds.
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ for h in range(spec.m):
 
 result = simulate(config, TollVector.from_array(x[best]), run.rep_seeds[0])
 print(f"\ninterval densities under the optimum: "
-      f"{np.round(result.interval_density, 1)} (target {config.k_cr})")
+      f"{np.round(result.interval_density[0], 1)} (target {config.k_cr})")
 
 raw, averaged = convergence_history(run)
 print("\nacquisition history (windowed average of 4):", np.round(averaged, 3))

@@ -5,7 +5,7 @@ recovery (a large deviation from the spread envelope).  Capping the mean
 deviation turns the problem into constrained infill: expected improvement
 times the probability of staying below the limit.  The constrained optimum
 trades objective quality for homogeneity, in the expected direction.
-Takes about a minute.
+Takes about five seconds.
 """
 
 import numpy as np

@@ -14,10 +14,9 @@ from .infill import (AcquisitionContext, acquisition_value, constrained_ei,
                      expected_improvement, prob_feasible, propose_infill,
                      repair_smoothing)
 from .direct import direct_minimize, potentially_optimal, quadratic_penalty
-from .simnet import (BatchResult, ConfigError, NetworkConfig, SimulationResult,
-                     desk_preset, deviation_from_spread, envelope_gamma,
-                     fit_lower_envelope, paper_preset, simulate, simulate_batch,
-                     spatial_spread, zone_choice)
+from .simnet import (BatchResult, ConfigError, NetworkConfig, desk_preset,
+                     deviation_from_spread, envelope_gamma, fit_lower_envelope,
+                     paper_preset, simulate, simulate_batch, spatial_spread, zone_choice)
 from .tlp import (OptimizationRun, ProblemSpec, Samples, check_smoothing,
                   constraint_value, convergence_history, objective_value,
                   optimize)

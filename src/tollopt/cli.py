@@ -22,7 +22,8 @@ import yaml
 from . import __version__
 from .doe import ANCHORS
 from .simnet import (ConfigError, NetworkConfig, PRESETS, config_from_dict, config_to_dict,
-                     fit_lower_envelope, keyed_error, simulate, simulate_batch)
+                     deviation_from_spread, fit_lower_envelope, keyed_error, simulate,
+                     simulate_batch)
 from .surrogate import fit, loo_cv
 from .tlp import (SMOOTHING_TOL, OptimizationRun, ProblemSpec, check_smoothing, is_feasible,
                   optimize, repaired_initial_plan)
@@ -102,12 +103,14 @@ def resolve_problem(problem: dict, args) -> dict:
 
 
 def convert_problem(problem: dict) -> dict:
-    """Each problem value converted to the type the toll level problem takes;
-    a value that is not usable is a ConfigError that names its key."""
+    """Each problem value converted to the type the toll level problem takes; a value that
+    is not usable, or not finite (JSON has none), is a ConfigError that names its key."""
     p = {}
     for key, (_, convert) in _PROBLEM.items():
         try:
             p[key] = convert(problem[key])
+            if p[key] is not None and not np.isfinite(np.asarray(p[key], dtype=float)).all():
+                raise ValueError("need finite numbers")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"problem.{key}: {problem[key]!r} is not usable ({exc})") from exc
     return p
@@ -130,12 +133,13 @@ def build_spec(config: NetworkConfig, problem: dict, args=None) -> ProblemSpec:
         raise keyed_error(exc, keys) from exc
 
 
-def check_method(spec: ProblemSpec, method: str) -> None:
-    """RK fits a kriging model, which needs two distinct points; a toll box with
-    no free dimension has one, so it is refused before any simulation."""
-    if method == "rk" and not np.any(spec.bounds.span > 0):
+def check_method(spec: ProblemSpec, args) -> None:
+    """RK fits a kriging model, which needs two distinct points; a toll box with no free
+    dimension has one, so it is refused before any simulation (optimize can use DIRECT)."""
+    if args.method == "rk" and not np.any(spec.bounds.span > 0):
+        hint = "; --method direct evaluates it" if args.command == "optimize" else ""
         raise ConfigError("problem.tau_max: equals problem.tau_min, so the toll box is one "
-                          "point and RK has no model to fit; --method direct evaluates it")
+                          f"point and RK has no model to fit{hint}")
 
 
 def scenario_doc(config: NetworkConfig, problem: dict) -> dict:
@@ -312,31 +316,34 @@ def cmd_simulate(args, config: NetworkConfig, problem: dict, spec: None) -> int:
     m = config.m
     toll = TollVector.zero(m) if args.toll is None else parse_toll(args.toll, m)
     outdir = out_dir(args, f"simulate-seed{args.seed}")
-    result = simulate(config, toll, args.seed)
+    result = simulate(config, toll, args.seed)   # one lane, read as row 0
 
-    table = np.column_stack([result.t, result.network_density, result.gamma, result.deviation,
-                             result.flow, result.speed, result.queue, result.k_cells])
+    k, gamma, history = result.network_density[0], result.gamma[0], result.history
+    t = np.arange(k.size) * (config.step_seconds / 3600.0) * 3600.0   # step start times (s)
+    table = np.column_stack([t, k, gamma, deviation_from_spread(gamma, k, config.envelope),
+                             *(history[name][0] for name in ("flow", "speed", "queue", "k_cells"))])
     _write_csv(os.path.join(outdir, "timeseries.csv"),
                ["t_s", "K_vpkmpl", "gamma_vpkmpl", "Delta_vpkmpl", "flow_vph_per_lane",
                 "speed_kmh", "queue_veh"] + [f"k_{i + 1}_vpkmpl" for i in range(config.n_cells)],
                ([_num(v) for v in row] for row in table))
+    density, deviation = result.interval_density[0], result.interval_deviation[0]
     _write_json(os.path.join(outdir, "summary.json"), {
-        "interval_density_vpkmpl": [_num(v) for v in result.interval_density],
-        "interval_deviation_vpkmpl": [_num(v) for v in result.interval_deviation],
-        "pz_avg_travel_time_min_per_km": _num(result.pz_avg_travel_time),
-        "net_avg_travel_time_min_per_km": _num(result.net_avg_travel_time),
-        "toll_revenue": _num(result.toll_revenue),
-        "seed": result.seed,
+        "interval_density_vpkmpl": [_num(v) for v in density],
+        "interval_deviation_vpkmpl": [_num(v) for v in deviation],
+        "pz_avg_travel_time_min_per_km": _num(result.pz_avg_travel_time[0]),
+        "net_avg_travel_time_min_per_km": _num(result.net_avg_travel_time[0]),
+        "toll_revenue": _num(result.toll_revenue[0]),
+        "seed": args.seed,
     })
     write_manifest(os.path.join(outdir, "run.json"), scenario_doc(config, problem),
                    {"toll": args.toll, "seed": args.seed}, "simulate", args.seed)
 
     print(f"{'interval':>8} {'K_mean_vpkmpl':>14} {'Delta_mean_vpkmpl':>18}")
     for h in range(m):
-        print(f"{h + 1:>8} {result.interval_density[h]:>14.3f} {result.interval_deviation[h]:>18.3f}")
-    print(f"zone travel time: {result.pz_avg_travel_time:.3f} min/km | "
-          f"network: {result.net_avg_travel_time:.3f} min/km | "
-          f"revenue: {result.toll_revenue:.1f}")
+        print(f"{h + 1:>8} {density[h]:>14.3f} {deviation[h]:>18.3f}")
+    print(f"zone travel time: {result.pz_avg_travel_time[0]:.3f} min/km | "
+          f"network: {result.net_avg_travel_time[0]:.3f} min/km | "
+          f"revenue: {result.toll_revenue[0]:.1f}")
     print(f"artifacts: {outdir}")
     return 0
 
@@ -511,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("doe", help="export an initial design plan as CSV")
     add_common(p, out_help="output CSV file (default ./plan.csv)")
-    p.set_defaults(func=cmd_doe, solves=True, method=None)
+    p.set_defaults(func=cmd_doe, solves=True, method="rk")   # the plan RK starts from
     return parser
 
 
@@ -528,7 +535,7 @@ def main(argv=None) -> int:
         spec = None
         if args.solves:
             spec = build_spec(config, problem)
-            check_method(spec, args.method)
+            check_method(spec, args)
         else:   # every problem value is checked, though only a solver needs the spec
             convert_problem(problem)
         if args.print_config:

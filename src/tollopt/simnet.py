@@ -344,34 +344,6 @@ def _logistic(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # simulation
 
-@dataclass
-class SimulationResult:
-    """Per-step network state plus per-interval aggregates for one run."""
-
-    t: np.ndarray                # step start times (s)
-    k_cells: np.ndarray          # (T, C) vpkmpl
-    network_density: np.ndarray  # (T,) K
-    gamma: np.ndarray            # (T,)
-    deviation: np.ndarray        # (T,) Delta
-    flow: np.ndarray             # (T,) veh/h per lane (production / lane-km)
-    speed: np.ndarray            # (T,) km/h
-    queue: np.ndarray            # (T,) vehicles waiting to enter
-    demand: np.ndarray           # (T,) total veh/h
-    pz_demand: np.ndarray        # (T,) veh/h routed to the zone
-    arrivals: np.ndarray         # (T,) veh added to queue+cells this step
-    exited: np.ndarray           # (T,) veh completing zone trips
-    interval_density: np.ndarray    # (m,) mean K per tolling interval
-    interval_deviation: np.ndarray  # (m,) mean Delta per tolling interval
-    pz_avg_travel_time: float    # min/km inside the zone
-    net_avg_travel_time: float   # min/km across zone + queue + bypass
-    toll_revenue: float          # currency
-    seed: int
-
-    @property
-    def m(self) -> int:
-        return self.interval_density.size
-
-
 def _triangular_flow(k, gap, u_f, wave, crawl):
     """Per-lane triangular fundamental diagram flow (veh/h/lane).
 
@@ -385,10 +357,14 @@ def _triangular_flow(k, gap, u_f, wave, crawl):
 
 @dataclass
 class BatchResult:
-    """Per-lane aggregates of one :func:`simulate_batch` call.
+    """Per-lane aggregates of one :func:`simulate_batch` or :func:`simulate` call.
 
     Lane ``b`` is the replication of ``tolls[b]`` under ``seeds[b]``.  Only
-    the network density K and spread gamma are kept per step.
+    the network density K and spread gamma are kept per step, except that
+    :func:`simulate`'s one lane also keeps ``history``: demand and pz_demand
+    (veh/h), flow (veh/h per lane), speed (km/h), queue, arrivals and exited
+    (veh) as ``(B, T)`` series, and the cell densities ``k_cells`` (vpkmpl)
+    as ``(B, T, C)``.
     """
 
     network_density: np.ndarray     # (B, T) K
@@ -398,6 +374,7 @@ class BatchResult:
     pz_avg_travel_time: np.ndarray  # (B,) min/km inside the zone
     net_avg_travel_time: np.ndarray  # (B,) min/km across zone + queue + bypass
     toll_revenue: np.ndarray        # (B,) currency
+    history: dict | None = None     # per-step series by name, simulate only
 
 
 # per-step series that only simulate keeps, in the order the step loop records them
@@ -452,24 +429,11 @@ def shared_prefixes(config: NetworkConfig):
         _RUN_PREFIXES.reset(token)
 
 
-def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> SimulationResult:
-    """Run one seeded replication of the reservoir model under a toll pattern.
-
-    The step loop of :func:`simulate_batch` with one lane, keeping every
-    per-step series; it always simulates its own untolled prefix.
-    """
-    batch, history = _run(config, toll.as_array()[None], [seed], keep_history=True)
-    k, gamma = batch.network_density[0], batch.gamma[0]
-    return SimulationResult(
-        t=_step_intervals(config)[0] * 3600.0, network_density=k, gamma=gamma,
-        deviation=deviation_from_spread(gamma, k, config.envelope),
-        **{name: history[name][0] for name in (*_HISTORY, "demand")},
-        interval_density=batch.interval_density[0],
-        interval_deviation=batch.interval_deviation[0],
-        pz_avg_travel_time=float(batch.pz_avg_travel_time[0]),
-        net_avg_travel_time=float(batch.net_avg_travel_time[0]),
-        toll_revenue=float(batch.toll_revenue[0]), seed=int(seed),
-    )
+def simulate(config: NetworkConfig, toll: TollVector, seed: int) -> BatchResult:
+    """One seeded replication under a toll pattern: the step loop of :func:`simulate_batch`
+    with one lane, which also keeps every per-step series in ``history`` and
+    always simulates its own untolled prefix."""
+    return _run(config, toll.as_array()[None], [seed], keep_history=True)
 
 
 def simulate_batch(config: NetworkConfig, tolls: np.ndarray,
@@ -484,11 +448,11 @@ def simulate_batch(config: NetworkConfig, tolls: np.ndarray,
     seed's state at the first tolled step; inside :func:`shared_prefixes`
     that state is reused across calls.
     """
-    return _run(config, tolls, seeds, keep_history=False)[0]
+    return _run(config, tolls, seeds, keep_history=False)
 
 
 def _run(config: NetworkConfig, tolls: np.ndarray, seeds: Sequence[int],
-         keep_history: bool) -> tuple[BatchResult, dict | None]:
+         keep_history: bool) -> BatchResult:
     """The step loop over B lanes of (toll, seed), split at the first tolled step.
 
     The untolled prefix runs over the distinct seeds only
@@ -496,8 +460,8 @@ def _run(config: NetworkConfig, tolls: np.ndarray, seeds: Sequence[int],
     :func:`shared_prefixes`; row ``b`` of every lane array (the carried
     state and the per-step series) then starts as its seed's prefix.  The
     tolled steps, through the end of the horizon, run over all B lanes.
-    ``keep_history`` also returns every lane array, the history series
-    included; such calls never share prefixes.
+    ``keep_history`` also keeps the demand and history series in the
+    result's ``history``; such calls never share prefixes.
     """
     m = config.m
     tolls = np.asarray(tolls, dtype=float)
@@ -544,12 +508,12 @@ def _run(config: NetworkConfig, tolls: np.ndarray, seeds: Sequence[int],
     net_km = veh_km_pz + lanes["veh_km_byp"]
     net_att = np.divide(60.0 * net_hours, net_km, out=np.zeros(B), where=net_km > 0)
 
-    batch = BatchResult(
+    return BatchResult(
         network_density=k_steps, gamma=gamma_steps,
         interval_density=interval_density, interval_deviation=interval_deviation,
         pz_avg_travel_time=pz_att, net_avg_travel_time=net_att, toll_revenue=lanes["revenue"],
+        history={name: lanes[name] for name in ("demand", *_HISTORY)} if keep_history else None,
     )
-    return batch, lanes if keep_history else None
 
 
 def _untolled_prefix(config: NetworkConfig, seeds: Sequence[int], n_prefix: int,

@@ -20,7 +20,7 @@ from .ga import GAParams
 from .infill import AcquisitionContext, propose_infill, repair_smoothing
 # simulate is unused here but kept as tlp.simulate, the lookup point that
 # outside tracers wrap (perfbench/spans.py)
-from .simnet import (NetworkConfig, SimulationResult, shared_prefixes, simulate,  # noqa: F401
+from .simnet import (BatchResult, NetworkConfig, shared_prefixes, simulate,  # noqa: F401
                      simulate_batch)
 from .surrogate import fit
 from .toll import Bounds
@@ -79,22 +79,22 @@ def _deviation_per_rep(interval_deviation: np.ndarray) -> np.ndarray:
     return np.mean(interval_deviation, axis=-1)
 
 
-def _replication_rows(results: Sequence[SimulationResult], name: str) -> np.ndarray:
-    """The ``name`` interval means of every replication as one ``(reps, m)`` array."""
+def _replication_rows(results: Sequence[BatchResult], name: str) -> np.ndarray:
+    """The ``name`` interval means of every lane (replication) as one ``(reps, m)`` array."""
     if not results:
         raise ValueError("need at least one replication result")
-    m = results[0].m
-    if any(r.m != m for r in results):
+    rows = [getattr(r, name) for r in results]
+    if any(row.shape[-1] != rows[0].shape[-1] for row in rows):
         raise ValueError("replications disagree on the number of tolling intervals")
-    return np.array([getattr(r, name) for r in results], dtype=float)
+    return np.concatenate(rows)
 
 
-def objective_value(results: Sequence[SimulationResult], k_cr: float) -> float:
+def objective_value(results: Sequence[BatchResult], k_cr: float) -> float:
     """Replication average of the mean absolute gap between interval density and target."""
     return float(np.mean(_gap_per_rep(_replication_rows(results, "interval_density"), k_cr)))
 
 
-def constraint_value(results: Sequence[SimulationResult]) -> float:
+def constraint_value(results: Sequence[BatchResult]) -> float:
     """Replication average of the mean per-interval deviation from spread."""
     return float(np.mean(_deviation_per_rep(_replication_rows(results, "interval_deviation"))))
 

@@ -228,31 +228,35 @@ def test_criterion_08_simulator_physics():
     m = config.m
 
     zero = simulate(config, TollVector.zero(m), seed=1000)
+    series = zero.history
+    density, gamma, k_cells = zero.network_density[0], zero.gamma[0], series["k_cells"][0]
     lane_km = config.cell_lengths * config.cell_lanes
-    gap = abs(zero.arrivals.sum() - zero.exited.sum()
-              - float(zero.k_cells[-1] @ lane_km) - zero.queue[-1])
+    gap = abs(series["arrivals"][0].sum() - series["exited"][0].sum()
+              - float(k_cells[-1] @ lane_km) - series["queue"][0][-1])
     assert gap <= 1e-6
-    assert np.all(zero.k_cells >= 0.0)
-    assert np.all(zero.k_cells <= config.jam_density[None, :] + 1e-9)
+    assert np.all(k_cells >= 0.0)
+    assert np.all(k_cells <= config.jam_density[None, :] + 1e-9)
 
-    hours = zero.t / 3600.0
-    final_hour = zero.network_density[hours >= 3.0]
+    # step start times (s), the t_s column that ``tollopt simulate`` writes
+    t = np.arange(density.size) * (config.step_seconds / 3600.0) * 3600.0
+    hours = t / 3600.0
+    final_hour = density[hours >= 3.0]
     assert float(np.mean(final_hour)) > config.k_cr
-    assert np.all(zero.interval_density > config.k_cr)
+    assert np.all(zero.interval_density[0] > config.k_cr)
 
     # hysteresis: unloading spread above loading spread at matched density bins
-    ema = np.empty_like(zero.network_density)
+    ema = np.empty_like(density)
     acc = 0.0
     alpha = config.step_seconds / 300.0
-    for i, k in enumerate(zero.network_density):
+    for i, k in enumerate(density):
         ema[i] = acc
         acc += alpha * (k - acc)
-    unloading = zero.network_density < ema - 0.5
-    bins = (zero.network_density // 5).astype(int)
+    unloading = density < ema - 0.5
+    bins = (density // 5).astype(int)
     matched = []
     for b in sorted(set(bins)):
-        g_load = zero.gamma[(bins == b) & ~unloading]
-        g_unload = zero.gamma[(bins == b) & unloading]
+        g_load = gamma[(bins == b) & ~unloading]
+        g_unload = gamma[(bins == b) & unloading]
         if g_load.size >= 10 and g_unload.size >= 10:
             matched.append((b * 5, float(np.mean(g_load)), float(np.mean(g_unload))))
     assert len(matched) >= 3
@@ -267,7 +271,8 @@ def test_criterion_08_simulator_physics():
         hi = lo + rng.uniform(0, 1, size=2 * m) * (hi_box - lo)
         low_run = simulate(config, TollVector.from_array(lo), seed=500 + trial)
         high_run = simulate(config, TollVector.from_array(hi), seed=500 + trial)
-        assert high_run.pz_demand[window].sum() <= low_run.pz_demand[window].sum() + 1e-6
+        assert (high_run.history["pz_demand"][0][window].sum()
+                <= low_run.history["pz_demand"][0][window].sum() + 1e-6)
     elapsed = time.time() - start
     assert elapsed < 30.0
     report(8, f"conservation {gap:.1e} veh; bounds held; 20/20 monotone pairs; "
@@ -307,7 +312,7 @@ def test_criterion_10_single_objective_problem(single_objective_run):
     for x in run.samples.x:
         assert spec.bounds.contains(x, atol=1e-9)
     reps = [simulate(spec.config, TollVector.from_array(best(run).x), s) for s in run.rep_seeds]
-    window_mean = float(np.mean([r.interval_density.mean() for r in reps]))
+    window_mean = float(np.mean([r.interval_density[0].mean() for r in reps]))
     assert 0.8 * spec.k_cr <= window_mean <= 1.2 * spec.k_cr
     assert elapsed < 300.0
     report(10, f"best {best(run).objective:.2f} < zero-toll {zero.objective:.2f}; "

@@ -94,6 +94,8 @@ def test_bad_problem_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("flags,key", [(["--replications", "0"], "replications"),
                                        (["--smoothing", "0,1"], "alpha"),
                                        (["--delta-max", "nan"], "delta_max"),
+                                       (["--delta-max", "inf"], "delta_max"),
+                                       (["--smoothing", "inf,1"], "alpha"),
                                        (["--smoothing", "a,b"], "--smoothing")])
 def test_bad_problem_flag_exits_2_naming_the_key(capsys, flags, key):
     # a value that is not a number is named by its flag, a bad number by its problem key
@@ -370,13 +372,13 @@ SCENARIO_EDITS = {
     "problem.alpha: x": (("problem", "alpha", "x"), set()),
     "interval_minutes: 5": (("network", "control", "interval_minutes", 5),   # m = 24
                             {"simulate", "envelope"}),
-    "tau_max: [0, 0]": (("problem", "tau_max", [0, 0]), {"simulate", "envelope", "doe"}),
+    "tau_max: [0, 0]": (("problem", "tau_max", [0, 0]), {"simulate", "envelope"}),
+    "problem.delta_max: .inf": (("problem", "delta_max", float("inf")), set()),
 }
 SCENARIO_COMMANDS = {"simulate": [], "envelope": ["--runs", "1"], "doe": [],
                      "optimize": ["--method", "rk"], "compare": ["--seeds", "0"]}
 
 
-@pytest.mark.filterwarnings("ignore:degenerate bounds")   # doe on the one-point box
 @pytest.mark.parametrize("edit", sorted(SCENARIO_EDITS))
 @pytest.mark.parametrize("command", sorted(SCENARIO_COMMANDS))
 def test_print_config_exits_as_the_command_does(tmp_path, capsys, command, edit):
@@ -488,6 +490,11 @@ def test_rk_on_a_one_point_box_exits_2_before_simulating(tmp_path, monkeypatch, 
         assert run_cli([*command, *flags, "--out", str(tmp_path / command[0])]) == 2
         assert capsys.readouterr().err.startswith("error: problem.tau_max: ")
         assert lanes == []
+    # doe exports RK's initial plan, and has no --method to turn to
+    assert run_cli(["doe", str(path), "--out", str(tmp_path / "plan.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem.tau_max: ") and "--method" not in err
+    assert not (tmp_path / "plan.csv").exists()
     assert run_cli(["optimize", str(path), "--method", "direct", *flags,
                     "--out", str(tmp_path / "direct")]) == 0
     assert lanes == [1]

@@ -1,6 +1,6 @@
-"""Smoke test: the quick demos run to completion.
+"""Smoke test: every demo runs to completion.
 
-Demos 06 and 07 run whole optimizations (about 30 s and 1 min) and are left out.
+Demos 06 and 07 run whole optimizations, of a few seconds each.
 """
 
 import os
@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-QUICK_DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-5]_*.py"))
+QUICK_DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-7]_*.py"))
 
 
 def test_quick_demos_are_found():
-    assert len(QUICK_DEMOS) == 5
+    assert len(QUICK_DEMOS) == 7
 
 
 @pytest.mark.parametrize("demo", QUICK_DEMOS)

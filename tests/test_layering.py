@@ -1,7 +1,8 @@
 """Layering: a toll point travels as a row of an ``(n, 2m)`` array from the
 initial plan to the simulator, ``TollVector`` stays at the edge, only the
-command line reads or writes files, one RK step is the body of every RK loop, and
-``cli.main`` alone resolves the scenario of a command."""
+command line reads or writes files, one RK step is the body of every RK loop,
+``cli.main`` alone resolves the scenario of a command, and the simulator returns
+one result type."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,11 @@ def test_only_main_resolves_a_scenario():
                for n in ast.walk(stmt) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                and n.func.id in ("load_scenario", "resolve_problem", "build_spec")}
     assert callers == {"cmd_validate"}
+
+
+def test_the_simulator_has_one_result_type():
+    # simulate and simulate_batch both return a BatchResult; NetworkConfig is their input
+    tree = ast.parse((SRC / "simnet.py").read_text())
+    dataclasses = {stmt.name for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+                   and any("dataclass" in ast.unparse(d) for d in stmt.decorator_list)}
+    assert dataclasses == {"NetworkConfig", "BatchResult"}

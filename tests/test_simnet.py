@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from tollopt import simnet
-from tollopt.simnet import (ConfigError, config_from_dict, config_to_dict, desk_preset,
-                            deviation_from_spread, envelope_gamma, fit_lower_envelope,
-                            paper_preset, shared_prefixes, simulate, simulate_batch,
-                            spatial_spread, zone_choice)
+from tollopt.simnet import (BatchResult, ConfigError, config_from_dict, config_to_dict,
+                            desk_preset, deviation_from_spread, envelope_gamma,
+                            fit_lower_envelope, paper_preset, shared_prefixes, simulate,
+                            simulate_batch, spatial_spread, zone_choice)
 from tollopt.toll import TollVector
 
 
@@ -167,56 +167,63 @@ class TestRouteChoice:
         assert zone_choice((1.0, 15.0), 35.0, 9.6, 12.0, indifferent)[0] == 0.5
 
 
+def _step_times(config) -> np.ndarray:
+    """Step start times (s), the ``t_s`` column that ``tollopt simulate`` writes."""
+    return simnet._step_intervals(config)[0] * 3600.0
+
+
 class TestSimulate:
     def test_deterministic_under_fixed_seed(self):
         config = desk_preset()
         a = simulate(config, TollVector.zero(config.m), seed=3)
         b = simulate(config, TollVector.zero(config.m), seed=3)
-        assert np.array_equal(a.network_density, b.network_density)
-        assert np.array_equal(a.k_cells, b.k_cells)
-        assert a.toll_revenue == b.toll_revenue
+        assert np.array_equal(a.network_density[0], b.network_density[0])
+        assert np.array_equal(a.history["k_cells"][0], b.history["k_cells"][0])
+        assert a.toll_revenue[0] == b.toll_revenue[0]
 
     def test_vehicle_conservation(self):
         config = desk_preset()
-        res = simulate(config, TollVector.constant(config.m, 0.4, 6.0), seed=9)
+        res = simulate(config, TollVector.constant(config.m, 0.4, 6.0), seed=9).history
         lane_km = config.cell_lengths * config.cell_lanes
-        end_acc = float(res.k_cells[-1] @ lane_km)
-        gap = abs(res.arrivals.sum() - res.exited.sum() - end_acc - res.queue[-1])
+        end_acc = float(res["k_cells"][0][-1] @ lane_km)
+        gap = abs(res["arrivals"][0].sum() - res["exited"][0].sum() - end_acc
+                  - res["queue"][0][-1])
         assert gap <= 1e-6
 
     def test_density_bounds(self):
         config = desk_preset()
-        res = simulate(config, TollVector.zero(config.m), seed=4)
-        assert np.all(res.k_cells >= 0.0)
-        assert np.all(res.k_cells <= config.jam_density[None, :] + 1e-9)
+        k_cells = simulate(config, TollVector.zero(config.m), seed=4).history["k_cells"][0]
+        assert np.all(k_cells >= 0.0)
+        assert np.all(k_cells <= config.jam_density[None, :] + 1e-9)
 
     @pytest.mark.parametrize("preset", [desk_preset, paper_preset], ids=["desk", "paper"])
     def test_interval_average_matches_time_series(self, preset):
         config = preset()
         res = simulate(config, TollVector.zero(config.m), seed=5)
-        hours = res.t / 3600.0
+        hours = _step_times(config) / 3600.0
         start, _ = config.tolling_window
         width = config.interval_minutes / 60.0
         for h in range(config.m):
             mask = (hours >= start + h * width - 1e-12) & (hours < start + (h + 1) * width - 1e-12)
-            assert res.interval_density[h] == pytest.approx(
-                float(np.mean(res.network_density[mask])), abs=1e-12)
+            assert res.interval_density[0][h] == pytest.approx(
+                float(np.mean(res.network_density[0][mask])), abs=1e-12)
 
     @pytest.mark.parametrize("preset", [desk_preset, paper_preset], ids=["desk", "paper"])
     def test_toll_starts_where_its_interval_average_starts(self, preset):
         config = preset()
-        free = simulate(config, TollVector.zero(config.m), seed=6)
+        free = simulate(config, TollVector.zero(config.m), seed=6).history
+        t = _step_times(config)
         start, _ = config.tolling_window
         width = config.interval_minutes / 60.0
         for h in range(config.m):
             distance, delay = np.zeros(config.m), np.zeros(config.m)
             distance[h], delay[h] = 0.5, 5.0
-            tolled = simulate(config, TollVector(distance, delay), seed=6)
+            tolled = simulate(config, TollVector(distance, delay), seed=6).history
             first = int(round((start + h * width) * 3600.0 / config.step_seconds))
-            assert tolled.t[first] == pytest.approx((start + h * width) * 3600.0)
-            assert np.array_equal(tolled.demand, free.demand)
-            assert np.array_equal(tolled.pz_demand[:first], free.pz_demand[:first])
-            assert tolled.pz_demand[first] != free.pz_demand[first]
+            assert t[first] == pytest.approx((start + h * width) * 3600.0)
+            assert np.array_equal(tolled["demand"][0], free["demand"][0])
+            assert np.array_equal(tolled["pz_demand"][0][:first], free["pz_demand"][0][:first])
+            assert tolled["pz_demand"][0][first] != free["pz_demand"][0][first]
 
     def test_toll_interval_count_must_match(self):
         config = desk_preset()
@@ -227,17 +234,20 @@ class TestSimulate:
         config = desk_preset()
         free = simulate(config, TollVector.zero(config.m), seed=1)
         tolled = simulate(config, TollVector.constant(config.m, 0.5, 5.0), seed=1)
-        assert free.toll_revenue == 0.0
-        assert tolled.toll_revenue > 0.0
+        assert free.toll_revenue[0] == 0.0
+        assert tolled.toll_revenue[0] > 0.0
 
     def test_series_are_one_value_per_step(self):
         config = desk_preset()
         res = simulate(config, TollVector.zero(config.m), seed=2)
         steps = int(round(config.horizon_hours * 3600.0 / config.step_seconds))
-        for name in ("t", "network_density", "gamma", "deviation", "flow", "speed", "queue",
-                     "demand", "pz_demand", "arrivals", "exited"):
-            assert getattr(res, name).shape == (steps,), name
-        assert res.k_cells.shape == (steps, config.n_cells)
+        series = {"network_density": res.network_density, "gamma": res.gamma, **res.history}
+        assert sorted(series) == sorted(["network_density", "gamma", "flow", "speed", "queue",
+                                         "demand", "pz_demand", "arrivals", "exited", "k_cells"])
+        for name, values in series.items():
+            assert values.shape == ((1, steps, config.n_cells) if name == "k_cells"
+                                    else (1, steps)), name
+        assert _step_times(config).shape == (steps,)
 
     def test_presets_define_expected_interval_counts(self):
         assert desk_preset().m == 4
@@ -262,6 +272,14 @@ def _rows(tolls) -> np.ndarray:
     return np.array([toll.as_array() for toll in tolls])
 
 
+def _assert_lane_is(batch, b, one):
+    """Lane ``b`` of ``batch`` equals the one lane of ``one`` in every field but history."""
+    for field in dataclasses.fields(BatchResult):
+        if field.name != "history":
+            assert np.array_equal(getattr(batch, field.name)[b], getattr(one, field.name)[0]), \
+                field.name
+
+
 class TestSimulateBatch:
     @given(preset=st.sampled_from(sorted(PRESETS)), lanes=st.lists(LANE, min_size=1, max_size=6))
     @example(preset="desk", lanes=[(0, None)])
@@ -274,14 +292,7 @@ class TestSimulateBatch:
         seeds = [seed for seed, _ in lanes]
         batch = simulate_batch(config, _rows(tolls), seeds)
         for b, (toll, seed) in enumerate(zip(tolls, seeds)):
-            one = simulate(config, toll, seed)
-            assert np.array_equal(batch.interval_density[b], one.interval_density)
-            assert np.array_equal(batch.interval_deviation[b], one.interval_deviation)
-            assert batch.pz_avg_travel_time[b] == one.pz_avg_travel_time
-            assert batch.net_avg_travel_time[b] == one.net_avg_travel_time
-            assert batch.toll_revenue[b] == one.toll_revenue
-            assert np.array_equal(batch.network_density[b], one.network_density)
-            assert np.array_equal(batch.gamma[b], one.gamma)
+            _assert_lane_is(batch, b, simulate(config, toll, seed))
 
     def test_per_step_series_are_contiguous_lane_rows(self):
         config = desk_preset()
@@ -305,7 +316,12 @@ class TestSimulateBatch:
 
 def _assert_batches_equal(a, b):
     for field in dataclasses.fields(a):
-        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+        if field.name != "history":
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+    assert (a.history is None) == (b.history is None)
+    assert (a.history or {}).keys() == (b.history or {}).keys()
+    for name in a.history or {}:
+        assert np.array_equal(a.history[name], b.history[name]), name
 
 
 class TestUntolledPrefix:
@@ -321,14 +337,7 @@ class TestUntolledPrefix:
         seeds = [seed for seed, _ in lanes]
         batch = simulate_batch(config, _rows(tolls), seeds)
         for b, (toll, seed) in enumerate(zip(tolls, seeds)):
-            one = simulate(config, toll, seed)
-            assert np.array_equal(batch.interval_density[b], one.interval_density)
-            assert np.array_equal(batch.interval_deviation[b], one.interval_deviation)
-            assert batch.pz_avg_travel_time[b] == one.pz_avg_travel_time
-            assert batch.net_avg_travel_time[b] == one.net_avg_travel_time
-            assert batch.toll_revenue[b] == one.toll_revenue
-            assert np.array_equal(batch.network_density[b], one.network_density)
-            assert np.array_equal(batch.gamma[b], one.gamma)
+            _assert_lane_is(batch, b, simulate(config, toll, seed))
 
     def test_warm_call_equals_cold_call(self, monkeypatch):
         config = desk_preset()
@@ -483,9 +492,7 @@ class TestStepBody:
             ref_batch = simulate_batch(config, _rows(tolls), seeds)
             ref_one = simulate(config, tolls[0], seeds[0])
         _assert_batches_equal(batch, ref_batch)
-        for field in dataclasses.fields(one):
-            assert np.array_equal(getattr(one, field.name), getattr(ref_one, field.name)), \
-                field.name
+        _assert_batches_equal(one, ref_one)
 
 
 class TestFrozenConfig:

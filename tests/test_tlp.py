@@ -22,9 +22,10 @@ def first(samples, n):
 
 
 def fake_result(kbar, dbar=None):
+    """A one-lane result: ``(1, m)`` rows of interval means."""
     kbar = np.asarray(kbar, dtype=float)
     dbar = np.zeros_like(kbar) if dbar is None else np.asarray(dbar, dtype=float)
-    return SimpleNamespace(m=kbar.size, interval_density=kbar, interval_deviation=dbar)
+    return SimpleNamespace(interval_density=kbar[None], interval_deviation=dbar[None])
 
 
 class TestObjectiveAndConstraint:
