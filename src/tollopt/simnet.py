@@ -236,12 +236,19 @@ def _cell_weights(lengths, lanes) -> np.ndarray:
     return w
 
 
-def _weighted_spread(k: np.ndarray, w: np.ndarray, total: float):
+def _weighted_spread(k: np.ndarray, w: np.ndarray, total, spread=None, mean=None, work=None):
+    """Weighted spread and mean of the rows of ``k``, written into ``spread`` and
+    ``mean`` (one value per row) using ``work`` (``k``'s shape) when given."""
+    if work is None:
+        work = np.empty(np.shape(k))
+        spread, mean = np.empty(work.shape[:-1]), np.empty(work.shape[:-1])
     # rows are summed along the contiguous last axis, which keeps numpy's
     # pairwise order of a one-dimensional sum
-    mean = np.add.reduce(k * w, axis=-1) / total
-    spread = np.sqrt(np.add.reduce(w * (k - mean[..., None]) ** 2, axis=-1) / total)
-    return spread, mean
+    np.add.reduce(np.multiply(k, w, out=work), axis=-1, out=mean)
+    np.divide(mean, total, out=mean)
+    np.square(np.subtract(k, mean[..., None], out=work), out=work)
+    np.add.reduce(np.multiply(w, work, out=work), axis=-1, out=spread)
+    return np.sqrt(np.divide(spread, total, out=spread), out=spread)[()], mean[()]
 
 
 def spatial_spread(densities, lengths, lanes):
@@ -303,6 +310,12 @@ def fit_lower_envelope(samples: Sequence[tuple[float, float]], n_bins: int = 20
 # ---------------------------------------------------------------------------
 # route choice
 
+# literals of the simulator's formulas as 0-d arrays: a ufunc takes one faster than a float
+_ZERO, _ONE, _SIXTY = np.array(0.0), np.array(1.0), np.array(60.0)
+for _c in (_ZERO, _ONE, _SIXTY):
+    _c.flags.writeable = False
+
+
 def zone_choice(toll_rates, zone_time, free_time: float, bypass_time, config: NetworkConfig):
     """Binary logit share of the through-zone route and its trip toll.
 
@@ -314,45 +327,62 @@ def zone_choice(toll_rates, zone_time, free_time: float, bypass_time, config: Ne
     minutes; rates and times may be arrays holding one value per lane.
     Returns ``(p_pz, trip_toll)``.
     """
-    u, trip_toll = _zone_utility(toll_rates, zone_time, free_time, bypass_time, config)
-    with np.errstate(over="ignore"):
-        return _logistic(np.reshape(u, -1)).reshape(np.shape(u))[()], trip_toll
-
-
-def _zone_utility(toll_rates, zone_time, free_time, bypass_time, config: NetworkConfig):
-    """``logit_scale * (through-zone cost - bypass_time)``, the argument of
-    :func:`_logistic` that gives the zone's share, and the trip toll."""
     v_h, w_h = toll_rates
-    delay_hours = np.maximum(0.0, zone_time - free_time) / 60.0
-    trip_toll = v_h * config.pz_path_length + w_h * delay_hours
-    cost_pz = zone_time + 60.0 * trip_toll / config.vtt
-    return config.logit_scale * (cost_pz - bypass_time), trip_toll
+    shape = np.broadcast(v_h, w_h, zone_time, free_time, bypass_time).shape
+    u, trip_toll = np.empty(shape), np.empty(shape)
+    _zone_utility(np.multiply(v_h, config.pz_path_length), w_h, zone_time, free_time, bypass_time,
+                  config.logit_scale, config.vtt, u, trip_toll)
+    with np.errstate(over="ignore"):
+        _logistic(flat := u.reshape(-1), np.empty(u.size), flat)
+    return u[()], trip_toll[()]
 
 
-def _logistic(u: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(u))`` over a 1-d array, bit for bit ``scipy.special.expit(-u)``.
+def _zone_utility(distance_toll, w_h, zone_time, free_time, bypass_time, logit_scale, vtt,
+                  u, trip_toll):
+    """``logit_scale * (through-zone cost - bypass_time)``, the argument of
+    :func:`_logistic` that gives the zone's share, into ``u``, and the trip
+    toll, ``distance_toll`` (v * pz_path_length) plus the delay toll, into
+    ``trip_toll``."""
+    np.divide(np.maximum(_ZERO, np.subtract(zone_time, free_time, out=u), out=u), _SIXTY, out=u)
+    np.add(distance_toll, np.multiply(w_h, u, out=u), out=trip_toll)
+    np.divide(np.multiply(_SIXTY, trip_toll, out=u), vtt, out=u)   # 60 * trip_toll / vtt
+    np.subtract(np.add(zone_time, u, out=u), bypass_time, out=u)
+    return np.multiply(logit_scale, u, out=u)
+
+
+def _logistic(u: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(u))`` over a 1-d array into ``out``, bit for bit
+    ``scipy.special.expit(-u)``; ``e`` is a work array of ``u``'s size.
 
     numpy's float64 exp runs a SIMD kernel on forward-strided input, which
     differs from the C library's ``exp`` in the last bit on some arguments;
-    on a reversed view it runs its scalar loop, which calls the C library's
-    ``exp``, as expit does.  An ``exp`` that overflows gives 0, as expit does,
-    and warns unless the caller ignores overflow.
+    on a reversed view written to a forward array it runs its scalar loop,
+    which calls the C library's ``exp``, as expit does.  So ``e`` is a
+    forward array of its own: an exp written back over its reversed input
+    runs the SIMD kernel, as numpy flips both views to forward.  An ``exp``
+    that overflows gives 0, as expit does, and warns unless the caller
+    ignores overflow.
     """
-    return 1.0 / (1.0 + np.exp(u[::-1])[::-1])
+    np.exp(u[::-1], out=e)   # e[::-1] is exp(u)
+    return np.divide(_ONE, np.add(_ONE, e[::-1], out=out), out=out)
 
 
 # ---------------------------------------------------------------------------
 # simulation
 
-def _triangular_flow(k, gap, u_f, wave, crawl):
-    """Per-lane triangular fundamental diagram flow (veh/h/lane).
+def _triangular_flow(k, gap, u_f, wave, crawl, out, work):
+    """Per-lane triangular fundamental diagram flow (veh/h/lane), into ``out``.
 
     ``gap`` is k_j - k and ``wave`` the congested-branch wave speed u_f k_c /
     (k_j - k_c).  The ``crawl`` speed floors the congested branch so a jammed
     cell keeps a trickle of movement and gridlock never becomes absorbing.
+    The floor also keeps the flow nonnegative, so the diagram needs no
+    ``max(., 0)`` of its own: crawl >= 0 is validated and k >= 0 because no
+    cell drains more vehicles than it holds, so crawl k >= 0, and then
+    max(max(x, 0), crawl k) = max(x, crawl k) for every x, NaN included.
     """
-    tri = np.maximum(np.minimum(u_f * k, wave * gap), 0.0)
-    return np.maximum(tri, crawl * k)
+    np.minimum(np.multiply(u_f, k, out=out), np.multiply(wave, gap, out=work), out=out)
+    return np.maximum(out, np.multiply(crawl, k, out=work), out=out)
 
 
 @dataclass
@@ -386,8 +416,8 @@ _TOTALS = ("veh_h_pz", "veh_km_pz", "veh_h_queue", "veh_h_byp", "veh_km_byp")
 _STATE = ("veh", "gate_queue", "bypass_veh", "bypass_inflow", "k_ema", "perceived_tt",
           *_TOTALS, "revenue")
 
-# the current optimization run's untolled prefixes: (config, {seed: {name: row}})
-_RUN_PREFIXES: ContextVar[tuple[NetworkConfig, dict] | None] = ContextVar(
+# the current optimization run's untolled prefixes: (config, ({seed: row}, {name: lanes}))
+_RUN_PREFIXES: ContextVar[tuple[NetworkConfig, tuple[dict, dict]] | None] = ContextVar(
     "run_prefixes", default=None)
 
 
@@ -422,7 +452,7 @@ def shared_prefixes(config: NetworkConfig):
     :func:`tlp.optimize` runs inside one, so a run's common-random-number
     seeds are simulated up to the tolling window once per run.
     """
-    token = _RUN_PREFIXES.set((config, {}))
+    token = _RUN_PREFIXES.set((config, ({}, {})))
     try:
         yield
     finally:
@@ -474,14 +504,16 @@ def _run(config: NetworkConfig, tolls: np.ndarray, seeds: Sequence[int],
     n_prefix = int(np.argmax(step_interval >= 0))
 
     scope = _RUN_PREFIXES.get()
-    prefixes = scope[1] if scope is not None and scope[0] is config and not keep_history else {}
-    missing = list(dict.fromkeys(seed for seed in seeds if seed not in prefixes))
+    shared = scope is not None and scope[0] is config and not keep_history
+    rows, prefixes = scope[1] if shared else ({}, {})
+    missing = list(dict.fromkeys(seed for seed in seeds if seed not in rows))
     if missing:
         fresh = _untolled_prefix(config, missing, n_prefix, keep_history)
-        for u, seed in enumerate(missing):
-            prefixes[seed] = {name: lane[u] for name, lane in fresh.items()}
-    lanes = {name: np.stack([prefixes[seed][name] for seed in seeds])
-             for name in prefixes[seeds[0]]}
+        rows.update({seed: len(rows) + u for u, seed in enumerate(missing)})
+        for name, lane in fresh.items():
+            prefixes[name] = np.concatenate([prefixes[name], lane]) if name in prefixes else lane
+    index = np.array([rows[seed] for seed in seeds])
+    lanes = {name: prefix[index] for name, prefix in prefixes.items()}
 
     # row -1, a step outside the window, is the untolled rate
     rate_v, rate_w = np.zeros((2, m + 1, B))
@@ -567,24 +599,35 @@ def _advance(config: NetworkConfig, lanes: dict, steps: range,
     toll is row ``h`` of ``rate_v``/``rate_w``, its tolling interval, and
     row -1 outside the window.  The per-step series are recorded when
     ``lanes`` holds them.  A step costs its numpy calls, not their arithmetic,
-    so the calls are few, but each operation is the plain formula's, in order.
+    so the calls are few and allocate nothing: every temporary is a work
+    array of the call, every scalar constant a 0-d array and every per-cell
+    constant a (lanes, cells) array, and each operation is the plain
+    formula's, in order.
     """
-    dt_h = config.step_seconds / 3600.0
     lane_km, total_lane_km, mean_free_speed, pz_free_min = _free_flow(config)
     u_f, k_c, k_j = config.free_flow_speed, config.critical_density, config.jam_density
-    crawl, cell_lanes, drain = config.crawl_speed, config.cell_lanes, config.drain_multipliers
+    cell_lanes, drain = config.cell_lanes, config.drain_multipliers
     cap_flow = u_f * k_c * cell_lanes          # veh/h per cell
     wave = u_f * k_c / (k_j - k_c)
-    pz_len, bypass_length = config.pz_path_length, config.bypass_length
-    bypass_free_h = bypass_length / config.bypass_free_speed
-    base_shares, rebalancing = config.heterogeneity_bias, config.rebalancing
-    rebalanced_base = (1.0 - rebalancing) * base_shares
+    base_shares, rebalances = config.heterogeneity_bias, config.rebalancing > 0
+    rebalanced_base = (1.0 - config.rebalancing) * base_shares
     tau_s = config.perception_tau_minutes * 60.0
-    alpha_p = 1.0 if tau_s <= 0 else min(1.0, config.step_seconds / tau_s)
-    ema_rate = config.step_seconds / 300.0
     step_interval = _step_intervals(config)[1].tolist()
+    toll_km = rate_v * config.pz_path_length   # each interval's distance toll of a trip
+    # the loop's constants, as 0-d arrays
+    dt_h, crawl, pz_len, pz_min, free_min = map(np.array, (
+        config.step_seconds / 3600.0, config.crawl_speed, config.pz_path_length,
+        60.0 * config.pz_path_length, pz_free_min))
+    alpha_p, ema_rate, scale, vtt = map(np.array, (
+        1.0 if tau_s <= 0 else min(1.0, config.step_seconds / tau_s), config.step_seconds / 300.0,
+        config.logit_scale, config.vtt))
+    bypass_free_h, bypass_cap, bypass_length, bpr_alpha = map(np.array, (
+        config.bypass_length / config.bypass_free_speed, config.bypass_capacity,
+        config.bypass_length, 0.15))
+    rebalancing, total_km, min_acc, min_speed, tiny, two, half = map(np.array, (
+        config.rebalancing, total_lane_km, 1e-9, 1e-3, 1e-12, 2.0, 0.5))
 
-    bypass_inflow, k_ema, perceived_tt, revenue = (
+    bypass_rate, k_ema, perceived_tt, revenue = (   # bypass_rate carries to the next step
         lanes[name] for name in ("bypass_inflow", "k_ema", "perceived_tt", "revenue"))
     demand_steps, k_steps, gamma_steps = lanes["demand"], lanes["k"], lanes["gamma"]
     history = [lanes[name] for name in _HISTORY] if _HISTORY[0] in lanes else None
@@ -592,96 +635,117 @@ def _advance(config: NetworkConfig, lanes: dict, steps: range,
     # and the bypass vehicles carry over in their rows.  One reduction sums
     # each cell pair: veh and its lane-km flow, inflow and spare supply
     n_lanes = len(revenue)
-    totals, terms = np.stack([lanes[name] for name in _TOTALS]), np.empty((5, n_lanes))
+    totals = np.stack([lanes[name] for name in _TOTALS])
+    terms, terms_dt = np.empty((2, 5, n_lanes))
     accumulation, production, queue, bypass_veh, bypass_km = terms
     queue[:], bypass_veh[:] = lanes["gate_queue"], lanes["bypass_veh"]
     (veh, flow_km), (inflow, spare) = cells, loads = np.empty((2, 2, *lanes["veh"].shape))
     veh[:] = lanes["veh"]
-    k, gap, speed = veh / lane_km, np.empty_like(veh), np.empty_like(queue)
+    # the call's work arrays: the step's (lanes,) and (lanes, cells) temporaries
+    sums = entered, spare_total = np.empty((2, n_lanes))
+    (speed, work, bypass_tt_h, u, e, pz_rate, trip_toll, arrivals, avail, hr_total, short,
+     lack, bypass_out) = np.empty((13, n_lanes))
+    busy, has_room, top_up, unloading = np.empty((4, n_lanes), dtype=bool)
+    k, gap, cell_flow, cell_work, rebalanced, supply, veh_in, outflow = np.empty((8, *veh.shape))
+    # the per-cell constants, one row per lane: a ufunc takes two arrays of one
+    # shape in about half the time it takes to broadcast a row
+    lane_km, k_j, u_f, wave, cap_flow, cell_lanes, drain, base_shares, rebalanced_base = np.repeat(
+        np.stack([lane_km, k_j, u_f, wave, cap_flow, cell_lanes, drain, base_shares,
+                  rebalanced_base])[:, None], n_lanes, axis=1)
+    np.divide(veh, lane_km, out=k)
 
     for s in steps:
         demand, h = demand_steps[:, s], step_interval[s]
         # current performance of both routes
         np.subtract(k_j, k, out=gap)
-        cell_flow = _triangular_flow(k, gap, u_f, wave, crawl)   # veh/h per lane
+        _triangular_flow(k, gap, u_f, wave, crawl, cell_flow, cell_work)   # veh/h per lane
         np.multiply(cell_flow, lane_km, out=flow_km)
         np.add.reduce(cells, axis=-1, out=terms[:2])   # accumulation; production, veh km/h
         speed.fill(mean_free_speed)
-        np.divide(production, accumulation, out=speed, where=accumulation > 1e-9)
-        np.maximum(speed, 1e-3, out=speed)
-        perceived_tt += alpha_p * (60.0 * pz_len / speed - perceived_tt)
+        np.divide(production, accumulation, out=speed,
+                  where=np.greater(accumulation, min_acc, out=busy))
+        np.maximum(speed, min_speed, out=speed)
+        perceived_tt += np.multiply(alpha_p, np.subtract(
+            np.divide(pz_min, speed, out=work), perceived_tt, out=work), out=work)
         # float_power is libm pow, as Python's float ** 2 is; an array's ** 2
         # squares, which differs from pow in the last bit on some inputs
-        bypass_tt_h = bypass_free_h * (
-            1.0 + 0.15 * np.float_power(bypass_inflow / config.bypass_capacity, 2.0))
-        u, trip_toll = _zone_utility((rate_v[h], rate_w[h]), perceived_tt, pz_free_min,
-                                     bypass_tt_h * 60.0, config)
-        pz_rate = _logistic(u) * demand
-        bypass_rate = demand - pz_rate
+        np.float_power(np.divide(bypass_rate, bypass_cap, out=bypass_tt_h), two, out=bypass_tt_h)
+        np.multiply(bypass_free_h, np.add(_ONE, np.multiply(
+            bpr_alpha, bypass_tt_h, out=bypass_tt_h), out=bypass_tt_h), out=bypass_tt_h)
+        _zone_utility(toll_km[h], rate_w[h], perceived_tt, free_min,
+                      np.multiply(bypass_tt_h, _SIXTY, out=work), scale, vtt, u, trip_toll)
+        np.multiply(_logistic(u, e, pz_rate), demand, out=pz_rate)
+        np.subtract(demand, pz_rate, out=bypass_rate)
 
         # load the zone: queued vehicles plus new arrivals, by inflow share,
         # capped by each cell's receiving capacity; overflow from saturated
         # cells diverts to cells with spare supply (densities equalize as the
         # zone approaches gridlock), anything left queues at the gate
-        arrivals = pz_rate * dt_h
-        avail = queue + arrivals
-        jam_gap = np.maximum(gap, 0.0, out=gap)
-        headroom = jam_gap * lane_km
-        hr_total = np.add.reduce(headroom, axis=-1)
+        np.add(queue, np.multiply(pz_rate, dt_h, out=arrivals), out=avail)
+        jam_gap = np.maximum(gap, _ZERO, out=gap)
         shares = base_shares
-        if rebalancing > 0:
-            has_room = hr_total > 0
-            every = np.count_nonzero(has_room) == n_lanes
-            shares = rebalanced_base + rebalancing * headroom \
-                / (hr_total if every else np.where(has_room, hr_total, 1.0))[:, None]
+        if rebalances:
+            headroom = np.multiply(jam_gap, lane_km, out=cell_work)
+            np.add.reduce(headroom, axis=-1, out=hr_total)
+            every = np.count_nonzero(np.greater(hr_total, _ZERO, out=has_room)) == n_lanes
+            shares = np.add(rebalanced_base, np.divide(
+                np.multiply(rebalancing, headroom, out=rebalanced),
+                (hr_total if every else np.where(has_room, hr_total, 1.0))[:, None],
+                out=rebalanced), out=rebalanced)
             if not every:
                 shares = np.where(has_room[:, None], shares, base_shares)
-        supply = np.minimum(cap_flow, wave * jam_gap * cell_lanes) * dt_h
-        np.minimum(avail[:, None] * shares, supply, out=inflow)
+        np.multiply(np.minimum(cap_flow, np.multiply(
+            np.multiply(wave, jam_gap, out=supply), cell_lanes, out=supply), out=supply),
+            dt_h, out=supply)
+        np.minimum(np.multiply(avail[:, None], shares, out=inflow), supply, out=inflow)
         np.subtract(supply, inflow, out=spare)
-        entered, spare_total = np.add.reduce(loads, axis=-1)
-        short = avail - entered
-        top_up = (short > 1e-12) & (spare_total > 1e-12)
+        np.add.reduce(loads, axis=-1, out=sums)   # entered; spare_total
+        np.subtract(avail, entered, out=short)
+        # min(short, spare_total) > 1e-12 is short > 1e-12 and spare_total >
+        # 1e-12, both False on a NaN; the minimum is also the fill's numerator
+        np.greater(np.minimum(short, spare_total, out=lack), tiny, out=top_up)
         if np.count_nonzero(top_up):
-            fill = np.minimum(short, spare_total) / np.where(top_up, spare_total, 1.0)
+            fill = lack / np.where(top_up, spare_total, 1.0)
             np.copyto(inflow, inflow + spare * fill[:, None], where=top_up[:, None])
-            entered = np.add.reduce(inflow, axis=-1)
-            short = avail - entered
-        np.maximum(short, 0.0, out=queue)
+            np.add.reduce(inflow, axis=-1, out=entered)
+            np.subtract(avail, entered, out=short)
+        np.maximum(short, _ZERO, out=queue)
 
         # drain: per-cell completion via the fundamental diagram, slowed by
         # the drain multipliers while the network trend is falling; the
         # deadband keeps demand noise from flapping the phase flag
-        unloading = (accumulation > 0) & ((accumulation / total_lane_km) < k_ema - 0.5)
-        out_km = flow_km    # (1.0 * cell_flow) * lane_km
+        np.less(np.divide(accumulation, total_km, out=work),
+                np.subtract(k_ema, half, out=bypass_out), out=unloading)
+        np.logical_and(np.greater(accumulation, _ZERO, out=busy), unloading, out=unloading)
         if np.count_nonzero(unloading):
-            out_km = np.where(unloading[:, None], drain * cell_flow, cell_flow) * lane_km
-        veh_in = veh + inflow
-        outflow = np.minimum(out_km / pz_len * dt_h, veh_in)
+            # flow_km, cell_flow * lane_km, has served production; now the outflow
+            np.multiply(drain, cell_flow, out=cell_flow, where=unloading[:, None])
+            np.multiply(cell_flow, lane_km, out=flow_km)
+        np.add(veh, inflow, out=veh_in)
+        np.minimum(np.multiply(np.divide(flow_km, pz_len, out=outflow), dt_h, out=outflow),
+                   veh_in, out=outflow)
         np.subtract(veh_in, outflow, out=veh)
 
         # bypass as a first-order delay reservoir with a BPR-style travel time
-        bypass_out = np.minimum(bypass_veh, bypass_veh * dt_h / bypass_tt_h)
-        np.subtract(bypass_veh + bypass_rate * dt_h, bypass_out, out=bypass_veh)
-        bypass_inflow = bypass_rate
+        np.minimum(bypass_veh, np.divide(np.multiply(bypass_veh, dt_h, out=bypass_out),
+                                         bypass_tt_h, out=bypass_out), out=bypass_out)
+        np.subtract(np.add(bypass_veh, np.multiply(bypass_rate, dt_h, out=work), out=work),
+                    bypass_out, out=bypass_veh)
 
         np.divide(veh, lane_km, out=k)
-        gamma, K = _weighted_spread(k, lane_km, total_lane_km)
-        k_ema += ema_rate * (K - k_ema)
+        K = _weighted_spread(k, lane_km, total_km, gamma_steps[:, s], k_steps[:, s], cell_work)[1]
+        k_ema += np.multiply(ema_rate, np.subtract(K, k_ema, out=work), out=work)
 
-        revenue += entered * trip_toll
-        np.multiply(bypass_veh / bypass_tt_h, bypass_length, out=bypass_km)
-        totals += terms * dt_h
+        revenue += np.multiply(entered, trip_toll, out=work)
+        np.multiply(np.divide(bypass_veh, bypass_tt_h, out=bypass_km), bypass_length, out=bypass_km)
+        totals += np.multiply(terms, dt_h, out=terms_dt)
 
         if history is not None:
             for series, value in zip(history, (production / total_lane_km, speed, queue, pz_rate,
                                                arrivals, np.add.reduce(outflow, axis=-1), k)):
                 series[:, s] = value
-        k_steps[:, s] = K
-        gamma_steps[:, s] = gamma
 
-    lanes.update(zip(_TOTALS, totals), veh=veh, gate_queue=queue, bypass_veh=bypass_veh,
-                 bypass_inflow=bypass_inflow)
+    lanes.update(zip(_TOTALS, totals), veh=veh, gate_queue=queue, bypass_veh=bypass_veh)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,14 @@ class TestRouteChoice:
         assert np.all(toll == 0.0)
         assert np.array_equal(p, expit(-u))
         assert p[-3] == 0.0
+        # the step body's call, at every lane count up to 80: exp into a work
+        # array of its own and the share into a third (an exp written back over
+        # its reversed input would take numpy's SIMD kernel)
+        with np.errstate(over="ignore"):
+            for n in range(1, 81):
+                for lanes in np.split(u[:100 * n], 100):
+                    share = simnet._logistic(lanes, np.empty(n), np.empty(n))
+                    assert np.array_equal(share, expit(-lanes)), n
 
     def test_split_symmetry_and_limits(self):
         assert zone_choice((0.0, 0.0), 20.0, 9.6, 20.0, self.config)[0] == 0.5
@@ -484,15 +492,57 @@ class TestStepBody:
         config = dataclasses.replace(desk_preset(), tolling_window=window,
                                      rebalancing=rebalancing, perception_tau_minutes=tau)
         tolls = [_lane_toll(config.m, fractions) for _, fractions in lanes]
-        seeds = [seed for seed, _ in lanes]
-        batch = simulate_batch(config, _rows(tolls), seeds)
-        one = simulate(config, tolls[0], seeds[0])
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simnet, "_advance", _reference_advance)
-            ref_batch = simulate_batch(config, _rows(tolls), seeds)
-            ref_one = simulate(config, tolls[0], seeds[0])
+        self._assert_matches_reference(config, tolls, [seed for seed, _ in lanes])
+
+    def test_extreme_jam_matches_the_reference_step_body(self):
+        # with no crawl speed and 20,000 veh/h of flat demand the cells come
+        # within 1e-13 of jam density and the top-up fires, where the flow's
+        # dropped max(., 0) and the one-minimum top-up test would show
+        config = dataclasses.replace(desk_preset(), crawl_speed=0.0,
+                                     demand_knots=[(0.0, 20_000.0), (4.0, 20_000.0)])
+        tolls = [_lane_toll(config.m, fractions) for fractions in (None, [0.4] * 16, [1.0] * 16)]
+        self._assert_matches_reference(config, tolls, [0, 1, 0])
+
+    @staticmethod
+    def _assert_matches_reference(config, tolls, seeds):
+        # a numpy deprecation (such as a positional out) or a floating-point
+        # warning that the reference does not raise fails the comparison
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = simulate_batch(config, _rows(tolls), seeds)
+            one = simulate(config, tolls[0], seeds[0])
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(simnet, "_advance", _reference_advance)
+                ref_batch = simulate_batch(config, _rows(tolls), seeds)
+                ref_one = simulate(config, tolls[0], seeds[0])
         _assert_batches_equal(batch, ref_batch)
         _assert_batches_equal(one, ref_one)
+
+    def test_a_jammed_lane_beside_one_with_room_matches_the_reference(self):
+        # every cell of lane 0 at jam density leaves it no headroom, so the
+        # rebalanced shares take their branch for a lane without room, which
+        # no simulated run above reaches; lane 1 has room
+        config = desk_preset()
+        lane_km = config.cell_lengths * config.cell_lanes
+        n_steps = _step_times(config).size
+        veh = np.stack([config.jam_density * lane_km, config.critical_density * lane_km])
+        assert np.add.reduce(np.maximum(config.jam_density - veh[0] / lane_km, 0.0)) == 0.0
+        lanes = {name: np.zeros(2) for name in simnet._STATE}
+        lanes.update(veh=veh, gate_queue=np.array([50.0, 0.0]), bypass_inflow=np.full(2, 3000.0),
+                     k_ema=np.array([120.0, 35.0]), perceived_tt=np.array([40.0, 12.0]),
+                     demand=np.full((2, n_steps), 6000.0),
+                     k=np.zeros((2, n_steps)), gamma=np.zeros((2, n_steps)))
+        rate_v, rate_w = np.zeros((2, config.m + 1, 2))
+        rate_v[:config.m], rate_w[:config.m] = [0.2, 0.9], [3.0, 12.0]
+        steps = range(n_steps - 6, n_steps)   # six steps of the last tolled interval
+        ours = {name: lane.copy() for name, lane in lanes.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a 0 / 0 share of the jammed lane warns
+            simnet._advance(config, ours, steps, rate_v, rate_w)
+            _reference_advance(config, lanes, steps, rate_v, rate_w)
+        assert ours.keys() == lanes.keys()
+        for name in lanes:
+            assert np.array_equal(ours[name], lanes[name]), name
 
 
 class TestFrozenConfig:
