@@ -207,18 +207,16 @@ def _write_json(path, doc: dict) -> None:
 
 
 def write_run_dir(run: OptimizationRun, outdir) -> None:
-    """Write the run artifact files: samples, convergence, best point, and the
-    per-evaluation interval tables.  Everything except timestamps is a pure
-    function of (config, flags, master seed).  Files an earlier run left in
-    ``outdir`` under these names are removed first, so a reused directory
+    """Write the run artifact files: samples, the interval table (one row per
+    evaluation, replication and interval), convergence and the best point.
+    Everything except timestamps is a pure function of (config, flags, master
+    seed).  ``outdir`` is created if need be; a convergence.csv an earlier run left
+    in it is removed, and every other file is overwritten, so a reused directory
     holds this run only."""
-    evals_dir = os.path.join(outdir, "evals")
-    os.makedirs(evals_dir, exist_ok=True)
-    owned = [os.path.join(evals_dir, name) for name in os.listdir(evals_dir)
-             if name.startswith("eval_") and name.endswith(".csv")]
-    for stale in [*owned, os.path.join(outdir, "convergence.csv")]:
-        if os.path.exists(stale):
-            os.remove(stale)
+    os.makedirs(outdir, exist_ok=True)
+    stale = os.path.join(outdir, "convergence.csv")
+    if os.path.exists(stale):
+        os.remove(stale)
     spec, samples, m, reps = run.spec, run.samples, run.spec.m, run.spec.replications
     x, objective, constraint = samples.x, samples.objective, samples.constraint
 
@@ -243,12 +241,11 @@ def write_run_dir(run: OptimizationRun, outdir) -> None:
                    ([it, _num(acq), _num(best[n0 + it])]
                     for it, acq in enumerate(run.acquisition_history)))
 
-    for i in range(len(samples)):
-        density, deviation = samples.interval_density_reps[i], samples.interval_deviation_reps[i]
-        _write_csv(os.path.join(evals_dir, f"eval_{i:04d}.csv"),
-                   ["rep", "interval", "K_vpkmpl", "Delta_vpkmpl"],
-                   ([r, h, _num(density[r, h]), _num(deviation[r, h])]
-                    for r, h in np.ndindex(density.shape)))
+    density, deviation = samples.interval_density_reps, samples.interval_deviation_reps
+    _write_csv(os.path.join(outdir, "intervals.csv"),
+               ["index", "rep", "interval", "K_vpkmpl", "Delta_vpkmpl"],
+               ([i, r, h, _num(density[i, r, h]), _num(deviation[i, r, h])]
+                for i, r, h in np.ndindex(density.shape)))
 
     b = run.best_index
     _write_json(os.path.join(outdir, "best.json"), {
@@ -369,6 +366,8 @@ def cmd_optimize(args, config: NetworkConfig, problem: dict, spec: ProblemSpec) 
     plan = f" (initial plan {spec.initial_plan_size})" if run.method == "rk" else ""
     print(f"method={run.method} evaluations={run.evaluations}{plan}")
     print(f"best objective: {objective[b]:.4f} vpkmpl | constraint: {constraint[b]:.4f} vpkmpl")
+    if not is_feasible(run.samples, spec)[b]:   # best_index takes a feasible point if any
+        print("infeasible: no evaluated point met the limits (toll box, smoothing, delta_max)")
     print(f"{'interval':>8} {'distance_rate_per_km':>21} {'delay_rate_per_h':>17}")
     for h in range(m):
         print(f"{h + 1:>8} {x[b, h]:>21.4f} {x[b, m + h]:>17.4f}")

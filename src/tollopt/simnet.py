@@ -687,13 +687,12 @@ def _advance(config: NetworkConfig, lanes: dict, steps: range,
         if rebalances:
             headroom = np.multiply(jam_gap, lane_km, out=cell_work)
             np.add.reduce(headroom, axis=-1, out=hr_total)
+            # a lane with no headroom has zero supply, so its inflow is 0 whatever its shares
             every = np.count_nonzero(np.greater(hr_total, _ZERO, out=has_room)) == n_lanes
             shares = np.add(rebalanced_base, np.divide(
                 np.multiply(rebalancing, headroom, out=rebalanced),
                 (hr_total if every else np.where(has_room, hr_total, 1.0))[:, None],
                 out=rebalanced), out=rebalanced)
-            if not every:
-                shares = np.where(has_room[:, None], shares, base_shares)
         np.multiply(np.minimum(cap_flow, np.multiply(
             np.multiply(wave, jam_gap, out=supply), cell_lanes, out=supply), out=supply),
             dt_h, out=supply)

@@ -526,6 +526,16 @@ def test_optimize_reports_plan_size_only_for_rk(tmp_path, capsys, method, plan_l
     assert ("initial plan 21" in first) == plan_line
 
 
+@pytest.mark.parametrize("delta_max,feasible", [("0.01", False), ("7.0", True)],
+                         ids=["infeasible", "feasible"])
+def test_optimize_says_when_no_point_met_the_limits(tmp_path, capsys, delta_max, feasible):
+    out = tmp_path / "run"
+    assert run_cli(["optimize", "desk", "--delta-max", delta_max, "--budget", "22",
+                    "--replications", "1", "--out", str(out)]) == 0
+    assert json.loads((out / "best.json").read_text())["feasible"] is feasible
+    assert ("no evaluated point met the limits" in capsys.readouterr().out) is not feasible
+
+
 def test_guidance_names_the_lowest_toll_not_zero_toll(tmp_path, capsys):
     doc = config_to_dict(desk_preset())
     doc["problem"] = {"tau_min": [0.1, 0.0]}

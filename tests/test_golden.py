@@ -58,12 +58,11 @@ def test_fixed_seed_direct_digest_two_intervals(tmp_path, capsys):
 
 
 def _run_dir_digest(out) -> str:
-    """One digest over the evals/ tables in name order, then best.json and
-    convergence.csv; each file's path is hashed before it, so a file that is
-    missing (DIRECT writes no convergence.csv) is pinned too."""
+    """One digest over intervals.csv, best.json and convergence.csv; each file's
+    path is hashed before it, so a file that is missing (DIRECT writes no
+    convergence.csv) is pinned too."""
     h = hashlib.sha256()
-    for path in [*sorted((out / "evals").glob("*.csv")), out / "best.json",
-                 out / "convergence.csv"]:
+    for path in [out / "intervals.csv", out / "best.json", out / "convergence.csv"]:
         if path.exists():
             h.update(path.relative_to(out).as_posix().encode())
             h.update(path.read_bytes())
@@ -71,13 +70,13 @@ def _run_dir_digest(out) -> str:
 
 
 GOLDEN_RUN_DIR = [
-    # re-pinned when predict's variances became |L^-1 psi|^2 and Phi became
-    # 0.5 erfc(-u / sqrt 2): the one acquisition value in convergence.csv
-    # moved by 1.8e-15 relative, and samples.csv held
+    # re-pinned when one intervals.csv replaced the evals/eval_NNNN.csv tables:
+    # each run's intervals.csv, split back into those tables, gave the old pins
+    # ae277fbd... and 5a8f5ece...
     ([*DESK, "--method", "rk", "--delta-max", "7.0"],
-     "ae277fbd59fad8c7b11a0e1af1da3581536f951c44cd25b0a0577f993908b906"),
+     "f45417cd849df54b448acd12a7e2e10f719b1c9ab221113d350b8ed1af8a5d25"),
     ([*DESK, "--method", "direct", "--delta-max", "7.0"],
-     "5a8f5ecee6a11d87966ceccb823a32c7647e8506b2acbbf366c46e9e612a39a7"),
+     "679c2a12948a358c160122dfba774af50f54e487846bb4222cd73f84d8280e0b"),
 ]
 
 

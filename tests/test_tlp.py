@@ -1,3 +1,4 @@
+import csv
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -187,11 +188,23 @@ class TestOptimizeSmallBudget:
         assert (tmp_path / "samples.csv").exists()
         assert (tmp_path / "convergence.csv").exists()
         assert (tmp_path / "best.json").exists()
-        assert (tmp_path / "evals" / "eval_0000.csv").exists()
         # what validate reads back: the toll rows and the objective means, bit for bit
         x, objective = load_samples_csv(tmp_path / "samples.csv", small_run.spec.bounds)
         assert np.array_equal(x, small_run.samples.x)
         assert np.array_equal(objective, small_run.samples.objective)
+        # one interval row per (index, rep, interval), in that order, whose K and Delta
+        # give back every replication's objective and constraint in samples.csv
+        n, reps, m = small_run.samples.interval_density_reps.shape
+        intervals, samples = (_read_csv(tmp_path / name) for name in ("intervals.csv", "samples.csv"))
+        assert [tuple(int(row[key]) for key in ("index", "rep", "interval")) for row in intervals] \
+            == list(np.ndindex(n, reps, m))
+        K, delta = (np.array([float(row[key]) for row in intervals]).reshape(n, reps, m)
+                    for key in ("K_vpkmpl", "Delta_vpkmpl"))
+        objective_reps, constraint_reps = (
+            np.array([[float(row[f"{name}_rep{r}_vpkmpl"]) for r in range(reps)] for row in samples])
+            for name in ("objective", "constraint"))
+        assert np.array_equal(np.mean(np.abs(K - small_run.spec.k_cr), axis=-1), objective_reps)
+        assert np.array_equal(np.mean(delta, axis=-1), constraint_reps)
 
     def test_reused_out_dir_holds_only_the_new_run(self, small_run, tmp_path):
         out = tmp_path / "run[1]"    # a name that a glob pattern would misread
@@ -200,9 +213,15 @@ class TestOptimizeSmallBudget:
                                   rep_seeds=small_run.rep_seeds, samples=first(small_run.samples, 22),
                                   acquisition_history=[], rng=small_run.rng)
         write_run_dir(shorter, out)
-        assert not (out / "convergence.csv").exists()
-        assert sorted(p.name for p in (out / "evals").iterdir()) == [
-            f"eval_{i:04d}.csv" for i in range(22)]
+        assert sorted(p.name for p in out.iterdir()) == ["best.json", "intervals.csv",
+                                                         "samples.csv"]
+        assert sorted({int(row["index"]) for row in _read_csv(out / "intervals.csv")}) \
+            == list(range(22))
+
+
+def _read_csv(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.mark.parametrize("delta_max", [None, 7.0])
