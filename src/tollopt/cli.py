@@ -93,7 +93,7 @@ def resolve_problem(problem: dict, args) -> dict:
     for key in ("budget", "replications", "delta_max"):
         if getattr(args, key, None) is not None:
             resolved[key] = getattr(args, key)
-    if getattr(args, "smoothing", None):
+    if getattr(args, "smoothing", None) is not None:
         try:
             resolved["alpha"], resolved["beta"] = (float(v) for v in args.smoothing.split(","))
         except ValueError as exc:
@@ -136,7 +136,7 @@ def build_spec(config: NetworkConfig, problem: dict, args=None) -> ProblemSpec:
 def check_method(spec: ProblemSpec, args) -> None:
     """RK fits a kriging model, which needs two distinct points; a toll box with no free
     dimension has one, so it is refused before any simulation (optimize can use DIRECT)."""
-    if args.method == "rk" and not np.any(spec.bounds.span > 0):
+    if args.method == "rk" and not np.any(spec.bounds.free):
         hint = "; --method direct evaluates it" if args.command == "optimize" else ""
         raise ConfigError("problem.tau_max: equals problem.tau_min, so the toll box is one "
                           f"point and RK has no model to fit{hint}")

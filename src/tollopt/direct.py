@@ -1,12 +1,12 @@
-"""Deterministic DIRECT (DIviding RECTangles) global minimization.
+"""Deterministic DIRECT (DIviding RECTangles) global minimization over the unit cube.
 
-Serves as the derivative-free comparison baseline.  The search box is
-normalized to the unit cube, the center is sampled first, and every iteration
-trisects the potentially optimal hyperrectangles identified by the
-lower-convex-hull conditions of Jones, Perttunen and Stuckman.  The objective
-is vectorized: it gets all of one iteration's points in one call, so the
-caller can simulate them as one batch.  Constraints are handled by the caller
-through ``quadratic_penalty``.
+Serves as the derivative-free comparison baseline.  As Jones, Perttunen and
+Stuckman define it, the search runs over ``[0, 1]^d`` and the caller scales its
+points into the box it searches.  The center is sampled first, and every
+iteration trisects the potentially optimal hyperrectangles identified by their
+lower-convex-hull conditions.  The objective is vectorized: it gets all of one
+iteration's points in one call, so the caller can simulate them as one batch.
+Constraints are handled by the caller through ``quadratic_penalty``.
 """
 
 from __future__ import annotations
@@ -64,39 +64,27 @@ def _trisection(center: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.
 
 def direct_minimize(
     f: Callable[[np.ndarray], np.ndarray],
-    box,
+    d: int,
     max_evals: int,
 ) -> tuple[np.ndarray, float, list[tuple[int, float]]]:
-    """Minimize ``f`` over a box by iterative trisection of potentially optimal rectangles.
+    """Minimize ``f`` over the unit cube ``[0, 1]^d`` by iterative trisection of
+    potentially optimal rectangles.
 
-    ``f`` maps an ``(n, d)`` array of points (original coordinates) to ``n``
-    values.  It is called once per iteration with every point that iteration
-    samples: the selected rectangles in creation order, each one's split
-    dimensions ascending, ``+`` before ``-``.  The whole box is always divided
-    first, so when ``max_evals > 1`` the first call holds the center followed
-    by the root's trisection (and a non-finite center does not end the search).
-    A dimension whose bounds are equal is held at its bound and the search
-    runs over the others, so no point is sampled twice.
+    ``f`` maps an ``(n, d)`` array of unit-cube points to ``n`` values.  It is
+    called once per iteration with every point that iteration samples: the
+    selected rectangles in creation order, each one's split dimensions
+    ascending, ``+`` before ``-``.  The whole cube is always divided first, so
+    when ``max_evals > 1`` and ``d > 0`` the first call holds the center
+    followed by the root's trisection (and a non-finite center does not end
+    the search); with ``d = 0`` the cube is one point, the center alone.
     Runs whole iterations until the evaluation count reaches ``max_evals``,
     so the final count may overshoot by one iteration's worth of samples.
     Non-finite objective values are treated as +inf.  Returns the incumbent
-    point (original coordinates), its value, and a per-iteration history of
+    unit-cube point, its value, and a per-iteration history of
     ``(evaluations_used, best_value)`` whose first entry is the center's.
     """
     if max_evals < 1:
         raise ValueError("max_evals must be at least 1")
-    lower = np.atleast_1d(np.asarray(box[0], dtype=float))
-    upper = np.atleast_1d(np.asarray(box[1], dtype=float))
-    if lower.shape != upper.shape or np.any(lower > upper):
-        raise ValueError("invalid box")
-    free = lower < upper
-    span = (upper - lower)[free]
-    d = span.size
-
-    def to_box(us: np.ndarray) -> np.ndarray:
-        x = np.tile(lower, (len(us), 1))
-        x[:, free] += us * span
-        return x
 
     # the partition, one row per rectangle in creation order: a divided
     # rectangle is removed and re-appended, shrunk, after its children
@@ -113,7 +101,7 @@ def direct_minimize(
         if not history:
             batch.insert(0, centers)
         points = np.concatenate(batch)
-        values = np.asarray(f(to_box(points)), dtype=float)
+        values = np.asarray(f(points), dtype=float)
         if values.shape != (len(points),):
             raise ValueError(f"f returned shape {values.shape} for {len(points)} points")
         values = np.where(np.isfinite(values), values, math.inf)
@@ -124,7 +112,7 @@ def direct_minimize(
         if not history:
             fvals[0], values = values[0], values[1:]
             history.append((1, float(fvals[0])))
-            if not selected:        # max_evals == 1 or a single-point box: the center alone
+            if not selected:        # max_evals == 1 or d == 0: the center alone
                 break
         keep = np.ones(len(fvals), dtype=bool)
         keep[selected] = False
@@ -148,7 +136,7 @@ def direct_minimize(
         if not selected:
             break
 
-    return to_box(best_u[None])[0], best_f, history
+    return best_u, best_f, history
 
 
 def quadratic_penalty(values, excess, rho: float) -> np.ndarray:

@@ -75,7 +75,7 @@ def build_initial_plan(m: int, bounds: Bounds, rng: np.random.Generator) -> np.n
     d = 2 * m
     if bounds.d != d:
         raise ValueError(f"bounds have dimension {bounds.d}, expected {d}")
-    if np.all(bounds.span == 0.0):
+    if not np.any(bounds.free):
         warnings.warn("degenerate bounds: all plan points collapse to a single toll vector")
     unit = maximin_lhs(initial_plan_size(m) - ANCHORS, d, MAXIMIN_CANDIDATES, rng)
     return np.vstack([bounds.scale_from_unit(unit), bounds.lower, bounds.upper, bounds.midpoint()])

@@ -123,9 +123,8 @@ def propose_infill(
 ) -> tuple[np.ndarray, float]:
     """GA-maximize the acquisition over the smoothing-feasible toll box.
 
-    The GA searches the toll box's free dimensions, those with
-    ``bounds.span > 0``: each generation is put back into toll rows with every
-    fixed dimension at its bound, repaired by sequential clipping
+    The GA searches the toll box's free dimensions: each generation is put
+    back into toll rows by ``bounds.rows``, repaired by sequential clipping
     (:func:`repair_smoothing`) and then scored by one
     :func:`acquisition_value` call on its unit-cube image, so the returned
     ``(2m,)`` toll row satisfies the box and smoothing limits exactly.  If the
@@ -134,14 +133,8 @@ def propose_infill(
     sample, which keeps late iterations space-filling.
     """
     bounds = ctx.bounds
-    free = bounds.span > 0
+    free, rows = bounds.free, bounds.rows
     box = (bounds.lower[free], bounds.upper[free])
-
-    def rows(z: np.ndarray) -> np.ndarray:
-        """GA genes -> toll rows, each fixed dimension at its bound."""
-        x = np.repeat(bounds.lower[None], len(z), axis=0)
-        x[:, free] = z
-        return x
 
     def repair(z: np.ndarray) -> np.ndarray:
         return repair_smoothing(rows(z), *ctx.smoothing, bounds)[:, free]

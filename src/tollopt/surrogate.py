@@ -265,7 +265,7 @@ def fit(
     fitting.  ``theta`` and ``lambda`` are searched in log10 space inside
     ``THETA_BOUNDS`` and ``lambda_bounds``; passing equal lambda bounds pins
     ``lambda`` (``(0, 0)`` gives an interpolating ordinary-kriging fit).  Only
-    the k dimensions with ``bounds.span > 0`` get a theta gene: a fixed
+    the k dimensions in ``bounds.free`` get a theta gene: a fixed
     dimension's column is 0 in every row, so its theta cannot change the
     likelihood and is reported as 0.  Each GA generation, ``(P, k)`` or
     ``(P, k + 1)`` genes, is scored by one :func:`log_likelihood` call on its
@@ -277,7 +277,7 @@ def fit(
     design, y = bounds.to_unit(x), np.asarray(y, dtype=float)
     if np.unique(design, axis=0).shape[0] < 2:
         raise ValueError("need at least 2 distinct sample points")
-    free = bounds.span > 0
+    free = bounds.free
     k = int(np.count_nonzero(free))
     free_design = design[:, free]
     y_std, _, _ = _standardize(y)

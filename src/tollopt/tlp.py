@@ -79,24 +79,14 @@ def _deviation_per_rep(interval_deviation: np.ndarray) -> np.ndarray:
     return np.mean(interval_deviation, axis=-1)
 
 
-def _replication_rows(results: Sequence[BatchResult], name: str) -> np.ndarray:
-    """The ``name`` interval means of every lane (replication) as one ``(reps, m)`` array."""
-    if not results:
-        raise ValueError("need at least one replication result")
-    rows = [getattr(r, name) for r in results]
-    if any(row.shape[-1] != rows[0].shape[-1] for row in rows):
-        raise ValueError("replications disagree on the number of tolling intervals")
-    return np.concatenate(rows)
-
-
 def objective_value(results: Sequence[BatchResult], k_cr: float) -> float:
     """Replication average of the mean absolute gap between interval density and target."""
-    return float(np.mean(_gap_per_rep(_replication_rows(results, "interval_density"), k_cr)))
+    return float(np.mean(_gap_per_rep(np.concatenate([r.interval_density for r in results]), k_cr)))
 
 
 def constraint_value(results: Sequence[BatchResult]) -> float:
     """Replication average of the mean per-interval deviation from spread."""
-    return float(np.mean(_deviation_per_rep(_replication_rows(results, "interval_deviation"))))
+    return float(np.mean(_deviation_per_rep(np.concatenate([r.interval_deviation for r in results]))))
 
 
 def check_smoothing(x: np.ndarray, alpha: float, beta: float,
@@ -257,13 +247,17 @@ def rk_step(run: OptimizationRun) -> None:
 
 
 def _optimize_direct(spec: ProblemSpec, rep_seeds: list[int]) -> Samples:
+    """DIRECT over the unit cube of the toll box's free dimensions; each of its
+    points is scaled into the box and put back into a toll row."""
     batches: list[Samples] = []
-    m = spec.m
+    m, bounds = spec.m, spec.bounds
+    free = bounds.free
     rho = None
 
-    def penalized(X: np.ndarray) -> np.ndarray:
+    def penalized(U: np.ndarray) -> np.ndarray:
         """One DIRECT iteration's points, simulated as one batch and penalized."""
         nonlocal rho
+        X = bounds.rows(bounds.lower[free] + U * bounds.span[free])
         batch = evaluate_tolls(spec, X, rep_seeds, origin="direct")
         batches.append(batch)
         objective = batch.objective
@@ -278,8 +272,7 @@ def _optimize_direct(spec: ProblemSpec, rep_seeds: list[int]) -> Samples:
             excess.append(batch.constraint - spec.delta_max)
         return direct_mod.quadratic_penalty(objective, excess, rho)
 
-    direct_mod.direct_minimize(
-        penalized, (spec.bounds.lower, spec.bounds.upper), max_evals=spec.budget)
+    direct_mod.direct_minimize(penalized, int(np.count_nonzero(free)), max_evals=spec.budget)
 
     return Samples.concat(batches)
 

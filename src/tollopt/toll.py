@@ -50,7 +50,12 @@ class TollVector:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Box bounds on the flat decision vector (distance rates first, then delay rates)."""
+    """Box bounds on the flat decision vector (distance rates first, then delay rates).
+
+    A dimension whose bounds are equal is fixed at its bound.  The searches
+    (the likelihood and infill GAs, DIRECT) move along the ``free`` dimensions
+    only, and ``rows`` puts their points back into toll rows.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -82,6 +87,18 @@ class Bounds:
     def span(self) -> np.ndarray:
         return self.upper - self.lower
 
+    @property
+    def free(self) -> np.ndarray:
+        """Mask of the dimensions whose bounds differ: the ones a search moves along."""
+        return self.span > 0.0
+
+    def rows(self, z) -> np.ndarray:
+        """``(n, k)`` points over the free dimensions -> ``(n, 2m)`` toll rows, each
+        fixed dimension at its bound."""
+        x = np.repeat(self.lower[None], len(z), axis=0)
+        x[:, self.free] = z
+        return x
+
     @classmethod
     def uniform(cls, m: int, v_max: float, w_max: float,
                 v_min: float = 0.0, w_min: float = 0.0) -> "Bounds":
@@ -101,12 +118,11 @@ class Bounds:
         return self.lower + u * self.span
 
     def to_unit(self, x) -> np.ndarray:
-        """Affine map from the box into the unit cube; degenerate dimensions map to 0."""
+        """Affine map from the box into the unit cube; fixed dimensions map to 0."""
         x = np.asarray(x, dtype=float)
-        span = self.span
-        safe = np.where(span > 0.0, span, 1.0)
-        u = (x - self.lower) / safe
-        return np.where(span > 0.0, u, 0.0)
+        free = self.free
+        u = (x - self.lower) / np.where(free, self.span, 1.0)
+        return np.where(free, u, 0.0)
 
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)

@@ -207,14 +207,13 @@ def test_criterion_07_direct_correctness(monkeypatch):
         calls.append(x.copy())
         return (x[0] - 0.21) ** 2 + 2.0 * (x[1] - 0.67) ** 2
 
-    direct_minimize(batched(f2), (np.zeros(2), np.ones(2)), max_evals=50)
+    direct_minimize(batched(f2), 2, max_evals=50)
     assert np.array_equal(calls[0], [0.5, 0.5])
     assert len(snapshots) >= 3
     for levels, fvals, f_min, eps, selected in snapshots:
         assert selected == sorted(jones_oracle(levels, fvals, f_min, eps))
 
-    point, value, _ = direct_minimize(batched(lambda x: (x[0] - 0.3) ** 2),
-                                      (np.zeros(1), np.ones(1)), max_evals=50)
+    point, value, _ = direct_minimize(batched(lambda x: (x[0] - 0.3) ** 2), 1, max_evals=50)
     assert abs(point[0] - 0.3) <= 1e-2
     elapsed = time.time() - start
     assert elapsed < 2.0

@@ -96,7 +96,8 @@ def test_bad_problem_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
                                        (["--delta-max", "nan"], "delta_max"),
                                        (["--delta-max", "inf"], "delta_max"),
                                        (["--smoothing", "inf,1"], "alpha"),
-                                       (["--smoothing", "a,b"], "--smoothing")])
+                                       (["--smoothing", "a,b"], "--smoothing"),
+                                       (["--smoothing", ""], "--smoothing")])
 def test_bad_problem_flag_exits_2_naming_the_key(capsys, flags, key):
     # a value that is not a number is named by its flag, a bad number by its problem key
     assert run_cli(["optimize", "desk", *flags]) == 2

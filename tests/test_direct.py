@@ -47,7 +47,7 @@ def test_first_evaluation_is_the_box_center():
         calls.append(x.copy())
         return (x[0] - 0.3) ** 2
 
-    direct_minimize(batched(f), (np.zeros(1), np.ones(1)), max_evals=1)
+    direct_minimize(batched(f), 1, max_evals=1)
     assert len(calls) == 1
     assert calls[0][0] == pytest.approx(0.5)
 
@@ -59,8 +59,7 @@ def test_quadratic_minimized_within_budget():
         calls.append(float(x[0]))
         return (x[0] - 0.3) ** 2
 
-    point, value, history = direct_minimize(batched(f), (np.zeros(1), np.ones(1)),
-                                            max_evals=50)
+    point, value, history = direct_minimize(batched(f), 1, max_evals=50)
     assert calls[0] == pytest.approx(0.5)
     assert f(np.array([0.5])) == pytest.approx(0.04)
     assert abs(point[0] - 0.3) <= 1e-2
@@ -76,15 +75,15 @@ def test_runs_are_deterministic():
             return float(np.sin(5 * x[0]) * np.cos(3 * x[1]) + x[0])
         return f
 
-    ra = direct_minimize(batched(make_f(seq_a)), (np.zeros(2), np.ones(2)), max_evals=60)
-    rb = direct_minimize(batched(make_f(seq_b)), (np.zeros(2), np.ones(2)), max_evals=60)
+    ra = direct_minimize(batched(make_f(seq_a)), 2, max_evals=60)
+    rb = direct_minimize(batched(make_f(seq_b)), 2, max_evals=60)
     assert seq_a == seq_b
     assert np.array_equal(ra[0], rb[0]) and ra[1] == rb[1]
 
 
 def test_history_accrues_in_iteration_bursts():
-    _, _, history = direct_minimize(batched(lambda x: (x[0] - 0.3) ** 2 + (x[1] - 0.6) ** 2),
-                                    (np.zeros(2), np.ones(2)), max_evals=50)
+    _, _, history = direct_minimize(
+        batched(lambda x: (x[0] - 0.3) ** 2 + (x[1] - 0.6) ** 2), 2, max_evals=50)
     evals = [e for e, _ in history]
     assert evals[0] == 1
     diffs = np.diff(evals)
@@ -100,7 +99,7 @@ def test_incumbent_monotone_and_budget_overshoot_bounded():
         count["n"] += 1
         return float(np.sum((x - 0.37) ** 2))
 
-    _, _, history = direct_minimize(batched(f), (np.zeros(3), np.ones(3)), max_evals=40)
+    _, _, history = direct_minimize(batched(f), 3, max_evals=40)
     assert history[-1][0] == count["n"]
     assert count["n"] >= 40                # budget exhausted
     assert count["n"] - history[-2][0] <= 6 * 3 * 2 * 10  # one iteration of overshoot
@@ -116,8 +115,8 @@ def test_selection_matches_jones_oracle_on_every_iteration(monkeypatch):
         return result
 
     monkeypatch.setattr(direct_mod, "potentially_optimal", recording)
-    direct_minimize(batched(lambda x: (x[0] - 0.21) ** 2 + 2.0 * (x[1] - 0.67) ** 2),
-                    (np.zeros(2), np.ones(2)), max_evals=50)
+    direct_minimize(batched(lambda x: (x[0] - 0.21) ** 2 + 2.0 * (x[1] - 0.67) ** 2), 2,
+                    max_evals=50)
     assert len(snapshots) >= 3
     for levels, fvals, f_min, eps, selected in snapshots:
         assert selected == sorted(jones_oracle(levels, fvals, f_min, eps))
@@ -138,32 +137,11 @@ def test_partition_tiles_the_box_with_distinct_centers(monkeypatch):
         calls.append(tuple(np.round(x, 12)))
         return float(np.sum((x - 0.3) ** 2))
 
-    direct_minimize(batched(f), (np.zeros(2), np.ones(2)), max_evals=80)
+    direct_minimize(batched(f), 2, max_evals=80)
     volumes = np.prod(3.0 ** -snapshots[-1], axis=1)
     assert float(np.sum(volumes)) == pytest.approx(1.0, rel=1e-9)
     # each rectangle's center is sampled once, when the rectangle is made
     assert len(set(calls)) == len(calls)
-
-
-def test_zero_width_dimensions_are_held_at_their_bounds():
-    def record(calls):
-        def f(X):
-            calls.append(X.copy())
-            return np.sum((X[:, [0, -1]] - 0.3) ** 2, axis=1)     # blind to a held middle
-        return f
-
-    full, held = [], []
-    reference = direct_minimize(record(full), (np.zeros(2), np.ones(2)), max_evals=40)
-    point, value, history = direct_minimize(
-        record(held), (np.array([0.0, 2.0, 0.0]), np.array([1.0, 2.0, 1.0])), max_evals=40)
-    # the search over the free dimensions is the 2-D search, point for point
-    assert all(np.array_equal(X[:, [0, 2]], Y) and np.all(X[:, 1] == 2.0)
-               for X, Y in zip(held, full, strict=True))
-    assert np.array_equal(point[[0, 2]], reference[0]) and point[1] == 2.0
-    assert (value, history) == reference[1:]
-    single = []
-    direct_minimize(record(single), (np.full(2, 0.5), np.full(2, 0.5)), max_evals=10)
-    assert [X.tolist() for X in single] == [[[0.5, 0.5]]]
 
 
 def test_non_finite_values_never_become_potentially_optimal():
@@ -172,14 +150,14 @@ def test_non_finite_values_never_become_potentially_optimal():
             return math.nan
         return float(x[0])
 
-    point, value, _ = direct_minimize(batched(f), (np.zeros(1), np.ones(1)), max_evals=30)
+    point, value, _ = direct_minimize(batched(f), 1, max_evals=30)
     assert np.isfinite(value)
     assert point[0] >= 0.33
 
 
 def test_invalid_budget_rejected():
     with pytest.raises(ValueError):
-        direct_minimize(batched(lambda x: 0.0), (np.zeros(1), np.ones(1)), max_evals=0)
+        direct_minimize(batched(lambda x: 0.0), 1, max_evals=0)
 
 
 def test_one_call_per_iteration():
@@ -189,28 +167,27 @@ def test_one_call_per_iteration():
         sizes.append(len(X))
         return np.sum((X - 0.37) ** 2, axis=1)
 
-    _, _, history = direct_minimize(f, (np.zeros(3), np.ones(3)), max_evals=40)
+    _, _, history = direct_minimize(f, 3, max_evals=40)
     # the center's entry, then one entry per call at the running total; the
     # first call holds the center as well as the first iteration's points
     assert [e for e, _ in history] == [1, *np.cumsum(sizes).tolist()]
 
 
-def test_first_call_is_the_center_then_the_box_trisection():
+def test_first_call_is_the_center_then_the_cube_trisection():
     calls = []
 
     def f(X):
         calls.append(X.copy())
         return np.zeros(len(X))
 
-    lower, upper = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 3.0, 5.0])
-    direct_minimize(f, (lower, upper), max_evals=10)
+    direct_minimize(f, 3, max_evals=10)
     units = [np.full(3, 0.5)]
     for dim in range(3):
         for sign in (+1, -1):
             u = np.full(3, 0.5)
             u[dim] += sign * 3.0 ** -1
             units.append(u)
-    assert np.array_equal(calls[0], lower + np.array(units) * (upper - lower))
+    assert np.array_equal(calls[0], np.array(units))
 
 
 def test_single_evaluation_is_one_one_row_call():
@@ -220,7 +197,7 @@ def test_single_evaluation_is_one_one_row_call():
         shapes.append(X.shape)
         return np.zeros(len(X))
 
-    _, _, history = direct_minimize(f, (np.zeros(2), np.ones(2)), max_evals=1)
+    _, _, history = direct_minimize(f, 2, max_evals=1)
     assert shapes == [(1, 2)]
     assert history == [(1, 0.0)]
 
@@ -231,8 +208,7 @@ def test_non_finite_center_does_not_end_the_search():
     def f(x):
         return math.nan if np.all(x == 0.5) else float(np.sum((x - 0.3) ** 2))
 
-    point, value, history = direct_minimize(batched(f), (np.zeros(2), np.ones(2)),
-                                            max_evals=30)
+    point, value, history = direct_minimize(batched(f), 2, max_evals=30)
     assert history[0] == (1, math.inf)
     assert np.isfinite(value) and history[-1][0] >= 30
     assert value == pytest.approx(float(np.sum((point - 0.3) ** 2)))
@@ -240,7 +216,7 @@ def test_non_finite_center_does_not_end_the_search():
 
 def test_objective_must_return_one_value_per_point():
     with pytest.raises(ValueError, match="shape"):
-        direct_minimize(lambda X: np.zeros((len(X), 1)), (np.zeros(2), np.ones(2)), max_evals=9)
+        direct_minimize(lambda X: np.zeros((len(X), 1)), 2, max_evals=9)
 
 
 class TestPenalizedObjective:

@@ -57,6 +57,27 @@ def test_fixed_seed_direct_digest_two_intervals(tmp_path, capsys):
             == "c32207aae5b86680034e4a28726bdad029272b7978167f82336fbb0770184859")
 
 
+DISTANCE_ONLY = [
+    ("rk", "c4c34e9dd87a0ac2761aa54195160fc0d86ac45ca91f2dd9d243fd87c6ac6b52"),
+    ("direct", "2de1fe0598a5e35a8b54476415397e85472435ecc002051e2ac3fdcc301ac17e"),
+]
+
+
+@pytest.mark.parametrize("method,digest", DISTANCE_ONLY, ids=["rk", "direct"])
+def test_fixed_seed_distance_only_digest(tmp_path, capsys, method, digest):
+    # a zero delay-rate bound fixes half the toll dimensions, so the map from
+    # search points to toll rows runs with fixed dimensions
+    assert main(["optimize", "desk", "--print-config"]) == 0
+    doc = yaml.safe_load(capsys.readouterr().out)
+    doc["problem"]["tau_max"] = [1.0, 0.0]
+    scenario = tmp_path / "desk-distance-only.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "run"
+    assert main(["optimize", str(scenario), "--method", method, "--budget", "22",
+                 "--replications", "1", "--seed", "5", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest() == digest
+
+
 def _run_dir_digest(out) -> str:
     """One digest over intervals.csv, best.json and convergence.csv; each file's
     path is hashed before it, so a file that is missing (DIRECT writes no

@@ -1,8 +1,8 @@
 """Layering: a toll point travels as a row of an ``(n, 2m)`` array from the
 initial plan to the simulator, ``TollVector`` stays at the edge, only the
 command line reads or writes files, one RK step is the body of every RK loop,
-``cli.main`` alone resolves the scenario of a command, and the simulator returns
-one result type."""
+``cli.main`` alone resolves the scenario of a command, the simulator returns
+one result type, and ``toll.Bounds`` alone decides which toll dimensions are free."""
 
 import ast
 from pathlib import Path
@@ -88,3 +88,40 @@ def test_the_simulator_has_one_result_type():
     dataclasses = {stmt.name for stmt in tree.body if isinstance(stmt, ast.ClassDef)
                    and any("dataclass" in ast.unparse(d) for d in stmt.decorator_list)}
     assert dataclasses == {"NetworkConfig", "BatchResult"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    """The names and attribute names that ``node`` mentions."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _free_dimension_tests(tree: ast.AST) -> list[int]:
+    """Lines comparing a ``span`` with 0, or asking whether a ``lower`` is below an
+    ``upper`` (``ga``'s box check, whether a lower bound exceeds its upper, is not one)."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Compare):
+            sides = [n.left, *n.comparators]
+            zero = any(isinstance(s, ast.Constant) and s.value == 0 for s in sides)
+            # each ``a < b`` or ``b > a`` as (a, b): the smaller side first
+            pairs = [(a, b) if isinstance(op, ast.Lt) else (b, a)
+                     for op, a, b in zip(n.ops, sides, sides[1:])
+                     if isinstance(op, (ast.Lt, ast.Gt))]
+            below = any("lower" in _names(a) and "upper" in _names(b) for a, b in pairs)
+            if ("span" in set().union(*map(_names, sides)) and zero) or below:
+                found.append(n.lineno)
+    return found
+
+
+def test_only_the_toll_box_decides_which_dimensions_are_free():
+    # Bounds.free and Bounds.rows are the one map from search points to toll rows;
+    # DIRECT searches the unit cube and knows nothing of the toll box
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _free_dimension_tests(trees["toll.py"])
+    assert {name: lines for name, tree in trees.items() if name != "toll.py"
+            and (lines := _free_dimension_tests(tree))} == {}
+    imported = {n.module for n in ast.walk(trees["direct.py"]) if isinstance(n, ast.ImportFrom)}
+    imported |= {a.name for n in ast.walk(trees["direct.py"]) if isinstance(n, ast.Import)
+                 for a in n.names}
+    assert not any(module and module.split(".")[-1] == "toll" for module in imported)

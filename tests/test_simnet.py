@@ -112,6 +112,16 @@ class TestEnvelopeFit:
         with pytest.raises(ValueError):
             fit_lower_envelope([(10.0, 5.0), (20.0, 6.0)])
 
+    @pytest.mark.parametrize("preset", [desk_preset, paper_preset], ids=["desk", "paper"])
+    def test_presets_reproduce_the_frozen_envelope(self, preset):
+        # the frozen coefficients are `tollopt envelope desk --runs 10`: the fit over
+        # seeds 0-9 of zero-toll runs; a simulator change that moves it leaves them stale
+        config = preset()
+        batch = simulate_batch(config, np.zeros((10, 2 * config.m)), list(range(10)))
+        pairs = [pair for k, gamma in zip(batch.network_density, batch.gamma)
+                 for pair in zip(k, gamma)]
+        assert fit_lower_envelope(pairs) == simnet._FROZEN_ENVELOPE
+
 
 class TestRouteChoice:
     def setup_method(self):

@@ -257,6 +257,29 @@ def test_direct_simulates_one_batch_per_iteration(monkeypatch):
     assert sum(lanes) == run.evaluations == len(run.samples)
 
 
+def test_direct_searches_only_the_free_toll_dimensions(monkeypatch):
+    import tollopt.tlp as tlp
+
+    dims = []
+    original = tlp.direct_mod.direct_minimize
+
+    def recording(f, d, max_evals):
+        dims.append(d)
+        return original(f, d, max_evals)
+
+    monkeypatch.setattr(tlp.direct_mod, "direct_minimize", recording)
+    # a distance-only box: every delay rate is fixed at 0, so DIRECT searches the m
+    # distance rates, and a fixed dimension never makes two samples one toll row
+    spec = make_desk_spec(bounds=Bounds.uniform(4, 1.0, 0.0), budget=22, replications=1)
+    x = optimize(spec, method="direct", seed=5).samples.x
+    assert dims == [spec.m]
+    assert np.all(x[:, spec.m:] == 0.0) and spec.bounds.contains(x).all()
+    assert len(np.unique(x, axis=0)) == len(x)
+    # a one-point box is its one point, evaluated once
+    point = make_desk_spec(bounds=Bounds.uniform(4, 0.5, 3.0, 0.5, 3.0), budget=22, replications=1)
+    assert optimize(point, method="direct", seed=5).samples.x.tolist() == [[0.5] * 4 + [3.0] * 4]
+    assert dims == [spec.m, 0]
+
 
 @pytest.fixture
 def prefixed(monkeypatch):
