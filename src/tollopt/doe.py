@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -65,17 +64,17 @@ def initial_plan_size(m: int) -> int:
 def build_initial_plan(m: int, bounds: Bounds, rng: np.random.Generator) -> np.ndarray:
     """Initial sample plan for a toll problem with ``m`` tolling intervals.
 
-    ``2(2m + 1)`` maximin-LHS points are scaled from the unit cube into the
-    toll box, then the ``ANCHORS`` are appended: the lower corner, the upper
-    corner, and the box midpoint.  Returns :func:`initial_plan_size` rows of
-    an ``(n, 2m)`` array.
+    ``2(2m + 1)`` maximin-LHS points are drawn in the unit cube of the box's
+    k free dimensions and mapped into toll rows, then the ``ANCHORS`` are
+    appended: the lower corner, the upper corner, and the box midpoint.
+    Returns :func:`initial_plan_size` rows of an ``(n, 2m)`` array.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    d = 2 * m
-    if bounds.d != d:
-        raise ValueError(f"bounds have dimension {bounds.d}, expected {d}")
-    if not np.any(bounds.free):
-        warnings.warn("degenerate bounds: all plan points collapse to a single toll vector")
-    unit = maximin_lhs(initial_plan_size(m) - ANCHORS, d, MAXIMIN_CANDIDATES, rng)
-    return np.vstack([bounds.scale_from_unit(unit), bounds.lower, bounds.upper, bounds.midpoint()])
+    if bounds.d != 2 * m:
+        raise ValueError(f"bounds have dimension {bounds.d}, expected {2 * m}")
+    k = int(np.count_nonzero(bounds.free))
+    if k == 0:
+        raise ValueError("bounds: no free dimension, so every plan point is the same toll row")
+    unit = maximin_lhs(initial_plan_size(m) - ANCHORS, k, MAXIMIN_CANDIDATES, rng)
+    return np.vstack([bounds.from_unit(unit), bounds.lower, bounds.upper, bounds.midpoint()])

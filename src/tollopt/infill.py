@@ -105,7 +105,7 @@ def repair_smoothing(x: np.ndarray, alpha: float, beta: float, bounds: Bounds) -
 
 def acquisition_value(ctx: AcquisitionContext, x_unit: np.ndarray) -> np.ndarray:
     """Reinterpolation EI (times feasibility probability when constrained) at the rows of
-    ``x_unit``, a ``(k, d)`` stack of unit-cube points."""
+    ``x_unit``, a stack of points in the unit cube of the box's free dimensions."""
     pred = predict(ctx.obj_model, x_unit)
     ei = expected_improvement(pred.mean, pred.ri_variance, ctx.y_min)
     if ctx.con_model is None:

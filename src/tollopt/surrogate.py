@@ -155,16 +155,17 @@ def log_likelihood(design: np.ndarray, y: np.ndarray, theta, lam) -> np.ndarray:
 class RKModel:
     """Fitted regressing-kriging state.
 
-    ``design`` rows live in the unit cube; ``y`` is in original response
+    ``design`` rows live in the unit cube of the toll box's k free
+    dimensions, with one ``theta`` per column; ``y`` is in original response
     units.  ``mu_hat``, ``sigma2_hat`` and ``sigma2_ri`` are reported in
     original units as well.  The inverse Cholesky factors of R = Psi + lambda I
     and Psi are kept, transposed, so a prediction's variances are
     ``|L^-1 psi|^2`` terms (Rasmussen & Williams 2006, Alg. 2.1).
     """
 
-    design: np.ndarray          # (n, d)
+    design: np.ndarray          # (n, k)
     y: np.ndarray               # (n,) original units
-    theta: np.ndarray           # (d,)
+    theta: np.ndarray           # (k,)
     lam: float
     mu_hat: float
     sigma2_hat: float
@@ -261,25 +262,21 @@ def fit(
     """Fit a regressing-kriging model by GA maximization of the log-likelihood.
 
     ``x`` is an ``(n, 2m)`` stack of toll rows and ``y`` their ``(n,)``
-    responses; the rows are normalized to the unit cube with ``bounds`` before
-    fitting.  ``theta`` and ``lambda`` are searched in log10 space inside
-    ``THETA_BOUNDS`` and ``lambda_bounds``; passing equal lambda bounds pins
-    ``lambda`` (``(0, 0)`` gives an interpolating ordinary-kriging fit).  Only
-    the k dimensions in ``bounds.free`` get a theta gene: a fixed
-    dimension's column is 0 in every row, so its theta cannot change the
-    likelihood and is reported as 0.  Each GA generation, ``(P, k)`` or
-    ``(P, k + 1)`` genes, is scored by one :func:`log_likelihood` call on its
-    ``(P, k)`` theta stack and ``(P,)`` lambdas; a candidate whose
-    correlation matrix will not factor scores ``-inf``.
+    responses; the model's design is the rows' ``(n, k)`` coordinates in the
+    unit cube of the box's free dimensions (``bounds.to_unit``), one theta
+    per free dimension.  ``theta`` and ``lambda`` are searched in log10 space
+    inside ``THETA_BOUNDS`` and ``lambda_bounds``; passing equal lambda bounds
+    pins ``lambda`` (``(0, 0)`` gives an interpolating ordinary-kriging fit).
+    Each GA generation, ``(P, k)`` or ``(P, k + 1)`` genes, is scored by one
+    :func:`log_likelihood` call on its ``(P, k)`` theta stack and ``(P,)``
+    lambdas; a candidate whose correlation matrix will not factor scores ``-inf``.
     """
     if len(x) < 2:
         raise ValueError("need at least 2 sample points")
     design, y = bounds.to_unit(x), np.asarray(y, dtype=float)
     if np.unique(design, axis=0).shape[0] < 2:
         raise ValueError("need at least 2 distinct sample points")
-    free = bounds.free
-    k = int(np.count_nonzero(free))
-    free_design = design[:, free]
+    k = design.shape[1]
     y_std, _, _ = _standardize(y)
 
     lam_fixed = lambda_bounds[0] == lambda_bounds[1]
@@ -293,16 +290,15 @@ def fit(
     with warnings.catch_warnings():
         # singular Psi at extreme theta is expected during the search
         warnings.simplefilter("ignore")
-        best_z, _ = ga_maximize(lambda zs: log_likelihood(free_design, y_std, *decode(zs)),
+        best_z, _ = ga_maximize(lambda zs: log_likelihood(design, y_std, *decode(zs)),
                                 (lower, upper), params=ga_params, rng=rng)
-    free_theta, lam = decode(best_z[None])
-    theta = np.zeros(design.shape[1])
-    theta[free] = free_theta[0]
-    return _assemble(design, y, theta, float(lam[0]))
+    theta, lam = decode(best_z[None])
+    return _assemble(design, y, theta[0], float(lam[0]))
 
 
 def fit_fixed(x: np.ndarray, y: np.ndarray, bounds: Bounds, theta, lam: float) -> RKModel:
-    """Assemble a model on toll rows ``x`` and responses ``y`` at given hyperparameters."""
+    """Assemble a model on toll rows ``x`` and responses ``y`` at given hyperparameters:
+    ``theta`` holds one value per free dimension of ``bounds``."""
     return _assemble(bounds.to_unit(x), np.asarray(y, dtype=float),
                      np.asarray(theta, dtype=float), float(lam))
 

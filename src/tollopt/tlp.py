@@ -247,17 +247,16 @@ def rk_step(run: OptimizationRun) -> None:
 
 
 def _optimize_direct(spec: ProblemSpec, rep_seeds: list[int]) -> Samples:
-    """DIRECT over the unit cube of the toll box's free dimensions; each of its
-    points is scaled into the box and put back into a toll row."""
+    """DIRECT over the unit cube of the toll box's free dimensions; ``from_unit``
+    makes each of its points a toll row."""
     batches: list[Samples] = []
     m, bounds = spec.m, spec.bounds
-    free = bounds.free
     rho = None
 
     def penalized(U: np.ndarray) -> np.ndarray:
         """One DIRECT iteration's points, simulated as one batch and penalized."""
         nonlocal rho
-        X = bounds.rows(bounds.lower[free] + U * bounds.span[free])
+        X = bounds.from_unit(U)
         batch = evaluate_tolls(spec, X, rep_seeds, origin="direct")
         batches.append(batch)
         objective = batch.objective
@@ -272,7 +271,8 @@ def _optimize_direct(spec: ProblemSpec, rep_seeds: list[int]) -> Samples:
             excess.append(batch.constraint - spec.delta_max)
         return direct_mod.quadratic_penalty(objective, excess, rho)
 
-    direct_mod.direct_minimize(penalized, int(np.count_nonzero(free)), max_evals=spec.budget)
+    direct_mod.direct_minimize(penalized, int(np.count_nonzero(bounds.free)),
+                               max_evals=spec.budget)
 
     return Samples.concat(batches)
 

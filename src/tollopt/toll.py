@@ -53,8 +53,11 @@ class Bounds:
     """Box bounds on the flat decision vector (distance rates first, then delay rates).
 
     A dimension whose bounds are equal is fixed at its bound.  The searches
-    (the likelihood and infill GAs, DIRECT) move along the ``free`` dimensions
-    only, and ``rows`` puts their points back into toll rows.
+    (the likelihood and infill GAs, DIRECT) move along the k ``free``
+    dimensions only, and ``rows`` puts their points back into toll rows.  The
+    unit cube ``[0, 1]^k`` of the free dimensions is the coordinate system of
+    the initial plan, the surrogate and DIRECT: ``from_unit`` and ``to_unit``
+    map it to and from toll rows.
     """
 
     lower: np.ndarray
@@ -112,17 +115,17 @@ class Bounds:
         x = np.asarray(x, dtype=float)
         return np.all((x >= self.lower - atol) & (x <= self.upper + atol), axis=-1)
 
-    def scale_from_unit(self, u) -> np.ndarray:
-        """Affine map from the unit cube into the box."""
-        u = np.asarray(u, dtype=float)
-        return self.lower + u * self.span
+    def from_unit(self, u) -> np.ndarray:
+        """``(n, k)`` points of the free dimensions' unit cube -> ``(n, 2m)`` toll rows."""
+        free = self.free
+        return self.rows(self.lower[free] + np.asarray(u, dtype=float) * self.span[free])
 
     def to_unit(self, x) -> np.ndarray:
-        """Affine map from the box into the unit cube; fixed dimensions map to 0."""
-        x = np.asarray(x, dtype=float)
+        """Toll rows -> their free coordinates in the unit cube, ``(..., k)``."""
         free = self.free
-        u = (x - self.lower) / np.where(free, self.span, 1.0)
-        return np.where(free, u, 0.0)
+        # compress, unlike x[..., free], returns a C-contiguous array; a
+        # column-major design changes the order of the correlation sums
+        return (np.compress(free, x, axis=-1) - self.lower[free]) / self.span[free]
 
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)

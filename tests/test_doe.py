@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from tollopt.cli import save_plan_csv
-from tollopt.doe import build_initial_plan, lhs, maximin_lhs
+from tollopt.doe import (ANCHORS, MAXIMIN_CANDIDATES, build_initial_plan, initial_plan_size, lhs,
+                         maximin_lhs)
 from tollopt.toll import Bounds
 
 
@@ -96,11 +97,24 @@ def test_initial_plan_anchors_and_scaling():
     assert np.array_equal(arrays[-1], bounds.midpoint())
 
 
-def test_initial_plan_degenerate_bounds_warns():
-    bounds = Bounds(np.zeros(4), np.zeros(4))
-    with pytest.warns(UserWarning):
-        plan = build_initial_plan(2, bounds, np.random.default_rng(0))
-    assert all(np.array_equal(p, np.zeros(4)) for p in plan)
+def test_initial_plan_degenerate_bounds_raises():
+    # a box with no free dimension has one point, and a plan of copies of it
+    # could not be fitted
+    with pytest.raises(ValueError, match="no free dimension"):
+        build_initial_plan(2, Bounds(np.zeros(4), np.zeros(4)), np.random.default_rng(0))
+
+
+def test_initial_plan_draws_over_the_free_dimensions_only():
+    # the distance-only desk box: the delay rates are fixed at 0, so the
+    # maximin plan is drawn in the unit cube of the 4 distance rates
+    m = 4
+    bounds = Bounds.uniform(m, 1.0, 0.0)
+    plan = build_initial_plan(m, bounds, np.random.default_rng(5))
+    unit = maximin_lhs(initial_plan_size(m) - ANCHORS, m, MAXIMIN_CANDIDATES,
+                       np.random.default_rng(5))
+    filling, lo, hi = plan[:-ANCHORS], bounds.lower[:m], bounds.upper[:m]
+    assert np.array_equal(filling[:, :m], lo + unit * (hi - lo))
+    assert np.array_equal(filling[:, m:], np.broadcast_to(bounds.lower[m:], (len(filling), m)))
 
 
 def test_plan_csv_round_trip(tmp_path):

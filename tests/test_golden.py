@@ -58,7 +58,10 @@ def test_fixed_seed_direct_digest_two_intervals(tmp_path, capsys):
 
 
 DISTANCE_ONLY = [
-    ("rk", "c4c34e9dd87a0ac2761aa54195160fc0d86ac45ca91f2dd9d243fd87c6ac6b52"),
+    # re-pinned when the initial plan's maximin draw moved to the free dimensions'
+    # unit cube: with the draw over all 2m dimensions the run gives the old pin
+    # c4c34e9d..., so only the plan moved the digest
+    ("rk", "07a3b8476ad12fcc3e495fb3cadf054b0c9527aac097cdf956e2f54650e82649"),
     ("direct", "2de1fe0598a5e35a8b54476415397e85472435ecc002051e2ac3fdcc301ac17e"),
 ]
 

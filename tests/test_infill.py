@@ -161,7 +161,7 @@ class TestRepairSmoothing:
     def test_random_points_become_feasible(self, seed):
         bounds = Bounds.uniform(4, 1.0, 15.0)
         rng = np.random.default_rng(seed)
-        x = bounds.scale_from_unit(rng.uniform(size=8))
+        x = bounds.from_unit(rng.uniform(size=(1, 8)))[0]
         fixed = repair_smoothing(x, 1.0 / 3.0, 5.0, bounds)
         assert bounds.contains(fixed)
         assert check_smoothing(fixed[None], 1.0 / 3.0, 5.0)[0]
@@ -176,11 +176,11 @@ class TestRepairSmoothing:
         # come from 0.5 +- reach, so every reach puts points outside the box
         bounds = Bounds.uniform(m, 1.0, 15.0)
         rng = np.random.default_rng(seed)
-        x = bounds.scale_from_unit(rng.uniform(0.5 - reach, 0.5 + reach, size=2 * m))
+        x = bounds.from_unit(rng.uniform(0.5 - reach, 0.5 + reach, size=(1, 2 * m)))[0]
         once = repair_smoothing(x, 1.0 / 3.0, 5.0, bounds)
         assert np.array_equal(repair_smoothing(once, 1.0 / 3.0, 5.0, bounds), once)
         # a batch repairs each row as that row alone is repaired
-        batch = bounds.scale_from_unit(rng.uniform(0.5 - reach, 0.5 + reach, size=(5, 2 * m)))
+        batch = bounds.from_unit(rng.uniform(0.5 - reach, 0.5 + reach, size=(5, 2 * m)))
         rows = np.array([repair_smoothing(row, 1.0 / 3.0, 5.0, bounds) for row in batch])
         assert np.array_equal(repair_smoothing(batch, 1.0 / 3.0, 5.0, bounds), rows)
 
@@ -250,7 +250,7 @@ class TestProposeInfill:
         bounds = Bounds.uniform(m, 1.0, 15.0)
         pts = rng.uniform(size=(20, 2 * m))
         ys = np.sum((pts - 0.4) ** 2, axis=1)
-        model = fit_fixed(bounds.scale_from_unit(pts), ys,
+        model = fit_fixed(bounds.from_unit(pts), ys,
                           bounds, theta=np.full(2 * m, 2.0), lam=0.02)
         ctx = AcquisitionContext(obj_model=model, bounds=bounds, y_min=float(np.min(ys)),
                                  smoothing=(1.0 / 3.0, 5.0))
@@ -277,7 +277,7 @@ class TestProposeInfill:
         rng = np.random.default_rng(6)
         rows = np.hstack([rng.uniform(size=(12, m)), np.zeros((12, m))])
         ys = np.sum((rows[:, :m] - 0.3) ** 2, axis=1)
-        model = fit_fixed(rows, ys, bounds, theta=np.r_[np.full(m, 2.0), np.zeros(m)], lam=0.02)
+        model = fit_fixed(rows, ys, bounds, theta=np.full(m, 2.0), lam=0.02)
         boxes = []
         real = infill.ga_maximize
 

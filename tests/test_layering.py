@@ -114,13 +114,19 @@ def _free_dimension_tests(tree: ast.AST) -> list[int]:
     return found
 
 
+def _span_reads(tree: ast.AST) -> list[int]:
+    """Lines that read a ``.span`` attribute."""
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "span"]
+
+
 def test_only_the_toll_box_decides_which_dimensions_are_free():
-    # Bounds.free and Bounds.rows are the one map from search points to toll rows;
-    # DIRECT searches the unit cube and knows nothing of the toll box
+    # Bounds.free and Bounds.rows are the one map from search points to toll rows,
+    # and from_unit and to_unit the one map between them and the unit cube of the
+    # free dimensions; DIRECT searches that cube and knows nothing of the toll box
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    assert _free_dimension_tests(trees["toll.py"])
+    assert _free_dimension_tests(trees["toll.py"]) and _span_reads(trees["toll.py"])
     assert {name: lines for name, tree in trees.items() if name != "toll.py"
-            and (lines := _free_dimension_tests(tree))} == {}
+            and (lines := _free_dimension_tests(tree) + _span_reads(tree))} == {}
     imported = {n.module for n in ast.walk(trees["direct.py"]) if isinstance(n, ast.ImportFrom)}
     imported |= {a.name for n in ast.walk(trees["direct.py"]) if isinstance(n, ast.Import)
                  for a in n.names}

@@ -242,8 +242,27 @@ class TestFit:
         rows = np.hstack([rng.uniform(size=(10, m)), np.zeros((10, m))])   # distance toll only
         model = fit(rows, np.sum(np.sin(3.0 * rows), axis=1), Bounds.uniform(m, 1.0, 0.0), ga_params=SMALL_GA, rng=rng)
         assert [(len(lower), len(upper)) for lower, upper in boxes] == [(m + 1, m + 1)]
-        assert np.all(model.theta[:m] > 0)
-        assert np.array_equal(model.theta[m:], np.zeros(m))
+        assert model.theta.shape == (m,) and np.all(model.theta > 0)
+
+    def test_fixed_dimensions_change_no_bit_of_the_fit(self):
+        # a distance-only box fits, bit for bit, as its distance columns do on their own box
+        m = 4
+        bounds = Bounds.uniform(m, 1.0, 0.0, v_min=0.1)
+        own = Bounds(bounds.lower[:m], bounds.upper[:m])
+        rng = np.random.default_rng(8)
+        rows = np.hstack([rng.uniform(0.1, 1.0, size=(12, m)), np.zeros((12, m))])
+        queries = np.hstack([rng.uniform(0.1, 1.0, size=(5, m)), np.zeros((5, m))])
+        ys = np.sum(np.sin(3.0 * rows), axis=1)
+        # the design must be C-contiguous: a column-major copy (what x[:, free]
+        # returns) changes the order of the correlation sums in the last bit
+        assert bounds.to_unit(rows).flags.c_contiguous
+        model = fit(rows, ys, bounds, ga_params=SMALL_GA, rng=np.random.default_rng(9))
+        alone = fit(rows[:, :m], ys, own, ga_params=SMALL_GA, rng=np.random.default_rng(9))
+        assert np.array_equal(model.theta, alone.theta) and model.lam == alone.lam
+        pred = predict(model, bounds.to_unit(queries))
+        pred_alone = predict(alone, own.to_unit(queries[:, :m]))
+        for field in ("mean", "variance", "ri_variance"):
+            assert np.array_equal(getattr(pred, field), getattr(pred_alone, field))
 
     def test_fewer_than_two_distinct_points_rejected(self):
         with pytest.raises(ValueError):
